@@ -19,9 +19,6 @@ from .indices import (
     enumerate_all_indices,
     iter_admissible_indices,
     iter_all_indices,
-    parse_index,
-    reverse,
-    stats,
 )
 from .modfield import (
     PrimeCtx,
@@ -40,7 +37,6 @@ from .harmonic import (
     family_sum_alt_strict,
     family_sum_star,
     family_sum_star_unrestricted,
-    family_sums_dp,
     mhs_star,
     mhs_strict,
 )
@@ -100,7 +96,6 @@ __all__ = [
     "family_sum_alt_strict",
     "family_sum_star",
     "family_sum_star_unrestricted",
-    "family_sums_dp",
     "gauss_terminating_check",
     "gf_coeff_series",
     "gf_coefficient_check",
@@ -111,7 +106,6 @@ __all__ = [
     "mhs_star",
     "mhs_strict",
     "mod_inv",
-    "parse_index",
     "pochhammer_mod",
     "pochhammer_poly",
     "pole_weight",
@@ -120,8 +114,6 @@ __all__ = [
     "power_sum_mod",
     "prime_ctx",
     "primes_in_range",
-    "reverse",
-    "stats",
     "verify_antipode",
     "verify_ao",
     "verify_height_sum",

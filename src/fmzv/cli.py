@@ -57,13 +57,17 @@ def _parse_prime_range(text: str) -> list[int]:
 
 
 def _default_jobs() -> int:
+    """FMZV_JOBS when set, else the core count; a bad FMZV_JOBS is a ValueError."""
     env = os.environ.get("FMZV_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        jobs = int(env)
+    except ValueError:
+        raise ValueError(f"FMZV_JOBS must be an integer, got {env!r}") from None
+    if jobs < 1:
+        raise ValueError(f"FMZV_JOBS must be >= 1, got {jobs}")
+    return jobs
 
 
 def _json_line(record: dict) -> str:
@@ -120,33 +124,55 @@ class _Emitter:
             self.handle.close()
 
 
-def _last_completed_prime(path, fmt) -> int | None:
-    """Scan the checkpoint (= output) file for the last finished prime."""
-    if path is None or not os.path.exists(path):
-        return None
-    last = None
-    with open(path, newline="") as handle:
-        if fmt == "csv":
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if not header or "p" not in header:
-                return None
-            p_col = header.index("p")
-            for row in reader:
-                if len(row) > p_col and row[p_col]:
-                    last = int(row[p_col])
-        else:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn trailing line: ignore
-                if "p" in rec:
-                    last = int(rec["p"])
-    return last
+def _resume_primes(path, fmt, per_prime, primes) -> list[int]:
+    """Cut ``path`` back to its last complete prime; return the primes after it.
+
+    The output file is the checkpoint.  A prime is complete when all its
+    ``per_prime`` records sit on whole lines.  Only the tail may be cut:
+    a torn last line and the records of a prime the run did not finish.
+    A file that breaks this pattern anywhere else is not a checkpoint of
+    this run, so it is left as it is and a ValueError is raised.
+    """
+    if not os.path.exists(path):
+        return primes
+    with open(path, "rb") as handle:
+        data = handle.read()
+    lines = data.split(b"\n")[:-1]  # the piece after the last newline is torn
+    keep = 0
+    if fmt == "csv" and lines:
+        header = next(csv.reader([lines[0].decode()]))
+        if "p" not in header:
+            raise ValueError(f"{path}: CSV header has no p column")
+        p_col = header.index("p")
+        keep = len(lines[0]) + 1
+        lines = lines[1:]
+    pos = keep
+    last = run_p = None
+    run_n = 0
+    for line in lines:
+        pos += len(line) + 1
+        try:
+            if fmt == "csv":
+                p = int(next(csv.reader([line.decode()]))[p_col])
+            else:
+                p = int(json.loads(line)["p"])
+        except (ValueError, KeyError, IndexError, TypeError):
+            raise ValueError(f"{path}: unreadable record {line[:60]!r}") from None
+        if p != run_p:
+            if run_p is not None and (run_n != per_prime or p < run_p):
+                raise ValueError(f"{path}: prime {run_p} has {run_n} records before "
+                                 f"prime {p}; this run writes {per_prime} per prime")
+            run_p, run_n = p, 0
+        run_n += 1
+        if run_n > per_prime:
+            raise ValueError(f"{path}: prime {p} has more than the {per_prime} "
+                             f"records per prime this run writes")
+        if run_n == per_prime:
+            keep, last = pos, p
+    if keep < len(data):
+        with open(path, "r+b") as handle:
+            handle.truncate(keep)
+    return primes if last is None else [p for p in primes if p > last]
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +202,14 @@ def cmd_verify(args) -> int:
     tasks = []
     for c in checks:
         tasks.extend(check_tasks(c, k_max=args.kmax, w_max=args.wmax, s_max=args.smax))
-    if args.resume:
-        last = _last_completed_prime(args.out, args.format)
-        if last is not None:
-            primes = [p for p in primes if p > last]
-    jobs = args.jobs if args.jobs else _default_jobs()
+    try:
+        jobs = _default_jobs() if args.jobs is None else args.jobs
+        if jobs < 1:
+            raise ValueError(f"--jobs must be >= 1, got {jobs}")
+        if args.resume:
+            primes = _resume_primes(args.out, args.format, len(tasks), primes)
+    except ValueError as err:
+        return _fail(str(err))
     emitter = _Emitter(args.out, args.format, VERIFY_COLUMNS, args.resume)
     failed = 0
     total = 0
@@ -244,9 +273,10 @@ def cmd_zsweep(args) -> int:
     if args.resume and not args.out:
         return _fail("--resume requires --out")
     if args.resume:
-        last = _last_completed_prime(args.out, args.format)
-        if last is not None:
-            primes = [p for p in primes if p > last]
+        try:
+            primes = _resume_primes(args.out, args.format, 1, primes)
+        except ValueError as err:
+            return _fail(str(err))
     emitter = _Emitter(args.out, args.format, ZSWEEP_COLUMNS, args.resume)
     zeros = fails = degenerate = skips = 0
     try:

@@ -5,21 +5,20 @@
 Both use a suffix recursion over m = 1..p-1 with precomputed inverse
 power tables, giving O(p * depth) per index.
 
-Family sums aggregate these values over the index families of fixed
-weight and height; ``family_sums_dp`` computes the whole (k, s) table in
-a single pass over m as a cross-check and as the fast path for large
-k * p products.
+Family sums aggregate these values over every index of fixed weight and
+height.  They come from one engine: a (weight, height) dynamic program
+that fills the whole table up to a weight in a single pass over m, kept
+on the ``PrimeCtx``.  Enumerating the family index by index is the
+independent oracle of the tests, not a production path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .indices import (
-    Index,
-    iter_admissible_indices,
-    iter_all_indices,
-)
+from .indices import Index
+# Unused here: perfbench/tracing.py patches these names on this module.
+from .indices import iter_admissible_indices, iter_all_indices  # noqa: F401
 from .modfield import PrimeCtx, Residue, batch_inv_ints, prime_ctx
 
 
@@ -81,23 +80,58 @@ def _require_prime_above(k: int, ctx: PrimeCtx) -> None:
         raise ValueError(f"prime {ctx.p} too small: need p > {k + 1} for weight {k}")
 
 
-def _family_table_for_weight(k: int, ctx: PrimeCtx) -> dict[int, tuple[int, int]]:
-    """s -> (alternating strict sum, star sum) over the admissible family."""
+def _family_sweep(k_max: int, ctx: PrimeCtx, sign: int, first_min: int) -> list[list[int]]:
+    """One pass over m = p-1 .. 1 of the (weight, height) DP; returns T[w][h].
 
-    def build():
-        table: dict[int, list[int]] = {}
-        p = ctx.p
-        for s in range(1, k // 2 + 1):
-            acc = [0, 0]
-            for ix in iter_admissible_indices(k, s):
-                parts = tuple(ix)
-                sign = -1 if len(parts) % 2 else 1
-                acc[0] = (acc[0] + sign * _mhs_int(parts, ctx, star=False)) % p
-                acc[1] = (acc[1] + _mhs_int(parts, ctx, star=True)) % p
-            table[s] = acc
-        return {s: (v[0], v[1]) for s, v in table.items()}
+    T[w][h] holds the contribution of all partial indices of weight w and
+    height h whose parts sit at positions > m; T[0][0] = 1 is the empty
+    index.  A part e placed at m multiplies by m^(-e) and moves (w, h) to
+    (w + e, h + [e >= 2]); the first part placed is k1 and must be
+    >= ``first_min``.  ``sign = -1`` gives strict chains with (-1)^depth
+    folded in: at most one part per m, so w sweeps downward and reads the
+    values from before m.  ``sign = +1`` gives star chains: several parts
+    may share m, so w sweeps upward and reads the values already updated.
+    """
+    p = ctx.p
+    h_max = k_max // 2
+    rows = _inverse_power_rows(ctx, k_max)
+    table = [[0] * (h_max + 1) for _ in range(k_max + 1)]
+    table[0][0] = 1
+    weights = range(k_max, 0, -1) if sign < 0 else range(1, k_max + 1)
+    for m in range(p - 1, 0, -1):
+        ipw = [sign * rows[e][m] for e in range(k_max + 1)]
+        for w in weights:
+            row = table[w]
+            # a part 1 keeps the height; from the empty state it is k1
+            ones = table[w - 1] if w > 1 or first_min < 2 else None
+            for h in range(min(w // 2, h_max) + 1):
+                acc = row[h]
+                if ones is not None:
+                    acc += ipw[1] * ones[h]
+                if h:
+                    for e in range(2, w + 1):
+                        acc += ipw[e] * table[w - e][h - 1]
+                row[h] = acc % p
+    return table
 
-    return ctx.memo(("family_table", k), build)
+
+def family_table(k: int, ctx: PrimeCtx) -> list[list[list[int]]]:
+    """[alternating strict, star, star with free first part], each as T[w][h].
+
+    The tables live on the context and grow on demand like the inverse
+    power rows: a table of weight >= k answers any query for k.
+    """
+    tables = ctx.memo("family_table", lambda: _family_tables(k, ctx))
+    if len(tables[0]) <= k:
+        with ctx._lock:
+            if len(tables[0]) <= k:
+                tables[:] = _family_tables(k, ctx)
+    return tables
+
+
+def _family_tables(k: int, ctx: PrimeCtx) -> list[list[list[int]]]:
+    return [_family_sweep(k, ctx, -1, 2), _family_sweep(k, ctx, 1, 2),
+            _family_sweep(k, ctx, 1, 1)]
 
 
 def family_sum_star(k: int, s: int, ctx: PrimeCtx) -> Residue:
@@ -107,7 +141,7 @@ def family_sum_star(k: int, s: int, ctx: PrimeCtx) -> Residue:
     _require_prime_above(k, ctx)
     if s > k // 2:
         return ctx.zero
-    return Residue(_family_table_for_weight(k, ctx)[s][1], ctx)
+    return Residue(family_table(k, ctx)[1][k][s], ctx)
 
 
 def family_sum_alt_strict(k: int, s: int, ctx: PrimeCtx) -> Residue:
@@ -117,7 +151,7 @@ def family_sum_alt_strict(k: int, s: int, ctx: PrimeCtx) -> Residue:
     _require_prime_above(k, ctx)
     if s > k // 2:
         return ctx.zero
-    return Residue(_family_table_for_weight(k, ctx)[s][0], ctx)
+    return Residue(family_table(k, ctx)[0][k][s], ctx)
 
 
 def family_sum_star_unrestricted(k: int, s: int, ctx: PrimeCtx) -> Residue:
@@ -125,88 +159,12 @@ def family_sum_star_unrestricted(k: int, s: int, ctx: PrimeCtx) -> Residue:
     if k < 0 or s < 0:
         raise ValueError(f"need k >= 0 and s >= 0, got k={k}, s={s}")
     _require_prime_above(k, ctx)
-
-    def build():
-        p = ctx.p
-        total = 0
-        for ix in iter_all_indices(k, s):
-            total = (total + _mhs_int(tuple(ix), ctx, star=True)) % p
-        return total
-
-    return Residue(ctx.memo(("family_star_all", k, s), build), ctx)
+    if s > k // 2:
+        return ctx.zero
+    return Residue(family_table(k, ctx)[2][k][s], ctx)
 
 
-def family_sums_dp(k_max: int, ctx: PrimeCtx) -> dict[tuple[int, int], tuple[Residue, Residue]]:
-    """All (S_alt_strict, S_star) family sums for 2 <= k <= k_max in one pass.
-
-    Dynamic programming over the truncation point m = p-1 .. 1.  The
-    state (w, h) holds the contribution of all partial indices of
-    accumulated weight w and height h already placed at positions > m
-    (star chains may keep placing parts at the same m).  The first part
-    placed is required to be >= 2.  Must agree with the enumeration path
-    exactly.
-    """
-    if k_max < 2:
-        raise ValueError(f"need k_max >= 2, got {k_max}")
-    _require_prime_above(k_max, ctx)
-    p = ctx.p
-    h_max = k_max // 2
-    rows = _inverse_power_rows(ctx, k_max)
-
-    # D: strict with (-1)^depth folded in; E: star.  [w][h] layout.
-    D = [[0] * (h_max + 1) for _ in range(k_max + 1)]
-    E = [[0] * (h_max + 1) for _ in range(k_max + 1)]
-    D[0][0] = E[0][0] = 1
-
-    for m in range(p - 1, 0, -1):
-        ipw = [rows[e][m] for e in range(k_max + 1)]
-        # Strict: place at most one part at m; read pre-m values only,
-        # so sweep w downward (sources w-e < w are still old).
-        for w in range(k_max, 0, -1):
-            for h in range(min(w // 2, h_max), -1, -1):
-                acc = D[w][h]
-                for e in range(1, w + 1):
-                    hs = h - 1 if e >= 2 else h
-                    if hs < 0:
-                        continue
-                    if w == e:  # source is the empty state: first part needs e >= 2
-                        if e < 2 or hs != 0:
-                            continue
-                        v = 1
-                    else:
-                        v = D[w - e][hs]
-                        if not v:
-                            continue
-                    acc -= ipw[e] * v
-                D[w][h] = acc % p
-        # Star: any number of parts may sit at the same m, so transitions
-        # read the in-progress values; sweep w upward.
-        for w in range(1, k_max + 1):
-            for h in range(min(w // 2, h_max) + 1):
-                acc = E[w][h]
-                for e in range(1, w + 1):
-                    hs = h - 1 if e >= 2 else h
-                    if hs < 0:
-                        continue
-                    if w == e:
-                        if e < 2 or hs != 0:
-                            continue
-                        v = 1
-                    else:
-                        v = E[w - e][hs]
-                        if not v:
-                            continue
-                    acc += ipw[e] * v
-                E[w][h] = acc % p
-
-    out: dict[tuple[int, int], tuple[Residue, Residue]] = {}
-    for k in range(2, k_max + 1):
-        for s in range(1, k // 2 + 1):
-            out[(k, s)] = (Residue(D[k][s], ctx), Residue(E[k][s], ctx))
-    return out
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AWindow:
     """A finite window of a prime-indexed family of residues.
 
@@ -257,6 +215,10 @@ class AWindow:
             if p in mine and mine[p] != v:
                 return False
         return True
+
+    # Equality on the shared primes is not transitive, so no hash can agree
+    # with it.  With eq=False the dataclass adds no field hash behind it.
+    __hash__ = None
 
     def __repr__(self):
         inner = ", ".join(f"{p}:{v}" for p, v in self.entries)

@@ -90,19 +90,6 @@ class Index:
         return f"Index({','.join(map(str, self.parts))})"
 
 
-def parse_index(text: str) -> Index:
-    return Index.parse(text)
-
-
-def stats(ix: Index) -> tuple[int, int, int]:
-    """(weight, depth, height) of an index."""
-    return ix.weight, ix.depth, ix.height
-
-
-def reverse(ix: Index) -> Index:
-    return ix.reverse()
-
-
 def _feasible(weight: int, height: int) -> bool:
     # A composition of `weight` with exactly `height` parts >= 2 exists
     # iff weight >= 2*height, padding with 1s (weight 0 forces height 0).

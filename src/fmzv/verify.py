@@ -25,6 +25,7 @@ from .harmonic import (
     family_sum_alt_strict,
     family_sum_star,
     family_sum_star_unrestricted,
+    family_table,
     mhs_star,
     mhs_strict,
 )
@@ -182,8 +183,17 @@ def _task_guard(task: tuple) -> int:
 
 
 def evaluate_tasks_for_prime(p: int, tasks: list[tuple]) -> list[VerificationRecord]:
-    """All records for one prime; builds the context only when needed."""
+    """All records for one prime; builds the context only when needed.
+
+    The family checks of this prime share one family table, built up
+    front at the largest weight they ask for.
+    """
     ctx = None
+    family_k = [task[1] for task in tasks
+                if task[0] not in ("antipode", "reversal") and p > _task_guard(task)]
+    if family_k:
+        ctx = prime_ctx(p)
+        family_table(max(family_k), ctx)
     out = []
     for task in tasks:
         if p <= _task_guard(task):

@@ -72,6 +72,38 @@ def compositions_filtered(k, s=None, first_min=1):
     return out
 
 
+def naive_mhs(parts, p, star):
+    """Truncated harmonic sum by the suffix recursion, one pow per term.
+
+    state[j] sums prod m_i^-k_i over the chains of parts j..r-1 whose
+    largest m is at most the current m; O(p * depth) with no tables.
+    """
+    r = len(parts)
+    state = [0] * r + [1]
+    order = range(r - 1, -1, -1) if star else range(r)
+    for m in range(1, p):
+        for j in order:
+            state[j] = (state[j] + pow(m, -parts[j], p) * state[j + 1]) % p
+    return state[0]
+
+
+def family_sums(k, p):
+    """s -> (alternating strict, star, star with free first part) family sums.
+
+    Enumerates every composition of weight k and sums naive_mhs over it:
+    the first two over first part >= 2, the last over all compositions.
+    """
+    out = {s: [0, 0, 0] for s in range(k // 2 + 1)}
+    for parts in all_compositions(k):
+        s = sum(1 for x in parts if x >= 2)
+        star = naive_mhs(parts, p, star=True)
+        out[s][2] += star
+        if parts and parts[0] >= 2:
+            out[s][0] += (-1) ** len(parts) * naive_mhs(parts, p, star=False)
+            out[s][1] += star
+    return {s: tuple(v % p for v in sums) for s, sums in out.items()}
+
+
 @lru_cache(maxsize=None)
 def frac_bernoulli(n):
     """Exact rational B_n from sum(C(m+1, j) B_j) = 0, with B_1 = -1/2."""

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from fmzv.cli import main
 from fmzv.records import VerificationRecord
 
@@ -200,10 +202,23 @@ def test_jobs_env_default(monkeypatch):
 
     monkeypatch.setenv("FMZV_JOBS", "3")
     assert _default_jobs() == 3
-    monkeypatch.setenv("FMZV_JOBS", "junk")
-    assert _default_jobs() >= 1
+    for bad in ("junk", "0", "-2"):
+        monkeypatch.setenv("FMZV_JOBS", bad)
+        with pytest.raises(ValueError):
+            _default_jobs()
     monkeypatch.delenv("FMZV_JOBS")
     assert _default_jobs() >= 1
+
+
+def test_verify_rejects_bad_jobs(capsys, monkeypatch):
+    base = ["verify", "ao", "--kmax", "3", "--primes", "5..13"]
+    for jobs in ("0", "-3"):
+        code, out, err = run_cli(base + ["--jobs", jobs], capsys)
+        assert code == 2 and out == "" and "error:" in err, jobs
+    for env in ("junk", "0"):
+        monkeypatch.setenv("FMZV_JOBS", env)
+        code, out, err = run_cli(base, capsys)
+        assert code == 2 and out == "" and "error:" in err, env
 
 
 def test_verify_csv_resume(tmp_path, capsys):
@@ -216,3 +231,46 @@ def test_verify_csv_resume(tmp_path, capsys):
     assert run_cli(["verify", "ao", "--kmax", "3", "--jobs", "1", "--format", "csv",
                     "--out", str(oneshot), "--primes", "5..23"], capsys)[0] == 0
     assert out.read_bytes() == oneshot.read_bytes()
+
+
+RESUMABLE = [
+    (["verify", "ao,lm,heightsum", "--kmax", "4", "--jobs", "1"], "jsonl"),
+    (["verify", "ao,lm,heightsum", "--kmax", "4", "--jobs", "1"], "csv"),
+    (["zsweep", "--k", "3"], "jsonl"),
+    (["zsweep", "--k", "3"], "csv"),
+]
+
+
+@pytest.mark.parametrize("argv, fmt", RESUMABLE)
+def test_resume_after_torn_tail(tmp_path, capsys, argv, fmt):
+    # a run cut anywhere in its last lines resumes to the bytes of a run
+    # that was never interrupted: the torn line and the unfinished prime
+    # are cut off and written again
+    base = argv + ["--format", fmt]
+    oneshot = tmp_path / f"oneshot.{fmt}"
+    assert run_cli(base + ["--primes", "5..29", "--out", str(oneshot)], capsys)[0] == 0
+    partial = tmp_path / f"partial.{fmt}"
+    assert run_cli(base + ["--primes", "5..13", "--out", str(partial)], capsys)[0] == 0
+    data = partial.read_bytes()
+    tail = data.rindex(b"\n", 0, data.rindex(b"\n", 0, len(data) - 1))
+    for cut in (len(data) - 5, len(data) - 1, tail + 1, tail + 7, 3, 0):
+        out = tmp_path / f"cut{cut}.{fmt}"
+        out.write_bytes(data[:cut])
+        assert run_cli(base + ["--primes", "5..29", "--out", str(out),
+                               "--resume"], capsys)[0] == 0, cut
+        assert out.read_bytes() == oneshot.read_bytes(), cut
+
+
+def test_resume_refuses_another_runs_file(tmp_path, capsys):
+    out = tmp_path / "sweep.jsonl"
+    base = ["verify", "ao,lm", "--jobs", "1", "--out", str(out), "--primes", "5..19"]
+    assert run_cli(base + ["--kmax", "3"], capsys)[0] == 0
+    before = out.read_bytes()
+    for kmax in ("2", "4"):  # fewer and more records per prime than the file has
+        code, _, err = run_cli(base + ["--kmax", kmax, "--resume"], capsys)
+        assert code == 2 and "error:" in err, kmax
+        assert out.read_bytes() == before
+    merged = before.replace(b"}\n", b"}", 1)  # two records on one line
+    out.write_bytes(merged)
+    assert run_cli(base + ["--kmax", "3", "--resume"], capsys)[0] == 2
+    assert out.read_bytes() == merged

@@ -6,7 +6,6 @@ from fmzv.harmonic import (
     family_sum_alt_strict,
     family_sum_star,
     family_sum_star_unrestricted,
-    family_sums_dp,
     mhs_star,
     mhs_strict,
 )
@@ -110,27 +109,32 @@ def test_family_sum_guards():
     with pytest.raises(ValueError):
         family_sum_star(0, 1, prime_ctx(7))
     # infeasible height is an empty sum, not an error
-    assert family_sum_star(4, 2, prime_ctx(7)).value == family_sum_star(4, 2, prime_ctx(7)).value
+    assert family_sum_star(4, 2, prime_ctx(7)).value == oracles.family_sums(4, 7)[2][1]
     assert family_sum_star(3, 4, prime_ctx(11)).value == 0
 
 
 def test_family_sums_dp_matches_enumeration():
+    # the DP engine against enumeration plus the naive suffix sum; asking
+    # for k in increasing order also grows each prime's table step by step
     for p in primes_in_range(11, 199):
         ctx = prime_ctx(p)
-        table = family_sums_dp(8, ctx)
-        for k in range(2, 9):
-            for s in range(1, k // 2 + 1):
-                alt, star = table[(k, s)]
-                assert alt == family_sum_alt_strict(k, s, ctx), (k, s, p)
-                assert star == family_sum_star(k, s, ctx), (k, s, p)
+        for k in range(0, 9):
+            for s, (alt, star, star_all) in oracles.family_sums(k, p).items():
+                if k >= 1 and s >= 1:
+                    assert family_sum_alt_strict(k, s, ctx).value == alt, (k, s, p)
+                    assert family_sum_star(k, s, ctx).value == star, (k, s, p)
+                assert family_sum_star_unrestricted(k, s, ctx).value == star_all, (k, s, p)
 
 
 def test_family_sums_dp_small_prime_guard():
-    with pytest.raises(ValueError):
-        family_sums_dp(6, prime_ctx(7))
-    table = family_sums_dp(3, prime_ctx(7))
-    assert table[(3, 1)][0].value == 3 and table[(3, 1)][1].value == 3
-    assert table[(2, 1)][0].value == 0 and table[(2, 1)][1].value == 0
+    for family_sum in (family_sum_star, family_sum_alt_strict, family_sum_star_unrestricted):
+        with pytest.raises(ValueError):
+            family_sum(6, 1, prime_ctx(7))
+    ctx = prime_ctx(7)
+    assert family_sum_alt_strict(3, 1, ctx).value == 3
+    assert family_sum_star(3, 1, ctx).value == 3
+    assert family_sum_alt_strict(2, 1, ctx).value == 0
+    assert family_sum_star(2, 1, ctx).value == 0
 
 
 def test_awindow_equality_on_intersection():
@@ -144,6 +148,11 @@ def test_awindow_equality_on_intersection():
     disjoint = AWindow.compute(IX(1, 2), [19, 23])
     assert w1 == disjoint  # vacuous agreement
     assert AWindow.compute(IX(2, 1), primes, star=True).value(5) == 1
+    # equality on the intersection is not transitive, so windows are unhashable
+    with pytest.raises(TypeError):
+        hash(w1)
+    with pytest.raises(TypeError):
+        {w1, w2}
 
 
 def test_awindow_validation():

@@ -6,9 +6,6 @@ from fmzv.indices import (
     enumerate_admissible_indices,
     enumerate_all_indices,
     iter_indices_of_weight,
-    parse_index,
-    reverse,
-    stats,
 )
 
 
@@ -25,16 +22,16 @@ def test_index_validation():
 
 
 def test_stats_examples():
-    assert stats(Index.of(2, 1)) == (3, 2, 1)
-    assert stats(Index.of(2, 2)) == (4, 2, 2)
-    assert stats(Index(())) == (0, 0, 0)
+    for ix, want in ((Index.of(2, 1), (3, 2, 1)), (Index.of(2, 2), (4, 2, 2)),
+                     (Index(()), (0, 0, 0))):
+        assert (ix.weight, ix.depth, ix.height) == want
 
 
 def test_reverse_examples():
-    assert tuple(reverse(Index.of(2, 1))) == (1, 2)
-    assert tuple(reverse(Index.of(3))) == (3,)
+    assert tuple(Index.of(2, 1).reverse()) == (1, 2)
+    assert tuple(Index.of(3).reverse()) == (3,)
     for ix in iter_indices_of_weight(8):
-        assert reverse(reverse(ix)) == ix
+        assert ix.reverse().reverse() == ix
 
 
 def test_admissible_examples():
@@ -102,10 +99,10 @@ def test_lex_order_is_deterministic():
 
 
 def test_parse_and_str_roundtrip():
-    assert parse_index("2,1") == Index.of(2, 1)
-    assert parse_index("") == Index(())
+    assert Index.parse("2,1") == Index.of(2, 1)
+    assert Index.parse("") == Index(())
     assert str(Index.of(10, 1, 2)) == "10,1,2"
-    assert parse_index(str(Index.of(4, 4))) == Index.of(4, 4)
+    assert Index.parse(str(Index.of(4, 4))) == Index.of(4, 4)
     for bad in ("2,,1", "a", "2, 1", "0", "-3", "1.5"):
         with pytest.raises(ValueError):
-            parse_index(bad)
+            Index.parse(bad)

@@ -1,8 +1,9 @@
 import pytest
 
+from fmzv import harmonic
 from fmzv.errors import InfeasibleFamilyError
 from fmzv.indices import Index
-from fmzv.modfield import prime_ctx, primes_in_range
+from fmzv.modfield import PrimeCtx, prime_ctx, primes_in_range
 from fmzv.verify import (
     check_tasks,
     evaluate_tasks_for_prime,
@@ -126,6 +127,32 @@ def test_evaluate_tasks_for_prime_skips_without_ctx():
     tasks = check_tasks("ao", k_max=6)
     records = evaluate_tasks_for_prime(2, tasks)
     assert all(r.skipped for r in records)
+
+
+def test_family_table_built_once_per_prime(monkeypatch):
+    # the family checks of a prime share one table at their largest weight,
+    # so it is neither rebuilt nor grown while the prime's tasks run
+    memo_builds, sweeps = {}, {}
+    memo = PrimeCtx.memo
+    family_tables = harmonic._family_tables
+
+    def counting_memo(ctx, key, build):
+        def counted():
+            memo_builds[ctx.p] = memo_builds.get(ctx.p, 0) + 1
+            return build()
+        return memo(ctx, key, counted if key == "family_table" else build)
+
+    def counting_tables(k, ctx):
+        sweeps[ctx.p] = sweeps.get(ctx.p, 0) + 1
+        return family_tables(k, ctx)
+
+    monkeypatch.setattr(PrimeCtx, "memo", counting_memo)
+    monkeypatch.setattr(harmonic, "_family_tables", counting_tables)
+    prime_ctx.cache_clear()  # contexts of earlier tests hold built tables
+    primes = primes_in_range(5, 61)
+    records = verify_range(["ao", "lm", "lemma", "heightsum"], primes, k_max=10)
+    assert records and all(r.passed for r in records)
+    assert memo_builds == sweeps == {p: 1 for p in primes}
 
 
 def test_verify_range_sorted_and_green():
