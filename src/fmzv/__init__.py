@@ -41,9 +41,8 @@ from .harmonic import (
     mhs_strict,
 )
 from .bernoulli import (
-    BernoulliTable,
     alternating_power_sum,
-    bernoulli_mod_recurrence,
+    bernoulli_mod,
     check_euler_congruence,
     zeta_residue,
     zeta_sweep,
@@ -75,7 +74,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AWindow",
     "AllSamplesSkippedError",
-    "BernoulliTable",
     "DegenerateParametersError",
     "Index",
     "InfeasibleFamilyError",
@@ -88,7 +86,7 @@ __all__ = [
     "alternating_power_sum",
     "anl_form_agreement",
     "batch_inv",
-    "bernoulli_mod_recurrence",
+    "bernoulli_mod",
     "binom_mod",
     "check_euler_congruence",
     "enumerate_admissible_indices",

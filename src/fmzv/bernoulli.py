@@ -2,117 +2,56 @@
 
 Two independent routes are kept deliberately separate:
 
-* the classical recurrence sum(C(m+1, j) * B_j, j <= m) = 0, built as a
-  per-prime table (the oracle; O(p^2) work, vectorized when possible);
+* the power sum sum(l^n, l < p) = p * B_n mod p^2, one O(p) sum per
+  value (the route every check reads);
 * the alternating inverse power sum, which a classical congruence ties
   to 2*(1 - 2^(1-k)) * B_(p-k)/k whenever 2^(k-1) is not 1 mod p.
 
-``check_euler_congruence`` confronts the two routes; ``zeta_sweep``
-runs the confrontation over a prime range while hunting for zero
-residues of B_(p-k)/k.
+The classical recurrence sum(C(m+1, j) * B_j, j <= m) = 0 is kept only
+as a test oracle.  ``check_euler_congruence`` confronts the two routes;
+``zeta_sweep`` runs the confrontation over a prime range while hunting
+for zero residues of B_(p-k)/k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import VonStaudtPoleError
 from .modfield import PrimeCtx, Residue, prime_ctx
 from .records import VerificationRecord, comparison_record
 
-# numpy path needs products of two residues to fit in int64
-_NUMPY_PRIME_LIMIT = 1 << 31
 
+def bernoulli_mod(n: int, ctx: PrimeCtx) -> Residue:
+    """B_n mod p for n in {0, 1}, odd n <= p-2 and even n <= p-3.
 
-class BernoulliTable:
-    """Residues of B_n mod p for n in {0, 1} and even n up to p-3.
-
-    Odd n >= 3 are identically zero and are not stored; n with
-    (p-1) | n (n > 0) are von Staudt poles and have no entry.
+    Odd n >= 3 give 0; n with (p-1) | n (n > 0) are von Staudt poles.
+    An even n is read off sum(l^n, l < p) = p * B_n mod p^2, which holds
+    for 2 <= n <= p-3, and memoized on the context.
     """
-
-    def __init__(self, ctx: PrimeCtx):
-        self.ctx = ctx
-        p = ctx.p
-        self.b1 = (p - 1) // 2  # representative of -1/2
-        self.even = _build_even_table(ctx)
-
-    def value(self, n: int) -> int:
-        p = self.ctx.p
-        if n < 0:
-            raise ValueError(f"Bernoulli index must be >= 0, got {n}")
-        if n == 0:
-            return 1
-        if (p - 1) > 0 and n % (p - 1) == 0:
-            raise VonStaudtPoleError(f"(p-1) | {n}: B_{n} is not p-integral mod {p}")
-        if n == 1:
-            return self.b1
-        if n % 2 == 1:
-            # B_n = 0 exactly for odd n >= 3, so any representable odd
-            # index below the pole is fine.
-            if n > p - 2:
-                raise ValueError(f"Bernoulli index {n} out of range for p={p}")
-            return 0
-        if n > p - 3:
+    p = ctx.p
+    if n < 0:
+        raise ValueError(f"Bernoulli index must be >= 0, got {n}")
+    if n == 0:
+        return Residue(1, ctx)
+    if n % (p - 1) == 0:
+        raise VonStaudtPoleError(f"(p-1) | {n}: B_{n} is not p-integral mod {p}")
+    if n == 1:
+        return Residue((p - 1) // 2, ctx)  # representative of -1/2
+    if n % 2 == 1:
+        # B_n = 0 exactly for odd n >= 3, so any representable odd
+        # index below the pole is fine.
+        if n > p - 2:
             raise ValueError(f"Bernoulli index {n} out of range for p={p}")
-        return self.even[n // 2]
+        return Residue(0, ctx)
+    if n > p - 3:
+        raise ValueError(f"Bernoulli index {n} out of range for p={p}")
 
-
-def _build_even_table(ctx: PrimeCtx) -> list[int]:
     def build():
-        p = ctx.p
-        fact, inv_fact = ctx.factorials()
-        if p < _NUMPY_PRIME_LIMIT:
-            return _even_table_numpy(p, fact, inv_fact)
-        return _even_table_python(p, fact, inv_fact)
+        p2 = p * p
+        return sum(pow(l, n, p2) for l in range(1, p)) % p2 // p
 
-    return ctx.memo("bernoulli_even", build)
-
-
-def _even_table_python(p: int, fact, inv_fact) -> list[int]:
-    # ev[i] = B_{2i}; only even j (and j = 1) contribute to the recurrence.
-    n_even = (p - 3) // 2 + 1 if p >= 5 else 1
-    ev = [0] * max(n_even, 1)
-    ev[0] = 1
-    b1 = (p - 1) // 2
-    for m in range(2, p - 2, 2):
-        fm1 = fact[m + 1]
-        total = (m + 1) * b1 % p
-        for j in range(0, m, 2):
-            total += fm1 * inv_fact[j] % p * inv_fact[m + 1 - j] % p * ev[j // 2] % p
-        inv_m1 = inv_fact[m + 1] * fact[m] % p
-        ev[m // 2] = -total * inv_m1 % p
-    return ev
-
-
-def _even_table_numpy(p: int, fact, inv_fact) -> list[int]:
-    n_even = (p - 3) // 2 + 1 if p >= 5 else 1
-    ev = np.zeros(max(n_even, 1), dtype=np.int64)
-    ev[0] = 1
-    b1 = (p - 1) // 2
-    F = np.asarray(fact, dtype=np.int64)
-    IF = np.asarray(inv_fact, dtype=np.int64)
-    evens = np.arange(0, p - 1, 2, dtype=np.int64)
-    if_even = IF[evens]
-    for m in range(2, p - 2, 2):
-        idx = m // 2  # even j run over 0, 2, ..., m-2
-        binoms = F[m + 1] * if_even[:idx] % p * IF[m + 1 - evens[:idx]] % p
-        total = int((binoms * ev[:idx] % p).sum() % p)
-        total = (total + (m + 1) * b1) % p
-        inv_m1 = inv_fact[m + 1] * fact[m] % p
-        ev[idx] = -total * inv_m1 % p
-    return [int(v) for v in ev]
-
-
-def bernoulli_table(ctx: PrimeCtx) -> BernoulliTable:
-    return ctx.memo("bernoulli_table", lambda: BernoulliTable(ctx))
-
-
-def bernoulli_mod_recurrence(n: int, ctx: PrimeCtx) -> Residue:
-    """B_n mod p from the recurrence table; n must avoid the von Staudt pole."""
-    return Residue(bernoulli_table(ctx).value(n), ctx)
+    return Residue(ctx.memo(("bernoulli_even", n), build), ctx)
 
 
 def alternating_power_sum(k: int, ctx: PrimeCtx) -> Residue:
@@ -135,7 +74,7 @@ def zeta_residue(k: int, ctx: PrimeCtx) -> Residue:
     if ctx.p <= k + 1:
         raise ValueError(f"prime {ctx.p} too small: need p > {k + 1}")
     p = ctx.p
-    b = bernoulli_table(ctx).value(p - k)
+    b = bernoulli_mod(p - k, ctx).value
     return Residue(b * pow(k, p - 2, p) % p, ctx)
 
 

@@ -34,7 +34,13 @@ from .symbolic import (
     run_hypcong_suite,
     run_phi0_suite,
 )
-from .verify import CHECK_NAMES, check_tasks, evaluate_tasks_for_prime, record_sort_key
+from .verify import (
+    CHECK_NAMES,
+    check_tasks,
+    evaluate_tasks_for_prime,
+    record_sort_key,
+    task_record_keys,
+)
 
 VERIFY_COLUMNS = ("check", "k", "s", "index", "p", "lhs", "rhs", "pass", "skipped", "reason")
 ZSWEEP_COLUMNS = ("check", "k", "p", "lhs", "rhs", "pass", "skipped", "reason", "zero", "cross")
@@ -124,13 +130,19 @@ class _Emitter:
             self.handle.close()
 
 
-def _resume_primes(path, fmt, per_prime, primes) -> list[int]:
+def _text(value) -> str:
+    return "" if value is None else str(value)
+
+
+def _resume_primes(path, fmt, keys, primes) -> list[int]:
     """Cut ``path`` back to its last complete prime; return the primes after it.
 
-    The output file is the checkpoint.  A prime is complete when all its
-    ``per_prime`` records sit on whole lines.  Only the tail may be cut:
-    a torn last line and the records of a prime the run did not finish.
-    A file that breaks this pattern anywhere else is not a checkpoint of
+    The output file is the checkpoint.  ``keys`` holds, for each record
+    the run writes per prime and in its order, the fields that name it
+    (check, k, ...).  A prime is complete when records carrying exactly
+    those keys sit on whole lines.  Only the tail may be cut: a torn
+    last line and the records of a prime the run did not finish.  A
+    file that breaks this pattern anywhere else is not a checkpoint of
     this run, so it is left as it is and a ValueError is raised.
     """
     if not os.path.exists(path):
@@ -138,12 +150,12 @@ def _resume_primes(path, fmt, per_prime, primes) -> list[int]:
     with open(path, "rb") as handle:
         data = handle.read()
     lines = data.split(b"\n")[:-1]  # the piece after the last newline is torn
+    per_prime = len(keys)
     keep = 0
     if fmt == "csv" and lines:
         header = next(csv.reader([lines[0].decode()]))
         if "p" not in header:
             raise ValueError(f"{path}: CSV header has no p column")
-        p_col = header.index("p")
         keep = len(lines[0]) + 1
         lines = lines[1:]
     pos = keep
@@ -153,9 +165,10 @@ def _resume_primes(path, fmt, per_prime, primes) -> list[int]:
         pos += len(line) + 1
         try:
             if fmt == "csv":
-                p = int(next(csv.reader([line.decode()]))[p_col])
+                rec = dict(zip(header, next(csv.reader([line.decode()]))))
             else:
-                p = int(json.loads(line)["p"])
+                rec = json.loads(line)
+            p = int(rec["p"])
         except (ValueError, KeyError, IndexError, TypeError):
             raise ValueError(f"{path}: unreadable record {line[:60]!r}") from None
         if p != run_p:
@@ -163,10 +176,16 @@ def _resume_primes(path, fmt, per_prime, primes) -> list[int]:
                 raise ValueError(f"{path}: prime {run_p} has {run_n} records before "
                                  f"prime {p}; this run writes {per_prime} per prime")
             run_p, run_n = p, 0
-        run_n += 1
-        if run_n > per_prime:
+        if run_n == per_prime:
             raise ValueError(f"{path}: prime {p} has more than the {per_prime} "
                              f"records per prime this run writes")
+        want = keys[run_n]
+        if any(_text(rec.get(field)) != _text(value) for field, value in want.items()):
+            named = " ".join(f"{field}={value}" for field, value in want.items()
+                             if value is not None)
+            raise ValueError(f"{path}: record {run_n + 1} of prime {p} is not this "
+                             f"run's {named}")
+        run_n += 1
         if run_n == per_prime:
             keep, last = pos, p
     if keep < len(data):
@@ -202,12 +221,22 @@ def cmd_verify(args) -> int:
     tasks = []
     for c in checks:
         tasks.extend(check_tasks(c, k_max=args.kmax, w_max=args.wmax, s_max=args.smax))
+    if not tasks:
+        flags = []
+        if any(c not in ("antipode", "reversal") for c in checks):
+            flags.append(f"--kmax {args.kmax}")
+            if args.smax is not None:
+                flags.append(f"--smax {args.smax}")
+        if any(c in ("antipode", "reversal") for c in checks):
+            flags.append(f"--wmax {args.wmax}")
+        return _fail(f"no tasks for {','.join(checks)} with {' '.join(flags)}")
     try:
         jobs = _default_jobs() if args.jobs is None else args.jobs
         if jobs < 1:
             raise ValueError(f"--jobs must be >= 1, got {jobs}")
         if args.resume:
-            primes = _resume_primes(args.out, args.format, len(tasks), primes)
+            primes = _resume_primes(args.out, args.format, task_record_keys(tasks),
+                                    primes)
     except ValueError as err:
         return _fail(str(err))
     emitter = _Emitter(args.out, args.format, VERIFY_COLUMNS, args.resume)
@@ -274,7 +303,8 @@ def cmd_zsweep(args) -> int:
         return _fail("--resume requires --out")
     if args.resume:
         try:
-            primes = _resume_primes(args.out, args.format, 1, primes)
+            primes = _resume_primes(args.out, args.format,
+                                    [{"check": "zsweep", "k": args.k}], primes)
         except ValueError as err:
             return _fail(str(err))
     emitter = _Emitter(args.out, args.format, ZSWEEP_COLUMNS, args.resume)

@@ -15,8 +15,8 @@ from functools import lru_cache
 
 from .errors import ZeroInverseError
 
-# Primes are capped so that double-width intermediate products stay exact
-# in any conceivable backend (numpy fast paths use int64 pairs).
+# Primes are capped so that a residue fits in a machine word.  All arithmetic
+# is on Python ints, so products stay exact whatever their size.
 PRIME_CAP = 1 << 61
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -182,6 +182,13 @@ def _task_guard(task: tuple) -> int:
     return task[1] + 1
 
 
+def _task_fields(task: tuple) -> dict:
+    """The parameters a task's record carries: k and s, or the index."""
+    if task[0] in ("antipode", "reversal"):
+        return {"index": str(Index(task[1]))}
+    return {"k": task[1], "s": task[2]}
+
+
 def evaluate_tasks_for_prime(p: int, tasks: list[tuple]) -> list[VerificationRecord]:
     """All records for one prime; builds the context only when needed.
 
@@ -197,18 +204,21 @@ def evaluate_tasks_for_prime(p: int, tasks: list[tuple]) -> list[VerificationRec
     out = []
     for task in tasks:
         if p <= _task_guard(task):
-            check = task[0]
-            if check in ("antipode", "reversal"):
-                out.append(skipped_record(check, f"p <= {_task_guard(task)}",
-                                          p=p, index=str(Index(task[1]))))
-            else:
-                out.append(skipped_record(check, f"p <= {_task_guard(task)}",
-                                          p=p, k=task[1], s=task[2]))
+            out.append(skipped_record(task[0], f"p <= {_task_guard(task)}",
+                                      p=p, **_task_fields(task)))
             continue
         if ctx is None:
             ctx = prime_ctx(p)
         out.append(evaluate_task(task, ctx))
     return out
+
+
+def task_record_keys(tasks: list[tuple]) -> list[dict]:
+    """The check, k, s and index of the records one prime's tasks yield,
+    in the order ``record_sort_key`` puts them."""
+    stubs = [skipped_record(task[0], "", **_task_fields(task)) for task in tasks]
+    return [{"check": r.check, "k": r.k, "s": r.s, "index": r.index}
+            for r in sorted(stubs, key=record_sort_key)]
 
 
 def record_sort_key(rec: VerificationRecord):

@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive: direct chain enumeration for
 harmonic sums, bitmask composition generation, the textbook rational
-Bernoulli recurrence.  None of it shares code with the package paths it
-checks.
+Bernoulli recurrence and its O(p^2) table mod p.  None of it shares
+code with the package paths it checks.
 """
 
 from fractions import Fraction
@@ -113,6 +113,26 @@ def frac_bernoulli(n):
     for j in range(n):
         total += _choose(n + 1, j) * frac_bernoulli(j)
     return -total / (n + 1)
+
+
+def bernoulli_even_table(p):
+    """[B_0, B_2, ..., B_(p-3)] mod p from sum(C(m+1, j) B_j, j <= m) = 0.
+
+    O(p^2) over even m, with B_1 = -1/2 and the odd B_j (j >= 3) zero;
+    the factorials and their inverses are built here, by Fermat.
+    """
+    fact = [1] * p
+    for i in range(1, p):
+        fact[i] = fact[i - 1] * i % p
+    inv_fact = [pow(f, p - 2, p) for f in fact]
+    b1 = (p - 1) // 2
+    ev = [1]
+    for m in range(2, p - 2, 2):
+        total = (m + 1) * b1
+        for j in range(0, m, 2):
+            total += fact[m + 1] * inv_fact[j] * inv_fact[m + 1 - j] * ev[j // 2]
+        ev.append(-total * pow(m + 1, p - 2, p) % p)
+    return ev
 
 
 def _choose(n, k):

@@ -2,10 +2,8 @@ import pytest
 
 import oracles
 from fmzv.bernoulli import (
-    _even_table_numpy,
-    _even_table_python,
     alternating_power_sum,
-    bernoulli_mod_recurrence,
+    bernoulli_mod,
     check_euler_congruence,
     zeta_residue,
     zeta_sweep,
@@ -15,11 +13,11 @@ from fmzv.modfield import binom_mod, power_sum_mod, prime_ctx, primes_in_range
 
 
 def test_bernoulli_examples():
-    assert bernoulli_mod_recurrence(0, prime_ctx(5)).value == 1
-    assert bernoulli_mod_recurrence(4, prime_ctx(7)).value == 3  # B_4 = -1/30
-    assert bernoulli_mod_recurrence(3, prime_ctx(11)).value == 0
+    assert bernoulli_mod(0, prime_ctx(5)).value == 1
+    assert bernoulli_mod(4, prime_ctx(7)).value == 3  # B_4 = -1/30
+    assert bernoulli_mod(3, prime_ctx(11)).value == 0
     for p in (5, 11, 61):
-        assert bernoulli_mod_recurrence(1, prime_ctx(p)).value == (p - 1) // 2
+        assert bernoulli_mod(1, prime_ctx(p)).value == (p - 1) // 2
 
 
 def test_bernoulli_matches_rational_oracle():
@@ -29,27 +27,34 @@ def test_bernoulli_matches_rational_oracle():
             if n > 0 and n % (p - 1) == 0:
                 continue
             want = oracles.frac_mod(oracles.frac_bernoulli(n), p)
-            assert bernoulli_mod_recurrence(n, ctx).value == want, (n, p)
+            assert bernoulli_mod(n, ctx).value == want, (n, p)
 
 
 def test_bernoulli_pole_and_range_errors():
     ctx = prime_ctx(11)
     with pytest.raises(VonStaudtPoleError):
-        bernoulli_mod_recurrence(10, ctx)
+        bernoulli_mod(10, ctx)
     with pytest.raises(VonStaudtPoleError):
-        bernoulli_mod_recurrence(20, ctx)
+        bernoulli_mod(20, ctx)
     with pytest.raises(ValueError):
-        bernoulli_mod_recurrence(-1, ctx)
+        bernoulli_mod(-1, ctx)
     with pytest.raises(ValueError):
-        bernoulli_mod_recurrence(12, ctx)  # even, above p-3, not a pole
-    assert bernoulli_mod_recurrence(9, ctx).value == 0  # odd slots up to p-2 are fine
+        bernoulli_mod(12, ctx)  # even, above p-3, not a pole
+    assert bernoulli_mod(9, ctx).value == 0  # odd slots up to p-2 are fine
 
 
-def test_table_backends_agree():
-    for p in (5, 17, 61, 199):
+def test_power_sum_matches_recurrence_oracle():
+    # every even n <= p-3, against the O(p^2) recurrence table, and the
+    # zeta residues B_(p-k)/k read from it
+    for p in primes_in_range(5, 400) + [1009, 2999]:
         ctx = prime_ctx(p)
-        fact, inv_fact = ctx.factorials()
-        assert _even_table_numpy(p, fact, inv_fact) == _even_table_python(p, fact, inv_fact)
+        table = oracles.bernoulli_even_table(p)
+        assert len(table) == (p - 3) // 2 + 1, p
+        for i, want in enumerate(table):
+            assert bernoulli_mod(2 * i, ctx).value == want, (2 * i, p)
+        for k in range(3, min(9, p - 2) + 1):
+            want = table[(p - k) // 2] * pow(k, -1, p) % p if k % 2 else 0
+            assert zeta_residue(k, ctx).value == want, (k, p)
 
 
 def test_recurrence_consistency_invariant():
@@ -59,7 +64,7 @@ def test_recurrence_consistency_invariant():
         for m in range(1, p - 2):
             total = 0
             for j in range(m + 1):
-                total += binom_mod(m + 1, j, ctx).value * bernoulli_mod_recurrence(j, ctx).value
+                total += binom_mod(m + 1, j, ctx).value * bernoulli_mod(j, ctx).value
             assert total % p == 0, (p, m)
 
 

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import fmzv
 from fmzv.cli import main
 from fmzv.records import VerificationRecord
 
@@ -274,3 +276,58 @@ def test_resume_refuses_another_runs_file(tmp_path, capsys):
     out.write_bytes(merged)
     assert run_cli(base + ["--kmax", "3", "--resume"], capsys)[0] == 2
     assert out.read_bytes() == merged
+
+
+def test_verify_empty_grid_is_a_usage_error(capsys):
+    for argv in (["verify", "ao", "--kmax", "1", "--primes", "5..13"],
+                 ["verify", "ao", "--kmax", "4", "--smax", "0", "--primes", "5..13"]):
+        code, out, err = run_cli(argv + ["--jobs", "1"], capsys)
+        assert code == 2 and out == "", argv
+        assert "error: no tasks for ao with --kmax" in err, argv
+    assert "--smax 0" in err
+
+
+MISMATCHED_RESUMES = [
+    # (first run, resumed run): another check, another --kmax (with the
+    # same number of records per prime, then with more), another --k
+    (["verify", "ao", "--kmax", "3", "--jobs", "1", "--primes", "5..13"],
+     ["verify", "lm", "--kmax", "3", "--jobs", "1", "--primes", "5..19"]),
+    (["verify", "ao,lm", "--kmax", "3", "--jobs", "1", "--primes", "5..13"],
+     ["verify", "ao,lm", "--kmax", "4", "--jobs", "1", "--primes", "5..19"]),
+    (["verify", "ao,lm", "--kmax", "4", "--jobs", "1", "--primes", "5..13"],
+     ["verify", "ao,lm", "--kmax", "5", "--smax", "1", "--jobs", "1",
+      "--primes", "5..19"]),
+    (["zsweep", "--k", "3", "--primes", "5..13"],
+     ["zsweep", "--k", "5", "--primes", "5..19"]),
+]
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("first, resumed", MISMATCHED_RESUMES)
+def test_resume_refuses_a_mismatched_run(tmp_path, capsys, first, resumed, fmt):
+    out = tmp_path / f"run.{fmt}"
+    assert run_cli(first + ["--format", fmt, "--out", str(out)], capsys)[0] == 0
+    before = out.read_bytes()
+    code, stdout, err = run_cli(resumed + ["--format", fmt, "--out", str(out),
+                                           "--resume"], capsys)
+    assert code == 2 and stdout == "" and "is not this run's" in err
+    assert out.read_bytes() == before
+
+
+def test_cli_imports_only_the_standard_library():
+    # fmzv has no runtime dependency: a CLI run in a fresh interpreter
+    # imports nothing beyond the standard library and fmzv itself
+    # (multiprocessing registers __main__ again as __mp_main__)
+    src = os.path.dirname(os.path.dirname(fmzv.__file__))
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "from fmzv.cli import main\n"
+            "assert main(['zsweep', '--k', '3', '--primes', '5..200']) == 0\n"
+            "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+            "extra = new - set(sys.stdlib_module_names) - {'fmzv', '__mp_main__'}\n"
+            "assert not extra, sorted(extra)\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("\n") == 44  # one record per prime in 5..200
