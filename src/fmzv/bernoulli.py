@@ -10,16 +10,15 @@ Two independent routes are kept deliberately separate:
 The classical recurrence sum(C(m+1, j) * B_j, j <= m) = 0 is kept only
 as a test oracle.  ``check_euler_congruence`` confronts the two routes;
 ``zeta_sweep`` runs the confrontation over a prime range while hunting
-for zero residues of B_(p-k)/k.
+for zero residues of B_(p-k)/k.  Both report VerificationRecords; a
+sweep's records carry the residue as lhs and ``zero``/``cross`` extras.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import VonStaudtPoleError
 from .modfield import PrimeCtx, Residue, prime_ctx
-from .records import VerificationRecord, comparison_record
+from .records import VerificationRecord, comparison_record, skipped_record
 
 
 def bernoulli_mod(n: int, ctx: PrimeCtx) -> Residue:
@@ -94,41 +93,35 @@ def check_euler_congruence(k: int, ctx: PrimeCtx) -> VerificationRecord:
     return comparison_record("euler", str(lhs), str(rhs), p=p, k=k)
 
 
-@dataclass(frozen=True)
-class ZetaSweepRow:
-    """One prime's worth of the zeta-residue hunt."""
+def zeta_sweep_row(k: int, p: int) -> VerificationRecord:
+    """One prime of the zeta-residue hunt, as a "zsweep" record.
 
-    p: int
-    k: int
-    residue: int | None = None
-    zero: bool | None = None
-    cross: str = "skipped"  # "ok" | "fail" | "degenerate" | "skipped"
-    cross_value: int | None = None
-    skipped: bool = False
-    reason: str | None = None
-
-
-def zeta_sweep_row(k: int, p: int) -> ZetaSweepRow:
+    ``lhs`` is the residue B_(p-k)/k and ``rhs`` the alternating route's
+    value of it ("" when that route cannot divide).  The extras say
+    whether the residue is zero and how the cross-check went: "ok",
+    "fail" or "degenerate".
+    """
     if p <= k + 1:
-        return ZetaSweepRow(p=p, k=k, skipped=True, reason=f"p <= {k + 1}")
+        return skipped_record("zsweep", f"p <= {k + 1}", p=p, k=k)
     ctx = prime_ctx(p)
     res = zeta_residue(k, ctx).value
     factor = _alternating_factor(k, p)
     if factor == 0:
-        return ZetaSweepRow(
-            p=p, k=k, residue=res, zero=(res == 0), cross="degenerate",
+        return VerificationRecord(
+            check="zsweep", p=p, k=k, lhs=str(res), rhs="", passed=True,
             reason="2^(k-1) = 1 mod p: alternating route cannot divide",
+            extra=(("zero", res == 0), ("cross", "degenerate")),
         )
     derived = alternating_power_sum(k, ctx).value * pow(factor, p - 2, p) % p
     cross = "ok" if derived == res else "fail"
-    return ZetaSweepRow(p=p, k=k, residue=res, zero=(res == 0),
-                        cross=cross, cross_value=derived)
+    return comparison_record("zsweep", str(res), str(derived), p=p, k=k,
+                             extra=(("zero", res == 0), ("cross", cross)))
 
 
-def zeta_sweep(k: int, primes) -> list[ZetaSweepRow]:
+def zeta_sweep(k: int, primes) -> list[VerificationRecord]:
     """Per-prime residues of B_(p-k)/k with the two-method cross-check.
 
-    Primes p <= k+1 are reported as skipped, never failed.  Rows come
+    Primes p <= k+1 are reported as skipped, never failed.  Records come
     back ordered by prime.
     """
     if k < 2:

@@ -3,20 +3,26 @@
 Four subcommands:
 
 * ``compute``: one truncated harmonic sum mod one prime.
-* ``verify``: identity sweeps over a prime range (checks: ao, lm,
-  lemma, antipode, reversal, heightsum), JSONL or CSV records,
-  prime-sharded parallelism, resumable via the output file itself.
+* ``verify``: identity sweeps over a prime range (the checks of
+  ``verify.CHECKS``), JSONL or CSV records, prime-sharded parallelism,
+  resumable via the output file itself.
 * ``zsweep``: the zeta-residue hunt with the two-method cross-check.
 * ``symbolic``: exact-arithmetic suites (gauss, anl, phi0, hypcong).
 
+Every command that reports records writes them as VerificationRecord
+dicts through one loop, ``_emit``, which also counts them for the
+stderr summary line.
+
 Exit codes: 0 all records passed or were skipped, 1 at least one record
-failed, 2 usage error.  Output is deterministic: fixed seeds give
-byte-identical JSONL, and the record order does not depend on --jobs.
+failed, 2 usage error (including a flag that leaves nothing to check).
+Output is deterministic: fixed seeds give byte-identical JSONL, and the
+record order does not depend on --jobs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -24,7 +30,7 @@ import multiprocessing
 import os
 import sys
 
-from .bernoulli import ZetaSweepRow, zeta_sweep_row
+from .bernoulli import zeta_sweep_row
 from .indices import Index
 from .modfield import PrimeCtx, is_prime, primes_in_range
 from .harmonic import mhs_star, mhs_strict
@@ -39,6 +45,7 @@ from .verify import (
     check_tasks,
     evaluate_tasks_for_prime,
     record_sort_key,
+    require_tasks,
     task_record_keys,
 )
 
@@ -59,7 +66,10 @@ def _parse_prime_range(text: str) -> list[int]:
         lo = hi = int(text)
     if lo < 1 or hi < lo:
         raise ValueError(f"bad prime range {text!r}")
-    return primes_in_range(lo, hi)
+    primes = primes_in_range(lo, hi)
+    if not primes:
+        raise ValueError(f"no prime in {text!r}")
+    return primes
 
 
 def _default_jobs() -> int:
@@ -128,6 +138,29 @@ class _Emitter:
     def close(self):
         if self.owns:
             self.handle.close()
+
+
+def _emit(batches, emitter: _Emitter) -> dict:
+    """Write every batch of record dicts, flushing after each, then close
+    ``emitter``.
+
+    Returns the tallies: records, failed and skipped, and of zsweep rows
+    the zero residues and the degenerate cross-checks.
+    """
+    tally = dict.fromkeys(("records", "failed", "skipped", "zero", "degenerate"), 0)
+    try:
+        for batch in batches:
+            for rec in batch:
+                emitter.emit(rec)
+                tally["records"] += 1
+                tally["failed"] += not rec["pass"]
+                tally["skipped"] += rec["skipped"]
+                tally["zero"] += rec.get("zero", False)
+                tally["degenerate"] += rec.get("cross") == "degenerate"
+            emitter.flush()
+    finally:
+        emitter.close()
+    return tally
 
 
 def _text(value) -> str:
@@ -207,30 +240,13 @@ def _verify_worker(args):
 
 def cmd_verify(args) -> int:
     checks = [c for c in args.checks.split(",") if c]
-    for c in checks:
-        if c not in CHECK_NAMES:
-            return _fail(f"unknown check {c!r}; known: {', '.join(CHECK_NAMES)}")
-    if not checks:
-        return _fail("no checks given")
+    grid = {"k_max": args.kmax, "w_max": args.wmax, "s_max": args.smax}
     try:
+        tasks = [task for c in checks for task in check_tasks(c, **grid)]
+        require_tasks(checks, tasks, **grid)
         primes = _parse_prime_range(args.primes)
-    except ValueError as err:
-        return _fail(str(err))
-    if args.resume and not args.out:
-        return _fail("--resume requires --out")
-    tasks = []
-    for c in checks:
-        tasks.extend(check_tasks(c, k_max=args.kmax, w_max=args.wmax, s_max=args.smax))
-    if not tasks:
-        flags = []
-        if any(c not in ("antipode", "reversal") for c in checks):
-            flags.append(f"--kmax {args.kmax}")
-            if args.smax is not None:
-                flags.append(f"--smax {args.smax}")
-        if any(c in ("antipode", "reversal") for c in checks):
-            flags.append(f"--wmax {args.wmax}")
-        return _fail(f"no tasks for {','.join(checks)} with {' '.join(flags)}")
-    try:
+        if args.resume and not args.out:
+            raise ValueError("--resume requires --out")
         jobs = _default_jobs() if args.jobs is None else args.jobs
         if jobs < 1:
             raise ValueError(f"--jobs must be >= 1, got {jobs}")
@@ -239,57 +255,20 @@ def cmd_verify(args) -> int:
                                     primes)
     except ValueError as err:
         return _fail(str(err))
-    emitter = _Emitter(args.out, args.format, VERIFY_COLUMNS, args.resume)
-    failed = 0
-    total = 0
-    skipped = 0
-    try:
-        shard_args = [(p, tuple(tasks)) for p in primes]
+    shard_args = [(p, tuple(tasks)) for p in primes]
+    with contextlib.ExitStack() as stack:
+        shards = map(_verify_worker, shard_args)
         if jobs > 1 and len(shard_args) > 1:
-            with multiprocessing.Pool(processes=jobs) as pool:
-                shards = pool.imap(_verify_worker, shard_args)
-                for shard in shards:
-                    for rec in shard:
-                        total += 1
-                        failed += 0 if rec["pass"] else 1
-                        skipped += 1 if rec["skipped"] else 0
-                        emitter.emit(rec)
-                    emitter.flush()
-        else:
-            for shard_arg in shard_args:
-                for rec in _verify_worker(shard_arg):
-                    total += 1
-                    failed += 0 if rec["pass"] else 1
-                    skipped += 1 if rec["skipped"] else 0
-                    emitter.emit(rec)
-                emitter.flush()
-    finally:
-        emitter.close()
-    print(f"verify: {total} records, {failed} failed, {skipped} skipped",
-          file=sys.stderr)
-    return 1 if failed else 0
+            pool = stack.enter_context(multiprocessing.Pool(processes=jobs))
+            shards = pool.imap(_verify_worker, shard_args)
+        tally = _emit(shards, _Emitter(args.out, args.format, VERIFY_COLUMNS, args.resume))
+    print(f"verify: {tally['records']} records, {tally['failed']} failed, "
+          f"{tally['skipped']} skipped", file=sys.stderr)
+    return 1 if tally["failed"] else 0
 
 
 # ---------------------------------------------------------------------------
 # zsweep
-
-
-def _zsweep_record(row: ZetaSweepRow) -> dict:
-    out = {"check": "zsweep", "k": row.k, "p": row.p}
-    if row.skipped:
-        out["pass"] = True
-        out["skipped"] = True
-        out["reason"] = row.reason
-        return out
-    out["lhs"] = str(row.residue)
-    out["rhs"] = "" if row.cross_value is None else str(row.cross_value)
-    out["pass"] = row.cross != "fail"
-    out["skipped"] = False
-    if row.reason is not None:
-        out["reason"] = row.reason
-    out["zero"] = bool(row.zero)
-    out["cross"] = row.cross
-    return out
 
 
 def cmd_zsweep(args) -> int:
@@ -297,37 +276,22 @@ def cmd_zsweep(args) -> int:
         return _fail(f"need k >= 2, got {args.k}")
     try:
         primes = _parse_prime_range(args.primes)
-    except ValueError as err:
-        return _fail(str(err))
-    if args.resume and not args.out:
-        return _fail("--resume requires --out")
-    if args.resume:
-        try:
+        if args.resume and not args.out:
+            raise ValueError("--resume requires --out")
+        if args.resume:
             primes = _resume_primes(args.out, args.format,
                                     [{"check": "zsweep", "k": args.k}], primes)
-        except ValueError as err:
-            return _fail(str(err))
-    emitter = _Emitter(args.out, args.format, ZSWEEP_COLUMNS, args.resume)
-    zeros = fails = degenerate = skips = 0
-    try:
-        for p in primes:
-            row = zeta_sweep_row(args.k, p)
-            if row.skipped:
-                skips += 1
-            else:
-                zeros += 1 if row.zero else 0
-                fails += 1 if row.cross == "fail" else 0
-                degenerate += 1 if row.cross == "degenerate" else 0
-            emitter.emit(_zsweep_record(row))
-            emitter.flush()
-    finally:
-        emitter.close()
+    except ValueError as err:
+        return _fail(str(err))
+    rows = ([zeta_sweep_row(args.k, p).to_json_dict()] for p in primes)
+    tally = _emit(rows, _Emitter(args.out, args.format, ZSWEEP_COLUMNS, args.resume))
     print(
-        f"zsweep k={args.k}: {len(primes)} primes, {zeros} zero residues, "
-        f"{fails} cross-check failures, {degenerate} degenerate, {skips} skipped",
+        f"zsweep k={args.k}: {tally['records']} primes, {tally['zero']} zero residues, "
+        f"{tally['failed']} cross-check failures, {tally['degenerate']} degenerate, "
+        f"{tally['skipped']} skipped",
         file=sys.stderr,
     )
-    return 1 if fails else 0
+    return 1 if tally["failed"] else 0
 
 
 # ---------------------------------------------------------------------------
@@ -357,35 +321,33 @@ def cmd_compute(args) -> int:
 
 def cmd_symbolic(args) -> int:
     suite = args.suite
+    nmax = {"anl": 6, "phi0": 5}.get(suite) if args.nmax is None else args.nmax
+    least = {"gauss": (("--mmax", args.mmax, 0), ("--pairs", args.pairs, 1)),
+             "anl": (("--nmax", nmax, 1),),
+             "phi0": (("--nmax", nmax, 1), ("--kmax", args.kmax, 2)),
+             "hypcong": (("--samples", args.samples, 1),)}
+    for flag, value, low in least[suite]:
+        if value < low:
+            return _fail(f"{suite} needs {flag} >= {low}, got {value}")
     if suite == "gauss":
         seed = args.seed if args.seed is not None else 42
         records = run_gauss_suite(m_max=args.mmax, pairs=args.pairs, seed=seed)
     elif suite == "anl":
-        records = run_anl_suite(n_max=args.nmax if args.nmax else 6)
+        records = run_anl_suite(n_max=nmax)
     elif suite == "phi0":
-        records = run_phi0_suite(n_max=args.nmax if args.nmax else 5, k_max=args.kmax)
-    elif suite == "hypcong":
+        records = run_phi0_suite(n_max=nmax, k_max=args.kmax)
+    else:
         if not args.prime:
             return _fail("hypcong needs --prime")
         if not is_prime(args.prime) or args.prime < 5:
             return _fail(f"{args.prime} is not an odd prime >= 5")
         seed = args.seed if args.seed is not None else 7
         records = run_hypcong_suite(args.prime, samples=args.samples, seed=seed)
-    else:  # pragma: no cover - argparse choices guard this
-        return _fail(f"unknown suite {suite!r}")
-    handle = open(args.out, "w", newline="") if args.out else sys.stdout
-    failed = 0
-    try:
-        for rec in records:
-            d = rec.to_json_dict()
-            failed += 0 if d["pass"] else 1
-            handle.write(_json_line(d) + "\n")
-    finally:
-        if args.out:
-            handle.close()
-    print(f"symbolic {suite}: {len(records)} records, {failed} failed",
+    tally = _emit([[rec.to_json_dict() for rec in records]],
+                  _Emitter(args.out, "jsonl", (), False))
+    print(f"symbolic {suite}: {tally['records']} records, {tally['failed']} failed",
           file=sys.stderr)
-    return 1 if failed else 0
+    return 1 if tally["failed"] else 0
 
 
 # ---------------------------------------------------------------------------

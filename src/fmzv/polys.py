@@ -2,9 +2,10 @@
 
 Two flavors live here:
 
-* ``Poly`` / ``RatFunc`` / ``BiSeries``: one- and two-variable carriers
-  with ``fractions.Fraction`` coefficients.  No rounding anywhere; all
-  rational functions are kept reduced with a monic denominator.
+* ``Poly`` / ``RatFunc``: one-variable carriers with
+  ``fractions.Fraction`` coefficients, and ``BiSeries``, a truncated
+  two-variable coefficient grid.  No rounding anywhere; all rational
+  functions are kept reduced with a monic denominator.
 * list-based polynomials over Z/pZ (``fp_*`` helpers and ``FpRatFunc``)
   for congruence checks sampled in prime fields.
 
@@ -395,8 +396,8 @@ class RatFunc:
 class BiSeries:
     """A double power series in x and z truncated at orders (dx, dz).
 
-    The coefficient grid is fully materialized; arithmetic truncates to
-    the common orders.
+    An immutable grid of Fraction coefficients, zero-padded to the
+    orders; it carries no arithmetic, only ``coeff`` reads it.
     """
 
     __slots__ = ("dx", "dz", "grid")
@@ -416,57 +417,12 @@ class BiSeries:
     def __setattr__(self, name, value):
         raise AttributeError("BiSeries is immutable")
 
-    @classmethod
-    def constant(cls, c, dx: int, dz: int) -> "BiSeries":
-        return cls([[c]], dx, dz)
-
     def coeff(self, i: int, j: int) -> Fraction:
         if not (0 <= i <= self.dx and 0 <= j <= self.dz):
             raise ValueError(
                 f"coefficient ({i},{j}) beyond truncation orders ({self.dx},{self.dz})"
             )
         return self.grid[i][j]
-
-    def __add__(self, other: "BiSeries"):
-        dx, dz = min(self.dx, other.dx), min(self.dz, other.dz)
-        return BiSeries(
-            [[self.grid[i][j] + other.grid[i][j] for j in range(dz + 1)]
-             for i in range(dx + 1)], dx, dz)
-
-    def __neg__(self):
-        return BiSeries([[-c for c in row] for row in self.grid], self.dx, self.dz)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, BiSeries):
-            c = _as_fraction(other)
-            return BiSeries([[c * v for v in row] for row in self.grid],
-                            self.dx, self.dz)
-        dx, dz = min(self.dx, other.dx), min(self.dz, other.dz)
-        out = [[_ZERO] * (dz + 1) for _ in range(dx + 1)]
-        for i1 in range(dx + 1):
-            for j1 in range(dz + 1):
-                a = self.grid[i1][j1]
-                if a == 0:
-                    continue
-                for i2 in range(dx + 1 - i1):
-                    for j2 in range(dz + 1 - j1):
-                        b = other.grid[i2][j2]
-                        if b != 0:
-                            out[i1 + i2][j1 + j2] += a * b
-        return BiSeries(out, dx, dz)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        return (self.dx, self.dz, self.grid) == (other.dx, other.dz, other.grid)
-
-    def __hash__(self):
-        return hash(("BiSeries", self.dx, self.dz, self.grid))
 
     def __repr__(self):
         return f"BiSeries(dx={self.dx}, dz={self.dz})"

@@ -15,9 +15,17 @@ checks) produce skipped records, never failures: identities of
 prime-indexed families are insensitive to finitely many primes.  A
 failing record carries both residues and every parameter needed to
 reproduce it, and sweeps keep going past failures.
+
+``CHECKS`` is the one registry of the checks: each name maps to the
+``Grid`` it is swept over (family (k, s), height (k, s >= 0) or index),
+which fixes its tasks, its guard and its record fields, and to its
+``verify_*`` function.  Sweeps, resumes and the CLI read it and name no
+check themselves.
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 from .bernoulli import zeta_residue
 from .errors import InfeasibleFamilyError
@@ -32,8 +40,6 @@ from .harmonic import (
 from .indices import Index, iter_all_indices, iter_indices_of_weight
 from .modfield import PrimeCtx, binom_mod, prime_ctx
 from .records import VerificationRecord, comparison_record, skipped_record
-
-CHECK_NAMES = ("ao", "lm", "lemma", "antipode", "reversal", "heightsum")
 
 
 def _shared_rhs(k: int, s: int, ctx: PrimeCtx) -> int:
@@ -132,61 +138,93 @@ def verify_height_sum(k: int, s: int, ctx: PrimeCtx) -> VerificationRecord:
 
 
 # ---------------------------------------------------------------------------
+# the check registry
+
+
+def _s_top(k: int, s_max: int | None) -> int:
+    return k // 2 if s_max is None else min(k // 2, s_max)
+
+
+def _family_params(k_max: int, w_max: int, s_max: int | None) -> list[tuple]:
+    return [(k, s) for k in range(2, k_max + 1) for s in range(1, _s_top(k, s_max) + 1)]
+
+
+def _height_params(k_max: int, w_max: int, s_max: int | None) -> list[tuple]:
+    return [(k, s) for k in range(1, k_max + 1) for s in range(0, _s_top(k, s_max) + 1)
+            if next(iter_all_indices(k, s), None) is not None]
+
+
+def _index_params(k_max: int, w_max: int, s_max: int | None) -> list[tuple]:
+    return [(tuple(ix),) for ix in iter_indices_of_weight(w_max)]
+
+
+class Grid(NamedTuple):
+    """A parameter grid that checks are swept over.
+
+    ``params(k_max, w_max, s_max)`` lists the grid's parameter tuples in
+    sweep order.  The other callables take one such tuple: ``weight``
+    gives its weight (primes up to weight + 1 are skipped), ``fields``
+    the k and s, or the index, that its record carries, and ``args``
+    what the check's verify function takes before the prime context.
+    ``flags`` names the options that size the grid, and ``family`` says
+    whether its checks read the family table.
+    """
+
+    params: Callable[[int, int, int | None], list[tuple]]
+    weight: Callable[..., int]
+    fields: Callable[..., dict]
+    args: Callable[..., tuple]
+    flags: tuple[str, ...]
+    family: bool
+
+
+FAMILY = Grid(_family_params, lambda k, s: k, lambda k, s: {"k": k, "s": s},
+              lambda k, s: (k, s), ("kmax", "smax"), True)
+HEIGHT = FAMILY._replace(params=_height_params)
+INDEX = Grid(_index_params, sum, lambda parts: {"index": str(Index(parts))},
+             lambda parts: (Index(parts),), ("wmax",), False)
+
+
+class Check(NamedTuple):
+    grid: Grid
+    verify: Callable[..., VerificationRecord]
+
+
+CHECKS = {
+    "ao": Check(FAMILY, verify_ao),
+    "lm": Check(FAMILY, verify_lm),
+    "lemma": Check(FAMILY, verify_lemma),
+    "antipode": Check(INDEX, verify_antipode),
+    "reversal": Check(INDEX, verify_reversal),
+    "heightsum": Check(HEIGHT, verify_height_sum),
+}
+CHECK_NAMES = tuple(CHECKS)
+
+
+# ---------------------------------------------------------------------------
 # batch driving
 
 
 def check_tasks(check: str, *, k_max: int = 8, w_max: int = 6,
                 s_max: int | None = None) -> list[tuple]:
     """Parameter grid for one check, in deterministic order."""
-    if check in ("ao", "lm", "lemma"):
-        out = []
-        for k in range(2, k_max + 1):
-            top = k // 2 if s_max is None else min(k // 2, s_max)
-            for s in range(1, top + 1):
-                out.append((check, k, s))
-        return out
-    if check in ("antipode", "reversal"):
-        return [(check, tuple(ix)) for ix in iter_indices_of_weight(w_max)]
-    if check == "heightsum":
-        out = []
-        for k in range(1, k_max + 1):
-            top = k // 2 if s_max is None else min(k // 2, s_max)
-            for s in range(0, top + 1):
-                if next(iter_all_indices(k, s), None) is not None:
-                    out.append((check, k, s))
-        return out
-    raise ValueError(f"unknown check {check!r}; known: {', '.join(CHECK_NAMES)}")
+    if check not in CHECKS:
+        raise ValueError(f"unknown check {check!r}; known: {', '.join(CHECK_NAMES)}")
+    return [(check, *params) for params in CHECKS[check].grid.params(k_max, w_max, s_max)]
 
 
-def evaluate_task(task: tuple, ctx: PrimeCtx) -> VerificationRecord:
-    check = task[0]
-    if check == "ao":
-        return verify_ao(task[1], task[2], ctx)
-    if check == "lm":
-        return verify_lm(task[1], task[2], ctx)
-    if check == "lemma":
-        return verify_lemma(task[1], task[2], ctx)
-    if check == "antipode":
-        return verify_antipode(Index(task[1]), ctx)
-    if check == "reversal":
-        return verify_reversal(Index(task[1]), ctx)
-    if check == "heightsum":
-        return verify_height_sum(task[1], task[2], ctx)
-    raise ValueError(f"unknown check {check!r}")
-
-
-def _task_guard(task: tuple) -> int:
-    """Largest prime that still gets skipped for this task."""
-    if task[0] in ("antipode", "reversal"):
-        return sum(task[1]) + 1
-    return task[1] + 1
-
-
-def _task_fields(task: tuple) -> dict:
-    """The parameters a task's record carries: k and s, or the index."""
-    if task[0] in ("antipode", "reversal"):
-        return {"index": str(Index(task[1]))}
-    return {"k": task[1], "s": task[2]}
+def require_tasks(checks: list[str], tasks: list[tuple], *, k_max: int, w_max: int,
+                  s_max: int | None) -> None:
+    """Refuse a sweep that has no check or no task, naming the options
+    that sized the empty grid."""
+    if not checks:
+        raise ValueError("no checks given")
+    if not tasks:
+        named = {flag for check in checks for flag in CHECKS[check].grid.flags}
+        sizes = {"kmax": k_max, "smax": s_max, "wmax": w_max}
+        flags = " ".join(f"--{flag} {value}" for flag, value in sizes.items()
+                         if flag in named and value is not None)
+        raise ValueError(f"no tasks for {','.join(checks)} with {flags}")
 
 
 def evaluate_tasks_for_prime(p: int, tasks: list[tuple]) -> list[VerificationRecord]:
@@ -196,27 +234,28 @@ def evaluate_tasks_for_prime(p: int, tasks: list[tuple]) -> list[VerificationRec
     front at the largest weight they ask for.
     """
     ctx = None
-    family_k = [task[1] for task in tasks
-                if task[0] not in ("antipode", "reversal") and p > _task_guard(task)]
+    family_k = [k for check, k, *_ in tasks if CHECKS[check].grid.family and p > k + 1]
     if family_k:
         ctx = prime_ctx(p)
         family_table(max(family_k), ctx)
     out = []
-    for task in tasks:
-        if p <= _task_guard(task):
-            out.append(skipped_record(task[0], f"p <= {_task_guard(task)}",
-                                      p=p, **_task_fields(task)))
+    for check, *params in tasks:
+        grid, verify = CHECKS[check]
+        guard = grid.weight(*params) + 1
+        if p <= guard:
+            out.append(skipped_record(check, f"p <= {guard}", p=p, **grid.fields(*params)))
             continue
         if ctx is None:
             ctx = prime_ctx(p)
-        out.append(evaluate_task(task, ctx))
+        out.append(verify(*grid.args(*params), ctx))
     return out
 
 
 def task_record_keys(tasks: list[tuple]) -> list[dict]:
     """The check, k, s and index of the records one prime's tasks yield,
     in the order ``record_sort_key`` puts them."""
-    stubs = [skipped_record(task[0], "", **_task_fields(task)) for task in tasks]
+    stubs = [skipped_record(check, "", **CHECKS[check].grid.fields(*params))
+             for check, *params in tasks]
     return [{"check": r.check, "k": r.k, "s": r.s, "index": r.index}
             for r in sorted(stubs, key=record_sort_key)]
 

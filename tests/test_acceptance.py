@@ -192,8 +192,8 @@ def test_criterion_11_zeta_residue_hunt():
     rows = zeta_sweep(3, primes_in_range(5, 3000))
     elapsed = time.perf_counter() - start
     live = [row for row in rows if not row.skipped]
-    zeros = [row.p for row in live if row.zero]
-    fails = [row.p for row in live if row.cross == "fail"]
+    zeros = [row.p for row in live if dict(row.extra)["zero"]]
+    fails = [row.p for row in live if dict(row.extra)["cross"] == "fail"]
     ok = len(live) == 428 and not fails and not zeros
     _report(11, ok,
             f"k=3 hunt over {len(live)} primes to 3000: no zero residues, "

@@ -10,6 +10,7 @@ from fmzv.bernoulli import (
 )
 from fmzv.errors import VonStaudtPoleError
 from fmzv.modfield import binom_mod, power_sum_mod, prime_ctx, primes_in_range
+from fmzv.records import VerificationRecord
 
 
 def test_bernoulli_examples():
@@ -126,18 +127,19 @@ def test_two_method_agreement_small():
 
 def test_zeta_sweep_rows():
     rows = zeta_sweep(3, primes_in_range(3, 100))
+    assert all(isinstance(row, VerificationRecord) for row in rows)
     by_p = {row.p: row for row in rows}
-    assert by_p[3].skipped and by_p[3].residue is None
+    assert by_p[3].skipped and by_p[3].lhs is None
     assert not by_p[5].skipped
-    assert by_p[7].residue == 1
+    assert by_p[7].lhs == "1"
     live = [row for row in rows if not row.skipped]
-    assert all(row.cross == "ok" for row in live)
-    assert all(row.zero is False for row in live)
+    assert all(dict(row.extra)["cross"] == "ok" for row in live)
+    assert all(dict(row.extra)["zero"] is False for row in live)
     assert [row.p for row in rows] == sorted(row.p for row in rows)
 
 
 def test_zeta_sweep_even_k_all_zero():
     rows = zeta_sweep(4, primes_in_range(11, 31))
-    assert rows and all(row.residue == 0 and row.zero for row in rows)
+    assert rows and all(row.lhs == "0" and dict(row.extra)["zero"] for row in rows)
     with pytest.raises(ValueError):
         zeta_sweep(1, [7])

