@@ -1,6 +1,6 @@
 """Finite multiple zeta value toolkit.
 
-Truncated multiple harmonic sums mod p, Bernoulli residues, exact
+Truncated multiple harmonic sums mod p, Bernoulli values mod p, exact
 generating-function machinery, and verification sweeps for the
 identities relating them.
 """
@@ -11,7 +11,6 @@ from .errors import (
     InfeasibleFamilyError,
     PoleCancellationError,
     VonStaudtPoleError,
-    ZeroInverseError,
 )
 from .indices import (
     Index,
@@ -22,13 +21,8 @@ from .indices import (
 )
 from .modfield import (
     PrimeCtx,
-    Residue,
-    batch_inv,
     binom_mod,
     is_prime,
-    mod_inv,
-    pochhammer_mod,
-    power_sum_mod,
     prime_ctx,
     primes_in_range,
 )
@@ -79,13 +73,10 @@ __all__ = [
     "InfeasibleFamilyError",
     "PoleCancellationError",
     "PrimeCtx",
-    "Residue",
     "VerificationRecord",
     "VonStaudtPoleError",
-    "ZeroInverseError",
     "alternating_power_sum",
     "anl_form_agreement",
-    "batch_inv",
     "bernoulli_mod",
     "binom_mod",
     "check_euler_congruence",
@@ -103,13 +94,10 @@ __all__ = [
     "iter_all_indices",
     "mhs_star",
     "mhs_strict",
-    "mod_inv",
-    "pochhammer_mod",
     "pochhammer_poly",
     "pole_weight",
     "pole_weight_product_form",
     "polylog_star_coeff",
-    "power_sum_mod",
     "prime_ctx",
     "primes_in_range",
     "verify_antipode",

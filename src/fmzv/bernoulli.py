@@ -1,4 +1,6 @@
-"""Bernoulli numbers mod p and the finite zeta residues B_(p-k)/k.
+"""Bernoulli numbers mod p and the finite zeta values B_(p-k)/k mod p.
+
+Every value is an int in [0, p).
 
 Two independent routes are kept deliberately separate:
 
@@ -17,11 +19,11 @@ sweep's records carry the residue as lhs and ``zero``/``cross`` extras.
 from __future__ import annotations
 
 from .errors import VonStaudtPoleError
-from .modfield import PrimeCtx, Residue, prime_ctx
+from .modfield import PrimeCtx, prime_ctx
 from .records import VerificationRecord, comparison_record, skipped_record
 
 
-def bernoulli_mod(n: int, ctx: PrimeCtx) -> Residue:
+def bernoulli_mod(n: int, ctx: PrimeCtx) -> int:
     """B_n mod p for n in {0, 1}, odd n <= p-2 and even n <= p-3.
 
     Odd n >= 3 give 0; n with (p-1) | n (n > 0) are von Staudt poles.
@@ -32,17 +34,17 @@ def bernoulli_mod(n: int, ctx: PrimeCtx) -> Residue:
     if n < 0:
         raise ValueError(f"Bernoulli index must be >= 0, got {n}")
     if n == 0:
-        return Residue(1, ctx)
+        return 1
     if n % (p - 1) == 0:
         raise VonStaudtPoleError(f"(p-1) | {n}: B_{n} is not p-integral mod {p}")
     if n == 1:
-        return Residue((p - 1) // 2, ctx)  # representative of -1/2
+        return (p - 1) // 2  # representative of -1/2
     if n % 2 == 1:
         # B_n = 0 exactly for odd n >= 3, so any representable odd
         # index below the pole is fine.
         if n > p - 2:
             raise ValueError(f"Bernoulli index {n} out of range for p={p}")
-        return Residue(0, ctx)
+        return 0
     if n > p - 3:
         raise ValueError(f"Bernoulli index {n} out of range for p={p}")
 
@@ -50,10 +52,10 @@ def bernoulli_mod(n: int, ctx: PrimeCtx) -> Residue:
         p2 = p * p
         return sum(pow(l, n, p2) for l in range(1, p)) % p2 // p
 
-    return Residue(ctx.memo(("bernoulli_even", n), build), ctx)
+    return ctx.memo(("bernoulli_even", n), build)
 
 
-def alternating_power_sum(k: int, ctx: PrimeCtx) -> Residue:
+def alternating_power_sum(k: int, ctx: PrimeCtx) -> int:
     """Sum of (-1)^(l-1) * l^(-k) over l = 1..p-1, mod p."""
     if k < 1:
         raise ValueError(f"exponent must be >= 1, got {k}")
@@ -63,18 +65,17 @@ def alternating_power_sum(k: int, ctx: PrimeCtx) -> Residue:
     for l in range(1, p):
         t = pow(l, e, p)
         total += t if l % 2 == 1 else -t
-    return Residue(total % p, ctx)
+    return total % p
 
 
-def zeta_residue(k: int, ctx: PrimeCtx) -> Residue:
+def zeta_residue(k: int, ctx: PrimeCtx) -> int:
     """The p-component B_(p-k) / k of the finite zeta analogue; zero for even k."""
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     if ctx.p <= k + 1:
         raise ValueError(f"prime {ctx.p} too small: need p > {k + 1}")
     p = ctx.p
-    b = bernoulli_mod(p - k, ctx).value
-    return Residue(b * pow(k, p - 2, p) % p, ctx)
+    return bernoulli_mod(p - k, ctx) * pow(k, p - 2, p) % p
 
 
 def _alternating_factor(k: int, p: int) -> int:
@@ -88,8 +89,8 @@ def check_euler_congruence(k: int, ctx: PrimeCtx) -> VerificationRecord:
     p = ctx.p
     if not 2 <= k <= p - 3:
         raise ValueError(f"need 2 <= k <= p-3, got k={k}, p={p}")
-    lhs = alternating_power_sum(k, ctx).value
-    rhs = _alternating_factor(k, p) * zeta_residue(k, ctx).value % p
+    lhs = alternating_power_sum(k, ctx)
+    rhs = _alternating_factor(k, p) * zeta_residue(k, ctx) % p
     return comparison_record("euler", str(lhs), str(rhs), p=p, k=k)
 
 
@@ -104,7 +105,7 @@ def zeta_sweep_row(k: int, p: int) -> VerificationRecord:
     if p <= k + 1:
         return skipped_record("zsweep", f"p <= {k + 1}", p=p, k=k)
     ctx = prime_ctx(p)
-    res = zeta_residue(k, ctx).value
+    res = zeta_residue(k, ctx)
     factor = _alternating_factor(k, p)
     if factor == 0:
         return VerificationRecord(
@@ -112,7 +113,7 @@ def zeta_sweep_row(k: int, p: int) -> VerificationRecord:
             reason="2^(k-1) = 1 mod p: alternating route cannot divide",
             extra=(("zero", res == 0), ("cross", "degenerate")),
         )
-    derived = alternating_power_sum(k, ctx).value * pow(factor, p - 2, p) % p
+    derived = alternating_power_sum(k, ctx) * pow(factor, p - 2, p) % p
     cross = "ok" if derived == res else "fail"
     return comparison_record("zsweep", str(res), str(derived), p=p, k=k,
                              extra=(("zero", res == 0), ("cross", cross)))

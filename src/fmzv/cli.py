@@ -59,11 +59,12 @@ def _fail(message: str) -> int:
 
 
 def _parse_prime_range(text: str) -> list[int]:
-    if ".." in text:
-        lo_text, _, hi_text = text.partition("..")
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(text)
+    lo_text, dots, hi_text = text.partition("..")
+    try:
+        lo = int(lo_text)
+        hi = int(hi_text) if dots else lo
+    except ValueError:
+        raise ValueError(f"bad prime range {text!r}") from None
     if lo < 1 or hi < lo:
         raise ValueError(f"bad prime range {text!r}")
     primes = primes_in_range(lo, hi)
@@ -253,7 +254,8 @@ def cmd_verify(args) -> int:
         if args.resume:
             primes = _resume_primes(args.out, args.format, task_record_keys(tasks),
                                     primes)
-    except ValueError as err:
+        emitter = _Emitter(args.out, args.format, VERIFY_COLUMNS, args.resume)
+    except (ValueError, OSError) as err:
         return _fail(str(err))
     shard_args = [(p, tuple(tasks)) for p in primes]
     with contextlib.ExitStack() as stack:
@@ -261,7 +263,7 @@ def cmd_verify(args) -> int:
         if jobs > 1 and len(shard_args) > 1:
             pool = stack.enter_context(multiprocessing.Pool(processes=jobs))
             shards = pool.imap(_verify_worker, shard_args)
-        tally = _emit(shards, _Emitter(args.out, args.format, VERIFY_COLUMNS, args.resume))
+        tally = _emit(shards, emitter)
     print(f"verify: {tally['records']} records, {tally['failed']} failed, "
           f"{tally['skipped']} skipped", file=sys.stderr)
     return 1 if tally["failed"] else 0
@@ -281,10 +283,11 @@ def cmd_zsweep(args) -> int:
         if args.resume:
             primes = _resume_primes(args.out, args.format,
                                     [{"check": "zsweep", "k": args.k}], primes)
-    except ValueError as err:
+        emitter = _Emitter(args.out, args.format, ZSWEEP_COLUMNS, args.resume)
+    except (ValueError, OSError) as err:
         return _fail(str(err))
     rows = ([zeta_sweep_row(args.k, p).to_json_dict()] for p in primes)
-    tally = _emit(rows, _Emitter(args.out, args.format, ZSWEEP_COLUMNS, args.resume))
+    tally = _emit(rows, emitter)
     print(
         f"zsweep k={args.k}: {tally['records']} primes, {tally['zero']} zero residues, "
         f"{tally['failed']} cross-check failures, {tally['degenerate']} degenerate, "
@@ -311,12 +314,17 @@ def cmd_compute(args) -> int:
         return _fail(f"prime {ctx.p} too small for weight {ix.weight}: need p > weight+1")
     value = mhs_star(ix, ctx) if args.star else mhs_strict(ix, ctx)
     star = "true" if args.star else "false"
-    print(f"index={args.index} prime={ctx.p} star={star} value={value.value}")
+    print(f"index={args.index} prime={ctx.p} star={star} value={value}")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # symbolic
+
+
+def _suite_batch(run):
+    """The suite's records as one batch, computed when ``_emit`` asks for it."""
+    yield [rec.to_json_dict() for rec in run()]
 
 
 def cmd_symbolic(args) -> int:
@@ -329,22 +337,22 @@ def cmd_symbolic(args) -> int:
     for flag, value, low in least[suite]:
         if value < low:
             return _fail(f"{suite} needs {flag} >= {low}, got {value}")
-    if suite == "gauss":
-        seed = args.seed if args.seed is not None else 42
-        records = run_gauss_suite(m_max=args.mmax, pairs=args.pairs, seed=seed)
-    elif suite == "anl":
-        records = run_anl_suite(n_max=nmax)
-    elif suite == "phi0":
-        records = run_phi0_suite(n_max=nmax, k_max=args.kmax)
-    else:
-        if not args.prime:
-            return _fail("hypcong needs --prime")
-        if not is_prime(args.prime) or args.prime < 5:
-            return _fail(f"{args.prime} is not an odd prime >= 5")
-        seed = args.seed if args.seed is not None else 7
-        records = run_hypcong_suite(args.prime, samples=args.samples, seed=seed)
-    tally = _emit([[rec.to_json_dict() for rec in records]],
-                  _Emitter(args.out, "jsonl", (), False))
+    if suite == "hypcong" and not args.prime:
+        return _fail("hypcong needs --prime")
+    if suite == "hypcong" and (not is_prime(args.prime) or args.prime < 5):
+        return _fail(f"{args.prime} is not an odd prime >= 5")
+    seed = {"gauss": 42, "hypcong": 7}.get(suite) if args.seed is None else args.seed
+    runs = {
+        "gauss": lambda: run_gauss_suite(m_max=args.mmax, pairs=args.pairs, seed=seed),
+        "anl": lambda: run_anl_suite(n_max=nmax),
+        "phi0": lambda: run_phi0_suite(n_max=nmax, k_max=args.kmax),
+        "hypcong": lambda: run_hypcong_suite(args.prime, samples=args.samples, seed=seed),
+    }
+    try:
+        emitter = _Emitter(args.out, "jsonl", (), False)
+    except OSError as err:
+        return _fail(str(err))
+    tally = _emit(_suite_batch(runs[suite]), emitter)
     print(f"symbolic {suite}: {tally['records']} records, {tally['failed']} failed",
           file=sys.stderr)
     return 1 if tally["failed"] else 0

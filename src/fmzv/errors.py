@@ -1,18 +1,6 @@
 """Exception types shared across the package."""
 
 
-class ZeroInverseError(ZeroDivisionError):
-    """Attempted to invert 0 mod p.
-
-    ``position`` identifies the offending entry when the failure came
-    from a batch operation, else it is None.
-    """
-
-    def __init__(self, message, position=None):
-        super().__init__(message)
-        self.position = position
-
-
 class VonStaudtPoleError(ValueError):
     """B_n is not p-integral because (p-1) divides n."""
 

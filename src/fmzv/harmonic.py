@@ -1,9 +1,9 @@
 """Truncated multiple harmonic sums mod p and their family aggregates.
 
 ``mhs_strict(ix, ctx)`` is the strict sum over p > m1 > ... > mr > 0 of
-1/(m1^k1 ... mr^kr) mod p; ``mhs_star`` is the non-strict (>=) variant.
-Both use a suffix recursion over m = 1..p-1 with precomputed inverse
-power tables, giving O(p * depth) per index.
+1/(m1^k1 ... mr^kr) mod p, as an int in [0, p); ``mhs_star`` is the
+non-strict (>=) variant.  Both use a suffix recursion over m = 1..p-1
+with precomputed inverse power tables, giving O(p * depth) per index.
 
 Family sums aggregate these values over every index of fixed weight and
 height.  They come from one engine: a (weight, height) dynamic program
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .indices import Index
 # Unused here: perfbench/tracing.py patches these names on this module.
 from .indices import iter_admissible_indices, iter_all_indices  # noqa: F401
-from .modfield import PrimeCtx, Residue, batch_inv_ints, prime_ctx
+from .modfield import PrimeCtx, batch_inv_ints, prime_ctx
 
 
 def _inverse_power_rows(ctx: PrimeCtx, k_max: int) -> list[list[int]]:
@@ -65,14 +65,14 @@ def _mhs_int(parts: tuple[int, ...], ctx: PrimeCtx, star: bool) -> int:
     return state[0]
 
 
-def mhs_strict(ix: Index, ctx: PrimeCtx) -> Residue:
+def mhs_strict(ix: Index, ctx: PrimeCtx) -> int:
     """Strict truncated sum for ``ix`` mod p; empty index gives 1."""
-    return Residue(_mhs_int(tuple(ix), ctx, star=False), ctx)
+    return _mhs_int(tuple(ix), ctx, star=False)
 
 
-def mhs_star(ix: Index, ctx: PrimeCtx) -> Residue:
+def mhs_star(ix: Index, ctx: PrimeCtx) -> int:
     """Non-strict truncated sum for ``ix`` mod p; empty index gives 1."""
-    return Residue(_mhs_int(tuple(ix), ctx, star=True), ctx)
+    return _mhs_int(tuple(ix), ctx, star=True)
 
 
 def _require_prime_above(k: int, ctx: PrimeCtx) -> None:
@@ -134,41 +134,41 @@ def _family_tables(k: int, ctx: PrimeCtx) -> list[list[list[int]]]:
             _family_sweep(k, ctx, 1, 1)]
 
 
-def family_sum_star(k: int, s: int, ctx: PrimeCtx) -> Residue:
+def family_sum_star(k: int, s: int, ctx: PrimeCtx) -> int:
     """Sum of mhs_star over the admissible family of weight k, height s."""
     if k < 1 or s < 1:
         raise ValueError(f"need k >= 1 and s >= 1, got k={k}, s={s}")
     _require_prime_above(k, ctx)
     if s > k // 2:
-        return ctx.zero
-    return Residue(family_table(k, ctx)[1][k][s], ctx)
+        return 0
+    return family_table(k, ctx)[1][k][s]
 
 
-def family_sum_alt_strict(k: int, s: int, ctx: PrimeCtx) -> Residue:
+def family_sum_alt_strict(k: int, s: int, ctx: PrimeCtx) -> int:
     """Sum of (-1)^depth * mhs_strict over the admissible family."""
     if k < 1 or s < 1:
         raise ValueError(f"need k >= 1 and s >= 1, got k={k}, s={s}")
     _require_prime_above(k, ctx)
     if s > k // 2:
-        return ctx.zero
-    return Residue(family_table(k, ctx)[0][k][s], ctx)
+        return 0
+    return family_table(k, ctx)[0][k][s]
 
 
-def family_sum_star_unrestricted(k: int, s: int, ctx: PrimeCtx) -> Residue:
+def family_sum_star_unrestricted(k: int, s: int, ctx: PrimeCtx) -> int:
     """Sum of mhs_star over ALL indices of weight k, height s (free first part)."""
     if k < 0 or s < 0:
         raise ValueError(f"need k >= 0 and s >= 0, got k={k}, s={s}")
     _require_prime_above(k, ctx)
     if s > k // 2:
-        return ctx.zero
-    return Residue(family_table(k, ctx)[2][k][s], ctx)
+        return 0
+    return family_table(k, ctx)[2][k][s]
 
 
 @dataclass(frozen=True, eq=False)
 class AWindow:
-    """A finite window of a prime-indexed family of residues.
+    """A finite window of a prime-indexed family of values mod p.
 
-    ``entries`` maps primes (strictly increasing) to residue values.
+    ``entries`` maps primes (strictly increasing) to values in [0, p).
     Two windows compare equal when they agree on every prime they share;
     windows with disjoint prime sets compare equal vacuously.  ``meta``
     records what the values represent (an index, a family, ...).
@@ -203,9 +203,6 @@ class AWindow:
             if q == p:
                 return v
         raise KeyError(f"prime {p} not in window")
-
-    def residue(self, p: int) -> Residue:
-        return Residue(self.value(p), prime_ctx(p))
 
     def __eq__(self, other):
         if not isinstance(other, AWindow):

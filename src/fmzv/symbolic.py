@@ -261,10 +261,13 @@ def _build_congruence_sides(l: int, ctx: PrimeCtx):
         suf[i] = fp_mul(suf[i + 1], [(1 + i) % p, 2], p)
     # suf[i] = prod_{j=i}^{M-1}(2z+1+j); (2z+1)_M = suf[0]
     den_M = suf[0]
-    # common denominator for the truncated sum: (2z+1)_(M-1)
-    den_M1 = [1]
-    for i in range(M - 1):
-        den_M1 = fp_mul(den_M1, [(1 + i) % p, 2], p)
+    # the same over the shorter range: short[i] = prod_{j=i}^{M-2}(2z+1+j),
+    # so the truncated sum's common denominator (2z+1)_(M-1) is short[0]
+    short = [None] * M
+    short[M - 1] = [1]
+    for i in range(M - 2, -1, -1):
+        short[i] = fp_mul(short[i + 1], [(1 + i) % p, 2], p)
+    den_M1 = short[0]
 
     poch_l = [1] * (M + 1)
     for i in range(M):
@@ -275,8 +278,7 @@ def _build_congruence_sides(l: int, ctx: PrimeCtx):
     # (i) truncated sum vs terminating series minus its last term
     num_i = []
     for n in range(M):
-        # suffix over the shorter denominator: prod_{j=n}^{M-2}(2z+1+j)
-        term = fp_mul(z_poch[n], _suffix_short(n, M, p), p)
+        term = fp_mul(z_poch[n], short[n], p)
         num_i = fp_add(num_i, fp_scale(term, coeff[n], p), p)
     lhs_i = FpRatFunc(num_i, den_M1, p)
     rhs_i_num = fp_add(fp_pochhammer_poly(1, 1, M, p),
@@ -305,13 +307,6 @@ def _build_congruence_sides(l: int, ctx: PrimeCtx):
     return [("truncation", lhs_i, rhs_i),
             ("closed-form", lhs_ii, rhs_ii),
             ("tail-term", lhs_iii, rhs_iii)]
-
-
-def _suffix_short(n: int, M: int, p: int):
-    out = [1]
-    for j in range(n, M - 1):
-        out = fp_mul(out, [(1 + j) % p, 2], p)
-    return out
 
 
 def hypergeom_congruence_check(l: int, ctx: PrimeCtx, samples: int = 20,

@@ -44,9 +44,9 @@ from .records import VerificationRecord, comparison_record, skipped_record
 
 def _shared_rhs(k: int, s: int, ctx: PrimeCtx) -> int:
     p = ctx.p
-    binom = binom_mod(k - 1, 2 * s - 1, ctx).value
+    binom = binom_mod(k - 1, 2 * s - 1, ctx)
     half_factor = (1 - pow(pow(2, k - 1, p), p - 2, p)) % p
-    return 2 * binom % p * half_factor % p * zeta_residue(k, ctx).value % p
+    return 2 * binom % p * half_factor % p * zeta_residue(k, ctx) % p
 
 
 def _family_guards(k: int, s: int) -> None:
@@ -61,7 +61,7 @@ def verify_ao(k: int, s: int, ctx: PrimeCtx) -> VerificationRecord:
     _family_guards(k, s)
     if ctx.p <= k + 1:
         return skipped_record("ao", f"p <= {k + 1}", p=ctx.p, k=k, s=s)
-    lhs = family_sum_star(k, s, ctx).value
+    lhs = family_sum_star(k, s, ctx)
     rhs = _shared_rhs(k, s, ctx)
     return comparison_record("ao", str(lhs), str(rhs), p=ctx.p, k=k, s=s)
 
@@ -71,7 +71,7 @@ def verify_lm(k: int, s: int, ctx: PrimeCtx) -> VerificationRecord:
     _family_guards(k, s)
     if ctx.p <= k + 1:
         return skipped_record("lm", f"p <= {k + 1}", p=ctx.p, k=k, s=s)
-    lhs = family_sum_alt_strict(k, s, ctx).value
+    lhs = family_sum_alt_strict(k, s, ctx)
     rhs = _shared_rhs(k, s, ctx)
     return comparison_record("lm", str(lhs), str(rhs), p=ctx.p, k=k, s=s)
 
@@ -82,9 +82,9 @@ def verify_lemma(k: int, s: int, ctx: PrimeCtx) -> VerificationRecord:
     if ctx.p <= k + 1:
         return skipped_record("lemma", f"p <= {k + 1}", p=ctx.p, k=k, s=s)
     p = ctx.p
-    lhs = family_sum_star(k, s, ctx).value
+    lhs = family_sum_star(k, s, ctx)
     sign = 1 if (k - 1) % 2 == 0 else -1
-    rhs = sign * family_sum_alt_strict(k, s, ctx).value % p
+    rhs = sign * family_sum_alt_strict(k, s, ctx) % p
     return comparison_record("lemma", str(lhs), str(rhs), p=ctx.p, k=k, s=s)
 
 
@@ -106,8 +106,7 @@ def verify_antipode(ix: Index, ctx: PrimeCtx) -> VerificationRecord:
         head = Index(parts[:i][::-1])
         tail = Index(parts[i:])
         sign = -1 if i % 2 else 1
-        total = (total + sign * mhs_strict(head, ctx).value
-                 * mhs_star(tail, ctx).value) % p
+        total = (total + sign * mhs_strict(head, ctx) * mhs_star(tail, ctx)) % p
     return comparison_record("antipode", str(total), "0", p=ctx.p, index=str(ix))
 
 
@@ -117,9 +116,9 @@ def verify_reversal(ix: Index, ctx: PrimeCtx) -> VerificationRecord:
         return skipped_record("reversal", f"p <= {ix.weight + 1}",
                               p=ctx.p, index=str(ix))
     p = ctx.p
-    lhs = mhs_strict(ix.reverse(), ctx).value
+    lhs = mhs_strict(ix.reverse(), ctx)
     sign = 1 if ix.weight % 2 == 0 else -1
-    rhs = sign * mhs_strict(ix, ctx).value % p
+    rhs = sign * mhs_strict(ix, ctx) % p
     return comparison_record("reversal", str(lhs), str(rhs), p=ctx.p, index=str(ix))
 
 
@@ -133,7 +132,7 @@ def verify_height_sum(k: int, s: int, ctx: PrimeCtx) -> VerificationRecord:
         raise InfeasibleFamilyError(f"no indices of weight {k} and height {s}")
     if ctx.p <= k + 1:
         return skipped_record("heightsum", f"p <= {k + 1}", p=ctx.p, k=k, s=s)
-    lhs = family_sum_star_unrestricted(k, s, ctx).value
+    lhs = family_sum_star_unrestricted(k, s, ctx)
     return comparison_record("heightsum", str(lhs), "0", p=ctx.p, k=k, s=s)
 
 

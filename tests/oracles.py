@@ -104,6 +104,11 @@ def family_sums(k, p):
     return {s: tuple(v % p for v in sums) for s, sums in out.items()}
 
 
+def power_sum(k, p):
+    """Sum of l^(-k) over l = 1..p-1, mod p, term by term."""
+    return sum(pow(l, -k, p) for l in range(1, p)) % p
+
+
 @lru_cache(maxsize=None)
 def frac_bernoulli(n):
     """Exact rational B_n from sum(C(m+1, j) B_j) = 0, with B_1 = -1/2."""

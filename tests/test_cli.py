@@ -302,6 +302,44 @@ def test_prime_range_without_a_prime_is_a_usage_error(tmp_path, capsys):
     assert done.read_bytes() == before
 
 
+@pytest.mark.parametrize("text", ["5..", "..7", "abc", "5..x", "5...7"])
+def test_malformed_prime_range_is_named(capsys, text):
+    for argv in (["verify", "ao", "--kmax", "3", "--jobs", "1"], ["zsweep", "--k", "3"]):
+        code, out, err = run_cli(argv + ["--primes", text], capsys)
+        assert (code, out, err) == (2, "", f"error: bad prime range {text!r}\n"), argv
+
+
+UNOPENABLE_OUT = [
+    # (argv, --out is a missing directory's file rather than a directory)
+    (["verify", "ao", "--kmax", "3", "--primes", "5..13", "--jobs", "1"], True),
+    (["verify", "ao", "--kmax", "3", "--primes", "5..13", "--jobs", "1"], False),
+    (["verify", "ao", "--kmax", "3", "--primes", "5..13", "--jobs", "1", "--resume"], False),
+    (["zsweep", "--k", "3", "--primes", "5..13"], True),
+    (["zsweep", "--k", "3", "--primes", "5..13"], False),
+    (["zsweep", "--k", "3", "--primes", "5..13", "--resume"], False),
+    (["symbolic", "anl"], True),
+    (["symbolic", "hypcong", "--prime", "13"], False),
+]
+
+
+@pytest.mark.parametrize("argv, missing", UNOPENABLE_OUT)
+def test_unopenable_out_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, missing):
+    # the file is opened, or scanned for --resume, before any record is
+    # computed, and an OSError is a usage error rather than a traceback
+    import fmzv.cli as cli_mod
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was opened")
+
+    for name in ("_verify_worker", "zeta_sweep_row", "run_anl_suite", "run_hypcong_suite"):
+        monkeypatch.setattr(cli_mod, name, no_work)
+    out_path = tmp_path / "no" / "such" / "x.jsonl" if missing else tmp_path
+    code, out, err = run_cli(argv + ["--out", str(out_path)], capsys)
+    assert code == 2 and out == "", argv
+    assert err.startswith("error: ") and str(out_path) in err and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []
+
+
 BAD_SYMBOLIC = [
     ["anl", "--nmax", "0"],
     ["anl", "--nmax", "-2"],
@@ -368,6 +406,31 @@ def test_zsweep_golden_bytes_with_a_degenerate_row(capsys, fmt):
     code, out, _ = run_cli(["zsweep", "--k", "11", "--primes", "29..37",
                             "--format", fmt], capsys)
     assert code == 0 and out == ZSWEEP_K11[fmt]
+
+
+# (prime, samples, seed) -> skipped_samples of l = 1, 2, ..., p - 2; every
+# l evaluates all three congruences at `samples` points
+HYPCONG_SKIPS = {
+    (13, 20, 3): "3/0/3 0/1/1 5/0/5 5/4/8 5/2/5 4/6/6 4/4/4 2/4/4 7/7/7 1/2/2 1/1/1",
+    (31, 10, 7): "2/0/2 0/0/0 0/0/0 0/0/0 1/1/1 0/0/0 3/2/3 3/2/3 2/2/2 3/2/3 "
+                 "0/0/0 3/3/3 5/5/5 4/4/4 9/3/9 1/1/1 1/1/1 1/2/2 1/1/1 2/2/2 "
+                 "2/2/2 0/0/0 4/4/4 1/1/1 2/2/2 3/3/3 1/1/1 0/0/0 0/0/0",
+}
+
+
+@pytest.mark.parametrize("prime, samples, seed", HYPCONG_SKIPS)
+def test_hypcong_golden_bytes(capsys, prime, samples, seed):
+    code, out, err = run_cli(["symbolic", "hypcong", "--prime", str(prime),
+                              "--samples", str(samples), "--seed", str(seed)], capsys)
+    skips = HYPCONG_SKIPS[prime, samples, seed].split()
+    assert len(skips) == prime - 2
+    want = "".join(
+        f'{{"check":"hypcong","p":{prime},"pass":true,"skipped":false,"l":{l},'
+        f'"seed":{seed},"samples":{samples},'
+        f'"evaluated":"{samples}/{samples}/{samples}","skipped_samples":"{skip}"}}\n'
+        for l, skip in enumerate(skips, start=1))
+    assert code == 0 and out == want
+    assert err == f"symbolic hypcong: {prime - 2} records, 0 failed\n"
 
 
 MISMATCHED_RESUMES = [

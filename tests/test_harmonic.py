@@ -16,27 +16,27 @@ IX = Index.of
 
 
 def test_mhs_strict_examples():
-    assert mhs_strict(IX(1), prime_ctx(5)).value == 0
-    assert mhs_strict(IX(2, 1), prime_ctx(5)).value == 1
+    assert mhs_strict(IX(1), prime_ctx(5)) == 0
+    assert mhs_strict(IX(2, 1), prime_ctx(5)) == 1
     for k in range(1, 5):
         for p in primes_in_range(k + 2, 23):
             if k % (p - 1) != 0:
-                assert mhs_strict(IX(k), prime_ctx(p)).value == 0
+                assert mhs_strict(IX(k), prime_ctx(p)) == 0
 
 
 def test_mhs_star_examples():
-    assert mhs_star(IX(2), prime_ctx(7)).value == 0
-    assert mhs_star(IX(1, 1), prime_ctx(5)).value == 0
-    assert mhs_star(IX(2, 1), prime_ctx(5)).value == 1
+    assert mhs_star(IX(2), prime_ctx(7)) == 0
+    assert mhs_star(IX(1, 1), prime_ctx(5)) == 0
+    assert mhs_star(IX(2, 1), prime_ctx(5)) == 1
 
 
 def test_mhs_empty_and_deep():
     for p in (5, 7):
-        assert mhs_strict(Index(()), prime_ctx(p)).value == 1
-        assert mhs_star(Index(()), prime_ctx(p)).value == 1
+        assert mhs_strict(Index(()), prime_ctx(p)) == 1
+        assert mhs_star(Index(()), prime_ctx(p)) == 1
     # depth >= p leaves no strictly decreasing chain
-    assert mhs_strict(Index((1,) * 6), prime_ctx(5)).value == 0
-    assert mhs_strict(Index((1,) * 5), prime_ctx(5)).value == 0
+    assert mhs_strict(Index((1,) * 6), prime_ctx(5)) == 0
+    assert mhs_strict(Index((1,) * 5), prime_ctx(5)) == 0
     assert oracles.brute_mhs_strict((1,) * 5, 5) == 0
 
 
@@ -44,8 +44,8 @@ def test_mhs_matches_bruteforce():
     for p in (5, 7, 11):
         for ix in iter_indices_of_weight(5):
             parts = tuple(ix)
-            assert mhs_strict(ix, prime_ctx(p)).value == oracles.brute_mhs_strict(parts, p)
-            assert mhs_star(ix, prime_ctx(p)).value == oracles.brute_mhs_star(parts, p)
+            assert mhs_strict(ix, prime_ctx(p)) == oracles.brute_mhs_strict(parts, p)
+            assert mhs_star(ix, prime_ctx(p)) == oracles.brute_mhs_star(parts, p)
 
 
 def test_star_strict_inclusion_exclusion():
@@ -66,8 +66,8 @@ def test_star_strict_inclusion_exclusion():
             merges.append(tuple(merged))
         for p in primes:
             ctx = prime_ctx(p)
-            want = sum(mhs_strict(Index(m), ctx).value for m in merges) % p
-            assert mhs_star(ix, ctx).value == want, (parts, p)
+            want = sum(mhs_strict(Index(m), ctx) for m in merges) % p
+            assert mhs_star(ix, ctx) == want, (parts, p)
 
 
 def test_reversal_sign_law():
@@ -75,28 +75,28 @@ def test_reversal_sign_law():
         sign = -1 if ix.weight % 2 else 1
         for p in primes_in_range(5, 97):
             ctx = prime_ctx(p)
-            lhs = mhs_strict(ix.reverse(), ctx).value
-            rhs = sign * mhs_strict(ix, ctx).value % p
+            lhs = mhs_strict(ix.reverse(), ctx)
+            rhs = sign * mhs_strict(ix, ctx) % p
             assert lhs == rhs, (tuple(ix), p)
 
 
 def test_family_sum_star_examples():
-    assert family_sum_star(2, 1, prime_ctx(7)).value == 0
-    assert family_sum_star(3, 1, prime_ctx(7)).value == 3
-    assert family_sum_star(4, 2, prime_ctx(11)).value == 0
+    assert family_sum_star(2, 1, prime_ctx(7)) == 0
+    assert family_sum_star(3, 1, prime_ctx(7)) == 3
+    assert family_sum_star(4, 2, prime_ctx(11)) == 0
 
 
 def test_family_sum_alt_strict_examples():
-    assert family_sum_alt_strict(2, 1, prime_ctx(7)).value == 0
-    assert family_sum_alt_strict(3, 1, prime_ctx(7)).value == 3
-    assert family_sum_alt_strict(4, 1, prime_ctx(7)).value == 0
+    assert family_sum_alt_strict(2, 1, prime_ctx(7)) == 0
+    assert family_sum_alt_strict(3, 1, prime_ctx(7)) == 3
+    assert family_sum_alt_strict(4, 1, prime_ctx(7)) == 0
 
 
 def test_family_sum_star_unrestricted_examples():
-    assert family_sum_star_unrestricted(2, 1, prime_ctx(5)).value == 0
-    assert family_sum_star_unrestricted(3, 1, prime_ctx(5)).value == 0
-    assert family_sum_star_unrestricted(3, 0, prime_ctx(7)).value == 0
-    assert family_sum_star_unrestricted(0, 0, prime_ctx(5)).value == 1
+    assert family_sum_star_unrestricted(2, 1, prime_ctx(5)) == 0
+    assert family_sum_star_unrestricted(3, 1, prime_ctx(5)) == 0
+    assert family_sum_star_unrestricted(3, 0, prime_ctx(7)) == 0
+    assert family_sum_star_unrestricted(0, 0, prime_ctx(5)) == 1
 
 
 def test_family_sum_guards():
@@ -109,8 +109,8 @@ def test_family_sum_guards():
     with pytest.raises(ValueError):
         family_sum_star(0, 1, prime_ctx(7))
     # infeasible height is an empty sum, not an error
-    assert family_sum_star(4, 2, prime_ctx(7)).value == oracles.family_sums(4, 7)[2][1]
-    assert family_sum_star(3, 4, prime_ctx(11)).value == 0
+    assert family_sum_star(4, 2, prime_ctx(7)) == oracles.family_sums(4, 7)[2][1]
+    assert family_sum_star(3, 4, prime_ctx(11)) == 0
 
 
 def test_family_sums_dp_matches_enumeration():
@@ -121,9 +121,9 @@ def test_family_sums_dp_matches_enumeration():
         for k in range(0, 9):
             for s, (alt, star, star_all) in oracles.family_sums(k, p).items():
                 if k >= 1 and s >= 1:
-                    assert family_sum_alt_strict(k, s, ctx).value == alt, (k, s, p)
-                    assert family_sum_star(k, s, ctx).value == star, (k, s, p)
-                assert family_sum_star_unrestricted(k, s, ctx).value == star_all, (k, s, p)
+                    assert family_sum_alt_strict(k, s, ctx) == alt, (k, s, p)
+                    assert family_sum_star(k, s, ctx) == star, (k, s, p)
+                assert family_sum_star_unrestricted(k, s, ctx) == star_all, (k, s, p)
 
 
 def test_family_sums_dp_small_prime_guard():
@@ -131,10 +131,10 @@ def test_family_sums_dp_small_prime_guard():
         with pytest.raises(ValueError):
             family_sum(6, 1, prime_ctx(7))
     ctx = prime_ctx(7)
-    assert family_sum_alt_strict(3, 1, ctx).value == 3
-    assert family_sum_star(3, 1, ctx).value == 3
-    assert family_sum_alt_strict(2, 1, ctx).value == 0
-    assert family_sum_star(2, 1, ctx).value == 0
+    assert family_sum_alt_strict(3, 1, ctx) == 3
+    assert family_sum_star(3, 1, ctx) == 3
+    assert family_sum_alt_strict(2, 1, ctx) == 0
+    assert family_sum_star(2, 1, ctx) == 0
 
 
 def test_awindow_equality_on_intersection():
@@ -162,6 +162,5 @@ def test_awindow_validation():
         AWindow(((5, 5),))
     w = AWindow.compute(IX(3), [5, 7])
     assert w.primes() == (5, 7)
-    assert w.residue(7).ctx.p == 7
     with pytest.raises(KeyError):
         w.value(11)
