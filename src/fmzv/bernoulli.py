@@ -5,9 +5,18 @@ Every value is an int in [0, p).
 Two independent routes are kept deliberately separate:
 
 * the power sum sum(l^n, l < p) = p * B_n mod p^2, one O(p) sum per
-  value (the route every check reads);
+  value (the route every check reads).  l -> l^n mod p^2 is completely
+  multiplicative, so ``pow`` runs only at prime l and a composite takes
+  the product of two earlier terms, split at its smallest prime factor.
+  That factor comes from one sieve shared by all primes, grown on
+  demand;
 * the alternating inverse power sum, which a classical congruence ties
-  to 2*(1 - 2^(1-k)) * B_(p-k)/k whenever 2^(k-1) is not 1 mod p.
+  to 2*(1 - 2^(1-k)) * B_(p-k)/k whenever 2^(k-1) is not 1 mod p.  It
+  reads l^(-k) as (l^(-1))^k mod p from the O(p) table of inverses, so
+  no exponent exceeds k.
+
+The two routes share no arithmetic: one works mod p^2 from the sieve,
+the other mod p from the inverses.
 
 The classical recurrence sum(C(m+1, j) * B_j, j <= m) = 0 is kept only
 as a test oracle.  ``check_euler_congruence`` confronts the two routes;
@@ -18,9 +27,43 @@ sweep's records carry the residue as lhs and ``zero``/``cross`` extras.
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .errors import VonStaudtPoleError
-from .modfield import PrimeCtx, prime_ctx
+from .modfield import PrimeCtx, inverses, prime_ctx
 from .records import VerificationRecord, comparison_record, skipped_record
+
+# _spf[l] is the smallest prime factor of l, for 2 <= l < len(_spf).  One
+# table serves every prime.  A larger prime swaps in a table at least twice
+# the size, built whole, so a reader never sees a half-built one.
+_spf: list[int] = []
+
+
+def _smallest_prime_factors(n: int) -> list[int]:
+    """The shared sieve, grown to cover every l < n."""
+    global _spf
+    spf = _spf
+    if len(spf) < n:
+        size = max(n, 2 * len(spf))
+        spf = list(range(size))
+        for q in range(2, isqrt(size - 1) + 1):
+            if spf[q] == q:
+                for m in range(q * q, size, q):
+                    if spf[m] == m:
+                        spf[m] = q
+        _spf = spf
+    return spf
+
+
+def _power_sum_mod_p2(n: int, p: int) -> int:
+    """sum(l^n, l < p) mod p^2, with ``pow`` at prime l only."""
+    p2 = p * p
+    spf = _smallest_prime_factors(p)
+    power = [0, 1] + [0] * (p - 2)
+    for l in range(2, p):
+        q = spf[l]
+        power[l] = pow(l, n, p2) if q == l else power[q] * power[l // q] % p2
+    return sum(power) % p2
 
 
 def bernoulli_mod(n: int, ctx: PrimeCtx) -> int:
@@ -48,24 +91,22 @@ def bernoulli_mod(n: int, ctx: PrimeCtx) -> int:
     if n > p - 3:
         raise ValueError(f"Bernoulli index {n} out of range for p={p}")
 
-    def build():
-        p2 = p * p
-        return sum(pow(l, n, p2) for l in range(1, p)) % p2 // p
-
-    return ctx.memo(("bernoulli_even", n), build)
+    return ctx.memo(("bernoulli_even", n), lambda: _power_sum_mod_p2(n, p) // p)
 
 
 def alternating_power_sum(k: int, ctx: PrimeCtx) -> int:
-    """Sum of (-1)^(l-1) * l^(-k) over l = 1..p-1, mod p."""
+    """Sum of (-1)^(l-1) * l^(-k) over l = 1..p-1, mod p.
+
+    l^(-k) is inv[l]^k, from a table of inverses that lives only for the
+    call: nothing p-sized stays on the context.
+    """
     if k < 1:
         raise ValueError(f"exponent must be >= 1, got {k}")
     p = ctx.p
-    e = (-k) % (p - 1)
-    total = 0
-    for l in range(1, p):
-        t = pow(l, e, p)
-        total += t if l % 2 == 1 else -t
-    return total % p
+    inv = inverses(p)
+    odd = sum(pow(x, k, p) for x in inv[1::2])
+    even = sum(pow(x, k, p) for x in inv[2::2])
+    return (odd - even) % p
 
 
 def zeta_residue(k: int, ctx: PrimeCtx) -> int:

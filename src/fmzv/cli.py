@@ -14,7 +14,10 @@ dicts through one loop, ``_emit``, which also counts them for the
 stderr summary line.
 
 Exit codes: 0 all records passed or were skipped, 1 at least one record
-failed, 2 usage error (including a flag that leaves nothing to check).
+failed, 2 usage error (including a flag that leaves nothing to check),
+141 (128 + SIGPIPE) the reader of stdout went away before the records
+were all written (``fmzv zsweep ... | head -1``), a quiet stop with no
+traceback and no summary line.
 Output is deterministic: fixed seeds give byte-identical JSONL, and the
 record order does not depend on --jobs.
 """
@@ -51,6 +54,11 @@ from .verify import (
 
 VERIFY_COLUMNS = ("check", "k", "s", "index", "p", "lhs", "rhs", "pass", "skipped", "reason")
 ZSWEEP_COLUMNS = ("check", "k", "p", "lhs", "rhs", "pass", "skipped", "reason", "zero", "cross")
+EXIT_STDOUT_CLOSED = 141  # 128 + SIGPIPE, as a shell reports a killed writer
+
+# One encoder for every record: json.dumps with separators builds a new one
+# per call.
+_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
 def _fail(message: str) -> int:
@@ -88,7 +96,7 @@ def _default_jobs() -> int:
 
 
 def _json_line(record: dict) -> str:
-    return json.dumps(record, separators=(",", ":"))
+    return _JSON.encode(record)
 
 
 def _csv_line(record: dict, columns) -> str:
@@ -105,6 +113,10 @@ def _csv_line(record: dict, columns) -> str:
             row.append(str(value))
     writer.writerow(row)
     return buf.getvalue()
+
+
+class _StdoutClosed(Exception):
+    """The reader of stdout went away; stdout now points at os.devnull."""
 
 
 class _Emitter:
@@ -146,7 +158,10 @@ def _emit(batches, emitter: _Emitter) -> dict:
     ``emitter``.
 
     Returns the tallies: records, failed and skipped, and of zsweep rows
-    the zero residues and the degenerate cross-checks.
+    the zero residues and the degenerate cross-checks.  A broken pipe on
+    stdout stops the run quietly: stdout is pointed at os.devnull, so the
+    interpreter's last flush cannot fail again, and ``_StdoutClosed``
+    unwinds the command (tearing down its pool) up to ``main``.
     """
     tally = dict.fromkeys(("records", "failed", "skipped", "zero", "degenerate"), 0)
     try:
@@ -159,6 +174,13 @@ def _emit(batches, emitter: _Emitter) -> dict:
                 tally["zero"] += rec.get("zero", False)
                 tally["degenerate"] += rec.get("cross") == "degenerate"
             emitter.flush()
+    except BrokenPipeError:
+        if emitter.owns:
+            raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise _StdoutClosed from None
     finally:
         emitter.close()
     return tally
@@ -418,7 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _StdoutClosed:
+        return EXIT_STDOUT_CLOSED
 
 
 if __name__ == "__main__":  # pragma: no cover

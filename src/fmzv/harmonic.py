@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .indices import Index
 # Unused here: perfbench/tracing.py patches these names on this module.
 from .indices import iter_admissible_indices, iter_all_indices  # noqa: F401
-from .modfield import PrimeCtx, batch_inv_ints, prime_ctx
+from .modfield import PrimeCtx, inverses, prime_ctx
 
 
 def _inverse_power_rows(ctx: PrimeCtx, k_max: int) -> list[list[int]]:
@@ -34,8 +34,7 @@ def _inverse_power_rows(ctx: PrimeCtx, k_max: int) -> list[list[int]]:
             p = ctx.p
             if not rows:
                 rows.append([1] * p)  # j = 0; dummy value at l = 0 is fine here
-                inv = [0] + batch_inv_ints(list(range(1, p)), p)
-                rows.append(inv)
+                rows.append(inverses(p))
             inv = rows[1]
             while len(rows) <= k_max:
                 prev = rows[-1]

@@ -5,7 +5,8 @@ harmonic sums, Bernoulli values and identity sweeps do their own
 ``% p`` arithmetic.  A ``PrimeCtx`` owns the per-prime lookup tables
 (factorials, inverse powers, ...) so sweeps over many primes amortize
 table construction; the tables are built at most once per context under
-a lock and are read-only afterwards.
+a lock and are read-only afterwards.  ``inverses(p)`` is the table of
+all inverses mod p, built in O(p) by a recurrence.
 """
 
 from __future__ import annotations
@@ -126,27 +127,16 @@ def prime_ctx(p: int) -> PrimeCtx:
     return PrimeCtx(p)
 
 
-def batch_inv_ints(values: list[int], p: int) -> list[int]:
-    """Inverses mod p of nonzero values, with a single modular exponentiation.
+def inverses(p: int) -> list[int]:
+    """inv[l] = l^(-1) mod p for 1 <= l < p, with a dummy zero at l = 0.
 
-    Montgomery's trick: prefix products, one inversion of the total
-    product, then a backward sweep.
+    O(p) without any exponentiation: p = (p // l) * l + p % l gives
+    l^(-1) = -(p // l) * (p % l)^(-1), and p % l < l is already known.
     """
-    n = len(values)
-    if n == 0:
-        return []
-    prefix = [0] * n
-    acc = 1
-    for i, v in enumerate(values):
-        acc = acc * v % p
-        prefix[i] = acc
-    inv_acc = pow(acc, p - 2, p)
-    out = [0] * n
-    for i in range(n - 1, 0, -1):
-        out[i] = inv_acc * prefix[i - 1] % p
-        inv_acc = inv_acc * values[i] % p
-    out[0] = inv_acc
-    return out
+    inv = [0, 1] + [0] * (p - 2)
+    for l in range(2, p):
+        inv[l] = -(p // l) * inv[p % l] % p
+    return inv
 
 
 def binom_mod(n: int, k: int, ctx: PrimeCtx) -> int:

@@ -109,6 +109,11 @@ def power_sum(k, p):
     return sum(pow(l, -k, p) for l in range(1, p)) % p
 
 
+def alternating_power_sum(k, p):
+    """Sum of (-1)^(l-1) * l^(-k) over l = 1..p-1, mod p, term by term."""
+    return sum((-1) ** (l - 1) * pow(l, -k, p) for l in range(1, p)) % p
+
+
 @lru_cache(maxsize=None)
 def frac_bernoulli(n):
     """Exact rational B_n from sum(C(m+1, j) B_j) = 0, with B_1 = -1/2."""

@@ -9,7 +9,13 @@ import json
 import time
 
 import oracles
-from fmzv.bernoulli import alternating_power_sum, check_euler_congruence, zeta_residue, zeta_sweep
+from fmzv.bernoulli import (
+    alternating_power_sum,
+    check_euler_congruence,
+    zeta_residue,
+    zeta_sweep,
+    zeta_sweep_row,
+)
 from fmzv.cli import main as cli_main
 from fmzv.harmonic import family_sum_alt_strict, family_sum_star, mhs_strict
 from fmzv.indices import Index, iter_all_indices, iter_indices_of_weight
@@ -229,3 +235,30 @@ def test_criterion_12_determinism(tmp_path):
         json.loads(line)
     _report(12, same_verify and same_zsweep and same_symbolic,
             "byte-identical output across reruns and jobs=1 vs jobs=8")
+
+
+def test_criterion_13_ao_lm_vanish_at_irregular_pairs():
+    # 37 | B_32 and 67 | B_58 (irregular pairs), so the shared right side
+    # 2*C(k-1, 2s-1)*(1 - 2^(1-k))*B_(p-k)/k is 0 at (p, k) = (37, 5) and
+    # (67, 9), and both family sums must vanish with it for every s
+    records = [check(k, s, prime_ctx(p))
+               for p, k in ((37, 5), (67, 9))
+               for s in range(1, k // 2 + 1)
+               for check in (verify_ao, verify_lm)]
+    ok = len(records) == 12 and all(
+        r.passed and r.lhs == r.rhs == "0" for r in records)
+    _report(13, ok, f"ao and lm sums are 0 = rhs on {len(records)} records "
+                    "at (p, k) = (37, 5) and (67, 9)")
+
+
+def test_criterion_14_wolstenholme_prime_16843():
+    # B_(p-3) = 0 mod p exactly at the Wolstenholme primes; 16843 is the
+    # first (McIntosh, Acta Arith. 71 (1995))
+    rows = [zeta_sweep_row(3, p) for p in primes_in_range(16800, 16900)]
+    zeros = [row.p for row in rows if dict(row.extra)["zero"]]
+    at = zeta_sweep_row(3, 16843)
+    ok = (zeros == [16843] and at.lhs == "0" and at.passed
+          and dict(at.extra)["cross"] == "ok"
+          and all(dict(row.extra)["cross"] == "ok" for row in rows))
+    _report(14, ok, f"k=3 hunt over {len(rows)} primes in 16800..16900: "
+                    "the only zero residue is at 16843, cross-check ok")

@@ -1,6 +1,7 @@
 import pytest
 
 import oracles
+from fmzv import bernoulli
 from fmzv.bernoulli import (
     alternating_power_sum,
     bernoulli_mod,
@@ -9,7 +10,7 @@ from fmzv.bernoulli import (
     zeta_sweep,
 )
 from fmzv.errors import VonStaudtPoleError
-from fmzv.modfield import binom_mod, prime_ctx, primes_in_range
+from fmzv.modfield import PrimeCtx, binom_mod, prime_ctx, primes_in_range
 from fmzv.records import VerificationRecord
 
 
@@ -44,18 +45,37 @@ def test_bernoulli_pole_and_range_errors():
     assert bernoulli_mod(9, ctx) == 0  # odd slots up to p-2 are fine
 
 
-def test_power_sum_matches_recurrence_oracle():
+def test_power_sum_matches_recurrence_oracle(monkeypatch):
     # every even n <= p-3, against the O(p^2) recurrence table, and the
-    # zeta residues B_(p-k)/k read from it
-    for p in primes_in_range(5, 400) + [1009, 2999]:
-        ctx = prime_ctx(p)
-        table = oracles.bernoulli_even_table(p)
+    # zeta residues B_(p-k)/k read from it.  From an empty sieve the
+    # primes go up, then down again on fresh contexts (no memoized
+    # value), so the shared sieve is read both as it grows and once grown
+    # past p.
+    monkeypatch.setattr(bernoulli, "_spf", [])
+    primes = primes_in_range(5, 400) + [1009, 2999]
+    tables = {p: oracles.bernoulli_even_table(p) for p in primes}
+    for p in primes + primes[::-1]:
+        ctx = PrimeCtx(p)
+        table = tables[p]
         assert len(table) == (p - 3) // 2 + 1, p
         for i, want in enumerate(table):
             assert bernoulli_mod(2 * i, ctx) == want, (2 * i, p)
         for k in range(3, min(9, p - 2) + 1):
             want = table[(p - k) // 2] * pow(k, -1, p) % p if k % 2 else 0
             assert zeta_residue(k, ctx) == want, (k, p)
+
+
+# The irregular pairs (p, 2j) with p < 160, p | B_2j (Buhler, Crandall,
+# Ernvall and Metsänkylä, Math. Comp. 61 (1993); Washington, Cyclotomic
+# Fields, table).
+IRREGULAR_PAIRS_BELOW_160 = {(37, 32), (59, 44), (67, 58), (101, 68), (103, 24),
+                             (131, 22), (149, 130), (157, 62), (157, 110)}
+
+
+def test_zeta_residue_vanishes_at_the_irregular_pairs():
+    zeros = {(p, p - k) for p in primes_in_range(5, 159)
+             for k in range(3, p - 1, 2) if zeta_residue(k, prime_ctx(p)) == 0}
+    assert zeros == IRREGULAR_PAIRS_BELOW_160
 
 
 def test_recurrence_consistency_invariant():
@@ -77,6 +97,13 @@ def test_alternating_power_sum_examples():
     assert alternating_power_sum(1, prime_ctx(5)) == 1
     with pytest.raises(ValueError):
         alternating_power_sum(0, prime_ctx(5))
+
+
+def test_alternating_power_sum_matches_term_by_term_oracle():
+    for p in primes_in_range(5, 400) + [1009, 2999, 16843]:
+        ctx = prime_ctx(p)
+        for k in range(1, 14):
+            assert alternating_power_sum(k, ctx) == oracles.alternating_power_sum(k, p), (k, p)
 
 
 def test_alternating_split_identity():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -192,6 +193,34 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "value=1" in proc.stdout
+
+
+# Each writes well over the 64 KiB a pipe holds (90 to 160 KiB in all), so
+# it cannot finish before its reader goes away.
+CLOSED_STDOUT_COMMANDS = [
+    ["verify", "ao,lm", "--kmax", "8", "--primes", "5..300", "--jobs", "1"],
+    ["verify", "ao,lm", "--kmax", "8", "--primes", "5..300", "--jobs", "2"],
+    ["zsweep", "--k", "3", "--primes", "5..8000"],
+    ["symbolic", "gauss", "--mmax", "2", "--pairs", "300"],
+]
+
+
+@pytest.mark.parametrize("argv", CLOSED_STDOUT_COMMANDS)
+def test_closed_stdout_is_a_quiet_stop(argv):
+    # `fmzv ... | head -1`: the reader takes one line and closes its end.
+    # The run stops with 128 + SIGPIPE, no traceback, no "Exception
+    # ignored" at exit and no summary line.
+    src = os.path.dirname(os.path.dirname(fmzv.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "fmzv",
+         *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src))
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert json.loads(first)["check"] in ("ao", "zsweep", "gauss")
+    assert (proc.returncode, err.decode()) == (141, "")
 
 
 def test_compute_empty_index(capsys):
@@ -406,6 +435,29 @@ def test_zsweep_golden_bytes_with_a_degenerate_row(capsys, fmt):
     code, out, _ = run_cli(["zsweep", "--k", "11", "--primes", "29..37",
                             "--format", fmt], capsys)
     assert code == 0 and out == ZSWEEP_K11[fmt]
+
+
+# sha256 of the stdout of `zsweep --k K --primes 5..700` in each format
+ZSWEEP_SHA256 = {
+    (3, "jsonl"): "cd54200f1265c4b4a1da7834b48120b420b4a0426a9175bd00fe0b05ef416eb7",
+    (3, "csv"): "6ae7feedc998bd15eb88348e935a7471154a49981892565a35703cdcf3402fe0",
+    (4, "jsonl"): "c2ed6abe644584400cb44b8f6f377dd49b712dee7ef498b4e90d2eefea3bbc79",
+    (4, "csv"): "b06bf5d23897ff15863f7fb6836850f68042d95f9478aff4215ef61e651fff63",
+    (5, "jsonl"): "2062fe69c7585d4a7ed3e1b81937e6ed8397de2e2726fd54e36b4769451ec18d",
+    (5, "csv"): "8d8ceb498ef9f85fa594dda8f84656bc1ea1a568b7fbc1628463fe6c511b3e19",
+    (11, "jsonl"): "d921be528ede88bd4f2b0dd105d6bcaf8a24921d3b047bf5c95677f792e6461d",
+    (11, "csv"): "a57a93113677a86e73675373758440a20808a06d84fb38732aa7f7d7b27aeff1",
+    (13, "jsonl"): "88c665d05e7e9d42934a57c15f767d7ae77e6e5922b1cd23544aa6a31c5abc63",
+    (13, "csv"): "e0164e27253ffb611c2b87093242ca7aec0a85925f0ff4026fab9a3994af2df9",
+}
+
+
+@pytest.mark.parametrize("k, fmt", ZSWEEP_SHA256)
+def test_zsweep_golden_sha256(capsys, k, fmt):
+    code, out, _ = run_cli(["zsweep", "--k", str(k), "--primes", "5..700",
+                            "--format", fmt], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ZSWEEP_SHA256[k, fmt]
 
 
 # (prime, samples, seed) -> skipped_samples of l = 1, 2, ..., p - 2; every

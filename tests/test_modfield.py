@@ -1,11 +1,9 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fmzv.modfield import (
     PrimeCtx,
-    batch_inv_ints,
     binom_mod,
+    inverses,
     is_prime,
     prime_ctx,
     primes_in_range,
@@ -39,20 +37,16 @@ def test_prime_ctx_identity():
         prime_ctx(7).p = 11
 
 
-def test_batch_inv_examples():
-    assert batch_inv_ints([1, 2, 3], 7) == [1, 4, 5]
-    assert batch_inv_ints([], 7) == []
-    out = batch_inv_ints(list(range(1, 11)), 11)
-    assert sorted(out) == list(range(1, 11))
+def test_inverses_examples():
+    assert inverses(3) == [0, 1, 2]
+    assert inverses(7) == [0, 1, 4, 5, 2, 3, 6]
+    out = inverses(11)
+    assert out[0] == 0 and sorted(out[1:]) == list(range(1, 11))
 
 
-@given(st.sampled_from(primes_in_range(5, 199)), st.data())
-@settings(max_examples=60, deadline=None)
-def test_batch_inv_matches_mod_inv(p, data):
-    vals = data.draw(
-        st.lists(st.integers(min_value=1, max_value=p - 1), min_size=0, max_size=24)
-    )
-    assert batch_inv_ints(vals, p) == [pow(v, p - 2, p) for v in vals]
+def test_inverses_match_fermat():
+    for p in primes_in_range(3, 199) + [1009, 16843]:
+        assert inverses(p) == [0] + [pow(l, p - 2, p) for l in range(1, p)], p
 
 
 def test_binom_examples():
