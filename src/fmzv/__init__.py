@@ -14,8 +14,6 @@ from .errors import (
 )
 from .indices import (
     Index,
-    enumerate_admissible_indices,
-    enumerate_all_indices,
     iter_admissible_indices,
     iter_all_indices,
 )
@@ -27,7 +25,6 @@ from .modfield import (
     primes_in_range,
 )
 from .harmonic import (
-    AWindow,
     family_sum_alt_strict,
     family_sum_star,
     family_sum_star_unrestricted,
@@ -39,7 +36,6 @@ from .bernoulli import (
     bernoulli_mod,
     check_euler_congruence,
     zeta_residue,
-    zeta_sweep,
 )
 from .records import VerificationRecord
 from .verify import (
@@ -48,7 +44,6 @@ from .verify import (
     verify_height_sum,
     verify_lemma,
     verify_lm,
-    verify_range,
     verify_reversal,
 )
 from .symbolic import (
@@ -66,7 +61,6 @@ from .symbolic import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AWindow",
     "AllSamplesSkippedError",
     "DegenerateParametersError",
     "Index",
@@ -80,8 +74,6 @@ __all__ = [
     "bernoulli_mod",
     "binom_mod",
     "check_euler_congruence",
-    "enumerate_admissible_indices",
-    "enumerate_all_indices",
     "family_sum_alt_strict",
     "family_sum_star",
     "family_sum_star_unrestricted",
@@ -105,8 +97,6 @@ __all__ = [
     "verify_height_sum",
     "verify_lemma",
     "verify_lm",
-    "verify_range",
     "verify_reversal",
     "zeta_residue",
-    "zeta_sweep",
 ]

@@ -20,9 +20,9 @@ the other mod p from the inverses.
 
 The classical recurrence sum(C(m+1, j) * B_j, j <= m) = 0 is kept only
 as a test oracle.  ``check_euler_congruence`` confronts the two routes;
-``zeta_sweep`` runs the confrontation over a prime range while hunting
-for zero residues of B_(p-k)/k.  Both report VerificationRecords; a
-sweep's records carry the residue as lhs and ``zero``/``cross`` extras.
+``zeta_sweep_row`` runs the confrontation at one prime of a hunt for
+zero residues of B_(p-k)/k.  Both report VerificationRecords; a sweep
+row carries the residue as lhs and ``zero``/``cross`` extras.
 """
 
 from __future__ import annotations
@@ -158,14 +158,3 @@ def zeta_sweep_row(k: int, p: int) -> VerificationRecord:
     cross = "ok" if derived == res else "fail"
     return comparison_record("zsweep", str(res), str(derived), p=p, k=k,
                              extra=(("zero", res == 0), ("cross", cross)))
-
-
-def zeta_sweep(k: int, primes) -> list[VerificationRecord]:
-    """Per-prime residues of B_(p-k)/k with the two-method cross-check.
-
-    Primes p <= k+1 are reported as skipped, never failed.  Records come
-    back ordered by prime.
-    """
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    return [zeta_sweep_row(k, p) for p in sorted(set(primes))]

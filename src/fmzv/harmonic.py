@@ -14,12 +14,10 @@ independent oracle of the tests, not a production path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .indices import Index
 # Unused here: perfbench/tracing.py patches these names on this module.
 from .indices import iter_admissible_indices, iter_all_indices  # noqa: F401
-from .modfield import PrimeCtx, inverses, prime_ctx
+from .modfield import PrimeCtx, inverses
 
 
 def _inverse_power_rows(ctx: PrimeCtx, k_max: int) -> list[list[int]]:
@@ -161,61 +159,3 @@ def family_sum_star_unrestricted(k: int, s: int, ctx: PrimeCtx) -> int:
     if s > k // 2:
         return 0
     return family_table(k, ctx)[2][k][s]
-
-
-@dataclass(frozen=True, eq=False)
-class AWindow:
-    """A finite window of a prime-indexed family of values mod p.
-
-    ``entries`` maps primes (strictly increasing) to values in [0, p).
-    Two windows compare equal when they agree on every prime they share;
-    windows with disjoint prime sets compare equal vacuously.  ``meta``
-    records what the values represent (an index, a family, ...).
-    """
-
-    entries: tuple[tuple[int, int], ...]
-    meta: str = ""
-
-    def __post_init__(self):
-        last = 0
-        for p, v in self.entries:
-            if p <= last:
-                raise ValueError("primes must be strictly increasing")
-            if not 0 <= v < p:
-                raise ValueError(f"value {v} out of range for p={p}")
-            last = p
-
-    @classmethod
-    def compute(cls, ix: Index, primes, star: bool = False) -> "AWindow":
-        entries = []
-        for p in sorted(set(primes)):
-            ctx = prime_ctx(p)
-            entries.append((p, _mhs_int(tuple(ix), ctx, star=star)))
-        kind = "star" if star else "strict"
-        return cls(tuple(entries), meta=f"mhs_{kind}({ix})")
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.entries)
-
-    def value(self, p: int) -> int:
-        for q, v in self.entries:
-            if q == p:
-                return v
-        raise KeyError(f"prime {p} not in window")
-
-    def __eq__(self, other):
-        if not isinstance(other, AWindow):
-            return NotImplemented
-        mine = dict(self.entries)
-        for p, v in other.entries:
-            if p in mine and mine[p] != v:
-                return False
-        return True
-
-    # Equality on the shared primes is not transitive, so no hash can agree
-    # with it.  With eq=False the dataclass adds no field hash behind it.
-    __hash__ = None
-
-    def __repr__(self):
-        inner = ", ".join(f"{p}:{v}" for p, v in self.entries)
-        return f"AWindow({self.meta or 'values'}; {inner})"

@@ -7,14 +7,14 @@ first-class value with weight = depth = height = 0.
 
 Two index families recur throughout the package:
 
-* ``admissible_indices(k, s)``: indices of weight k, height s, whose
-  first part is at least 2.  Empty when k < 2s.
-* ``all_indices(k, s)``: same weight/height constraint but no
+* ``iter_admissible_indices(k, s)``: indices of weight k, height s,
+  whose first part is at least 2.  Empty when k < 2s.
+* ``iter_all_indices(k, s)``: same weight/height constraint but no
   restriction on the first part.
 
-Both are produced in lexicographic order so golden-file tests stay
-stable; ``iter_*`` variants stream instead of materializing (the family
-sizes grow like 2^k).
+Both stream their family in lexicographic order, so golden-file tests
+stay stable and nothing is materialized (the family sizes grow like
+2^k).
 """
 
 from __future__ import annotations
@@ -65,11 +65,6 @@ class Index:
     @property
     def height(self) -> int:
         return sum(1 for x in self.parts if x >= 2)
-
-    @property
-    def is_admissible(self) -> bool:
-        """True when the first part is at least 2 (or the index is empty)."""
-        return not self.parts or self.parts[0] >= 2
 
     def reverse(self) -> "Index":
         return Index(self.parts[::-1])
@@ -122,22 +117,12 @@ def iter_admissible_indices(k: int, s: int) -> Iterator[Index]:
         yield Index(parts)
 
 
-def enumerate_admissible_indices(k: int, s: int) -> list[Index]:
-    """Indices of weight k, height s, first part >= 2; [] when k < 2s."""
-    return list(iter_admissible_indices(k, s))
-
-
 def iter_all_indices(k: int, s: int) -> Iterator[Index]:
     """Stream indices of weight k and height s with unrestricted first part."""
     if k < 0 or s < 0:
         raise ValueError(f"need k >= 0 and s >= 0, got k={k}, s={s}")
     for parts in _compositions(k, s, 1):
         yield Index(parts)
-
-
-def enumerate_all_indices(k: int, s: int) -> list[Index]:
-    """All indices of weight k and height s; [(empty)] for k = s = 0."""
-    return list(iter_all_indices(k, s))
 
 
 def _compositions_any_height(weight: int) -> Iterator[tuple[int, ...]]:

@@ -45,10 +45,6 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
-    @classmethod
-    def constant(cls, c) -> "Poly":
-        return cls((c,))
-
     @property
     def degree(self):
         """Degree, with -inf as the zero-polynomial sentinel."""
@@ -69,7 +65,7 @@ class Poly:
 
     def __add__(self, other):
         if not isinstance(other, Poly):
-            other = Poly.constant(other)
+            other = Poly((other,))
         n = max(len(self.coeffs), len(other.coeffs))
         return Poly(self.coeff(i) + other.coeff(i) for i in range(n))
 
@@ -80,11 +76,8 @@ class Poly:
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
-            other = Poly.constant(other)
+            other = Poly((other,))
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
@@ -103,18 +96,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        out = Poly((1,))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __divmod__(self, other: "Poly"):
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
@@ -129,12 +110,6 @@ class Poly:
                 for j, bj in enumerate(other.coeffs):
                     rem[i + j] -= c * bj
         return Poly(q), Poly(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
 
     def exact_div(self, other: "Poly") -> "Poly":
         q, r = divmod(self, other)
@@ -286,11 +261,11 @@ class RatFunc:
 
     def __init__(self, num, den=None):
         if not isinstance(num, Poly):
-            num = Poly.constant(num)
+            num = Poly((num,))
         if den is None:
             den = Poly((1,))
         elif not isinstance(den, Poly):
-            den = Poly.constant(den)
+            den = Poly((den,))
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
@@ -311,58 +286,36 @@ class RatFunc:
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
 
-    @classmethod
-    def constant(cls, c) -> "RatFunc":
-        return cls(Poly.constant(c))
-
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
 
+    # Both operands are RatFuncs: a scalar or a Poly is wrapped by the caller.
     def __add__(self, other):
         if not isinstance(other, RatFunc):
-            other = RatFunc.constant(other)
+            return NotImplemented
         return RatFunc(self.num * other.den + other.num * self.den,
                        self.den * other.den)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return RatFunc(-self.num, self.den)
 
     def __sub__(self, other):
         if not isinstance(other, RatFunc):
-            other = RatFunc.constant(other)
+            return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, RatFunc):
-            if isinstance(other, Poly):
-                other = RatFunc(other)
-            else:
-                return RatFunc(self.num * other, self.den)
+            return NotImplemented
         return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, RatFunc):
-            if isinstance(other, Poly):
-                other = RatFunc(other)
-            else:
-                return RatFunc(self.num * Fraction(1) / _as_fraction(other), self.den)
+            return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
         return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __call__(self, x) -> Fraction:
-        d = self.den(x)
-        if d == 0:
-            raise ZeroDivisionError(f"pole at {x}")
-        return self.num(x) / d
 
     def subs_neg(self) -> "RatFunc":
         return RatFunc(self.num.subs_neg(), self.den.subs_neg())

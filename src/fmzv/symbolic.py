@@ -249,47 +249,35 @@ def _build_congruence_sides(l: int, ctx: PrimeCtx):
     """
     p = ctx.p
     M = p - l
-    fact, inv_fact = ctx.factorials()
+    inv_fact = ctx.factorials()[1]
 
-    # prefix (z)_n and suffix products of (2z+1+i) factors
-    z_poch = [[1]]
-    for i in range(M):
-        z_poch.append(fp_mul(z_poch[-1], [i % p, 1], p))
-    suf = [None] * (M + 1)
-    suf[M] = [1]
-    for i in range(M - 1, -1, -1):
-        suf[i] = fp_mul(suf[i + 1], [(1 + i) % p, 2], p)
-    # suf[i] = prod_{j=i}^{M-1}(2z+1+j); (2z+1)_M = suf[0]
-    den_M = suf[0]
-    # the same over the shorter range: short[i] = prod_{j=i}^{M-2}(2z+1+j),
-    # so the truncated sum's common denominator (2z+1)_(M-1) is short[0]
-    short = [None] * M
-    short[M - 1] = [1]
-    for i in range(M - 2, -1, -1):
-        short[i] = fp_mul(short[i + 1], [(1 + i) % p, 2], p)
-    den_M1 = short[0]
-
-    poch_l = [1] * (M + 1)
-    for i in range(M):
-        poch_l[i + 1] = poch_l[i] * ((l + i) % p) % p
-    coeff = [poch_l[n] * inv_fact[n] % p for n in range(M + 1)]
-    tail_const = poch_l[M] * inv_fact[M] % p  # (l)_M / M!
+    # The series' terms are c_n (z)_n / (2z+1)_n with c_n = (l)_n / n!.
+    # Over the common denominator (2z+1)_N the first N+1 terms sum to
+    #   acc_N = sum_{n<=N} c_n (z)_n prod_{n<=i<N} (2z+1+i),
+    # and acc_(N+1) = acc_N (2z+1+N) + c_(N+1) (z)_(N+1): one pass of
+    # Horner's rule.  The truncated sum (i) stops at N = M-1, the full
+    # series (ii) at N = M.
+    z_poch, den, acc = [1], [1], [1]  # (z)_N, (2z+1)_N, acc_N at N = 0
+    poch_l = 1  # (l)_N mod p
+    for n in range(M):
+        if n == M - 1:
+            num_i, den_M1 = acc, den
+        linear = [(1 + n) % p, 2]
+        den = fp_mul(den, linear, p)
+        z_poch = fp_mul(z_poch, [n % p, 1], p)
+        poch_l = poch_l * ((l + n) % p) % p
+        acc = fp_add(fp_mul(acc, linear, p),
+                     fp_scale(z_poch, poch_l * inv_fact[n + 1], p), p)
+    num_ii, den_M = acc, den
+    tail_const = poch_l * inv_fact[M] % p  # (l)_M / M!
 
     # (i) truncated sum vs terminating series minus its last term
-    num_i = []
-    for n in range(M):
-        term = fp_mul(z_poch[n], short[n], p)
-        num_i = fp_add(num_i, fp_scale(term, coeff[n], p), p)
     lhs_i = FpRatFunc(num_i, den_M1, p)
     rhs_i_num = fp_add(fp_pochhammer_poly(1, 1, M, p),
-                       fp_scale(z_poch[M], -tail_const % p, p), p)
+                       fp_scale(z_poch, -tail_const % p, p), p)
     rhs_i = FpRatFunc(rhs_i_num, den_M, p)
 
     # (ii) full terminating series vs the Fermat-quotient closed form
-    num_ii = []
-    for n in range(M + 1):
-        term = fp_mul(z_poch[n], suf[n], p)
-        num_ii = fp_add(num_ii, fp_scale(term, coeff[n], p), p)
     lhs_ii = FpRatFunc(num_ii, den_M, p)
     fermat = FpRatFunc([-1] + [0] * (p - 2) + [1],
                        [-1] + [0] * (p - 2) + [pow(2, p - 1, p)], p)
@@ -297,7 +285,7 @@ def _build_congruence_sides(l: int, ctx: PrimeCtx):
                                 fp_pochhammer_poly(1 - l, 1, l - 1, p), p)
 
     # (iii) the subtracted tail term vs its closed form
-    lhs_iii = FpRatFunc(fp_scale(z_poch[M], tail_const, p), den_M, p)
+    lhs_iii = FpRatFunc(fp_scale(z_poch, tail_const, p), den_M, p)
     sign = 1 if l % 2 == 1 else -1
     rhs_iii = fermat * FpRatFunc(
         fp_mul([0, 1], fp_pochhammer_poly(1 - l, 2, l - 1, p), p),

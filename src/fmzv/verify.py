@@ -266,17 +266,3 @@ def record_sort_key(rec: VerificationRecord):
             rec.s if rec.s is not None else -1,
             parts,
             rec.p if rec.p is not None else -1)
-
-
-def verify_range(checks, primes, *, k_max: int = 8, w_max: int = 6,
-                 s_max: int | None = None) -> list[VerificationRecord]:
-    """Cross product of checks, parameters, and primes, sorted by
-    (check, k, s, index, p).  Skips propagate; failures never abort."""
-    tasks: list[tuple] = []
-    for check in checks:
-        tasks.extend(check_tasks(check, k_max=k_max, w_max=w_max, s_max=s_max))
-    records: list[VerificationRecord] = []
-    for p in sorted(set(primes)):
-        records.extend(evaluate_tasks_for_prime(p, tasks))
-    records.sort(key=record_sort_key)
-    return records

@@ -181,3 +181,56 @@ def closed_form_a1_coeff(i, j):
     if j % 2 == 1:
         return Fraction(0)
     return Fraction(_choose(j + 1 + i, j + 1))
+
+
+def poly_mul_mod(a, b, p):
+    """Schoolbook product of coefficient lists (ascending degree) mod p,
+    trailing zeros trimmed."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def hypcong_left_sides(l, p):
+    """The three left sides of the hypcong congruences at (l, p), each as
+    (numerator, denominator) coefficient lists mod p.
+
+    With M = p - l and c_n = (l)_n / n!, the terms c_n (z)_n / (2z+1)_n
+    go over a common denominator by the suffix products they lack:
+
+      truncation   sum_{n<M}  c_n (z)_n suf(n, M-1)  over (2z+1)_(M-1)
+      closed-form  sum_{n<=M} c_n (z)_n suf(n, M)    over (2z+1)_M
+      tail-term    c_M (z)_M                         over (2z+1)_M
+
+    where suf(n, N) is the product of (2z+1+i) for n <= i < N.
+    """
+    M = p - l
+    z_poch = [[1]]
+    for i in range(M):
+        z_poch.append(poly_mul_mod(z_poch[-1], [i % p, 1], p))
+
+    def suffixes(top):
+        suf = [[1]] * (top + 1)
+        for i in range(top - 1, -1, -1):
+            suf[i] = poly_mul_mod(suf[i + 1], [(1 + i) % p, 2], p)
+        return suf
+
+    c, poch, fact = [], 1, 1
+    for n in range(M + 1):
+        c.append(poch * pow(fact, p - 2, p) % p)
+        poch, fact = poch * (l + n) % p, fact * (n + 1) % p
+
+    def numerator(top):
+        suf = suffixes(top)
+        total = [0] * (2 * top + 1)
+        for n in range(top + 1):
+            for i, x in enumerate(poly_mul_mod(z_poch[n], suf[n], p)):
+                total[i] = (total[i] + c[n] * x) % p
+        return poly_mul_mod(total, [1], p), suf[0]
+
+    tail = poly_mul_mod(z_poch[M], [c[M]], p)
+    return [numerator(M - 1), numerator(M), (tail, suffixes(M)[0])]

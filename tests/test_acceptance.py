@@ -13,7 +13,6 @@ from fmzv.bernoulli import (
     alternating_power_sum,
     check_euler_congruence,
     zeta_residue,
-    zeta_sweep,
     zeta_sweep_row,
 )
 from fmzv.cli import main as cli_main
@@ -195,7 +194,7 @@ def test_criterion_10_hypergeometric_congruences():
 
 def test_criterion_11_zeta_residue_hunt():
     start = time.perf_counter()
-    rows = zeta_sweep(3, primes_in_range(5, 3000))
+    rows = [zeta_sweep_row(3, p) for p in primes_in_range(5, 3000)]
     elapsed = time.perf_counter() - start
     live = [row for row in rows if not row.skipped]
     zeros = [row.p for row in live if dict(row.extra)["zero"]]

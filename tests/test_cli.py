@@ -485,6 +485,26 @@ def test_hypcong_golden_bytes(capsys, prime, samples, seed):
     assert err == f"symbolic hypcong: {prime - 2} records, 0 failed\n"
 
 
+
+# sha256 of the stdout of `symbolic hypcong` with these flags
+HYPCONG_SHA256 = {
+    ("--prime", "61", "--seed", "7"):
+        "353fac46309494c8444de71437bcfe288ec00d990bbf2c789fd7e8f87c683568",
+    ("--prime", "61", "--seed", "9"):
+        "03a7b00a6348e99a0bfbf99f034adf7ee5902b8adaefb502b6ff3aa4eb687357",
+    ("--prime", "101", "--samples", "5"):
+        "6631969dadc783b2463b752e41b130b016d18eed7efd14f9ab222623a45a6e7f",
+}
+
+
+@pytest.mark.parametrize("flags", HYPCONG_SHA256)
+def test_hypcong_golden_sha256(capsys, flags):
+    code, out, err = run_cli(["symbolic", "hypcong", *flags], capsys)
+    prime = int(flags[1])
+    assert code == 0 and err == f"symbolic hypcong: {prime - 2} records, 0 failed\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == HYPCONG_SHA256[flags]
+
+
 MISMATCHED_RESUMES = [
     # (first run, resumed run): another check, another --kmax (with the
     # same number of records per prime, then with more), another --k

@@ -2,7 +2,6 @@ import pytest
 
 import oracles
 from fmzv.harmonic import (
-    AWindow,
     family_sum_alt_strict,
     family_sum_star,
     family_sum_star_unrestricted,
@@ -135,32 +134,3 @@ def test_family_sums_dp_small_prime_guard():
     assert family_sum_star(3, 1, ctx) == 3
     assert family_sum_alt_strict(2, 1, ctx) == 0
     assert family_sum_star(2, 1, ctx) == 0
-
-
-def test_awindow_equality_on_intersection():
-    primes = [5, 7, 11, 13]
-    w1 = AWindow.compute(IX(2, 1), primes)
-    w2 = AWindow.compute(IX(2, 1), [7, 11, 13, 17])
-    assert w1 == w2
-    assert w1.value(5) == 1
-    w3 = AWindow.compute(IX(1, 2), primes)
-    assert (w1 == w3) is False  # differ at some shared prime
-    disjoint = AWindow.compute(IX(1, 2), [19, 23])
-    assert w1 == disjoint  # vacuous agreement
-    assert AWindow.compute(IX(2, 1), primes, star=True).value(5) == 1
-    # equality on the intersection is not transitive, so windows are unhashable
-    with pytest.raises(TypeError):
-        hash(w1)
-    with pytest.raises(TypeError):
-        {w1, w2}
-
-
-def test_awindow_validation():
-    with pytest.raises(ValueError):
-        AWindow(((7, 3), (5, 1)))
-    with pytest.raises(ValueError):
-        AWindow(((5, 5),))
-    w = AWindow.compute(IX(3), [5, 7])
-    assert w.primes() == (5, 7)
-    with pytest.raises(KeyError):
-        w.value(11)

@@ -3,8 +3,8 @@ import pytest
 import oracles
 from fmzv.indices import (
     Index,
-    enumerate_admissible_indices,
-    enumerate_all_indices,
+    iter_admissible_indices,
+    iter_all_indices,
     iter_indices_of_weight,
 )
 
@@ -35,33 +35,33 @@ def test_reverse_examples():
 
 
 def test_admissible_examples():
-    assert parts(enumerate_admissible_indices(2, 1)) == [(2,)]
-    assert parts(enumerate_admissible_indices(4, 1)) == [(2, 1, 1), (3, 1), (4,)]
-    assert enumerate_admissible_indices(3, 2) == []
+    assert parts(iter_admissible_indices(2, 1)) == [(2,)]
+    assert parts(iter_admissible_indices(4, 1)) == [(2, 1, 1), (3, 1), (4,)]
+    assert list(iter_admissible_indices(3, 2)) == []
     with pytest.raises(ValueError):
-        enumerate_admissible_indices(0, 1)
+        list(iter_admissible_indices(0, 1))
     with pytest.raises(ValueError):
-        enumerate_admissible_indices(3, 0)
+        list(iter_admissible_indices(3, 0))
 
 
 def test_all_indices_examples():
-    assert parts(enumerate_all_indices(2, 1)) == [(2,)]
-    assert set(parts(enumerate_all_indices(3, 1))) == {(3,), (2, 1), (1, 2)}
-    assert parts(enumerate_all_indices(3, 0)) == [(1, 1, 1)]
-    assert parts(enumerate_all_indices(0, 0)) == [()]
-    assert enumerate_all_indices(0, 1) == []
-    assert enumerate_all_indices(1, 1) == []
+    assert parts(iter_all_indices(2, 1)) == [(2,)]
+    assert set(parts(iter_all_indices(3, 1))) == {(3,), (2, 1), (1, 2)}
+    assert parts(iter_all_indices(3, 0)) == [(1, 1, 1)]
+    assert parts(iter_all_indices(0, 0)) == [()]
+    assert list(iter_all_indices(0, 1)) == []
+    assert list(iter_all_indices(1, 1)) == []
 
 
 def test_enumeration_matches_bitmask_oracle():
     for k in range(1, 11):
         for s in range(0, k // 2 + 1):
             want_all = sorted(oracles.compositions_filtered(k, s, first_min=1))
-            got_all = parts(enumerate_all_indices(k, s))
+            got_all = parts(iter_all_indices(k, s))
             assert got_all == want_all, (k, s)
             if s >= 1:
                 want_adm = sorted(oracles.compositions_filtered(k, s, first_min=2))
-                got_adm = parts(enumerate_admissible_indices(k, s))
+                got_adm = parts(iter_admissible_indices(k, s))
                 assert got_adm == want_adm, (k, s)
 
 
@@ -69,7 +69,7 @@ def test_admissible_count_is_binomial():
     for k in range(2, 15):
         total = 0
         for s in range(1, k // 2 + 1):
-            got = len(enumerate_admissible_indices(k, s))
+            got = len(list(iter_admissible_indices(k, s)))
             assert got == oracles._choose(k - 1, 2 * s - 1), (k, s)
             total += got
         # union over s = all admissible compositions of k
@@ -79,13 +79,12 @@ def test_admissible_count_is_binomial():
 def test_admissible_membership_properties():
     for k in range(2, 11):
         for s in range(1, k // 2 + 1):
-            fam = enumerate_admissible_indices(k, s)
+            fam = list(iter_admissible_indices(k, s))
             assert len(set(fam)) == len(fam)
             for ix in fam:
                 assert ix[0] >= 2
                 assert ix.weight == k and ix.height == s
-                assert ix.is_admissible
-            allfam = enumerate_all_indices(k, s)
+            allfam = list(iter_all_indices(k, s))
             assert set(fam) <= set(allfam)
             diff = set(allfam) - set(fam)
             assert all(ix[0] == 1 for ix in diff)
@@ -94,7 +93,7 @@ def test_admissible_membership_properties():
 def test_lex_order_is_deterministic():
     for k in range(2, 11):
         for s in range(0, k // 2 + 1):
-            got = parts(enumerate_all_indices(k, s))
+            got = parts(iter_all_indices(k, s))
             assert got == sorted(got)
 
 

@@ -34,24 +34,24 @@ def test_poly_basics():
     assert Poly((0, 0)).is_zero
     assert p.coeff(0) == 1 and p.coeff(5) == 0
     assert p(F(2)) == 1 - 8
-    assert (Z**3 - Z).subs_neg() == Z - Z**3
+    assert (Z * Z * Z - Z).subs_neg() == Z - Z * Z * Z
     assert str(Poly((F(1, 2), -1, 1))) == "z^2 - 1*z + 1/2"
     with pytest.raises(AttributeError):
         p.coeffs = ()
 
 
 def test_poly_arithmetic():
-    a = Z**2 + 2 * Z + 1
+    a = Z * Z + 2 * Z + 1
     b = Z + 1
     assert a == b * b
     q, r = divmod(a, b)
     assert q == b and r.is_zero
-    q, r = divmod(Z**3 + 1, Z**2)
+    q, r = divmod(Z * Z * Z + 1, Z * Z)
     assert q == Z and r == Poly((1,))
     with pytest.raises(ZeroDivisionError):
         divmod(a, Poly(()))
     with pytest.raises(ArithmeticError):
-        (Z**2 + 1).exact_div(Z + 1)
+        (Z * Z + 1).exact_div(Z + 1)
 
 
 @given(poly_st, nonzero_poly_st)
@@ -65,7 +65,7 @@ def test_poly_divmod_property(a, b):
 def _euclid_gcd(a, b):
     # independent route: plain monic Euclid over Q
     while not b.is_zero:
-        a, b = b, a % b
+        a, b = b, divmod(a, b)[1]
     return a.monic() if not a.is_zero else a
 
 
@@ -79,18 +79,18 @@ def test_poly_gcd_matches_euclid(a, b):
 @settings(max_examples=60, deadline=None)
 def test_poly_gcd_divides_common_multiple(a, b, c)  :
     g = poly_gcd(a * c, b * c)
-    assert (a * c % g).is_zero and (b * c % g).is_zero
+    assert divmod(a * c, g)[1].is_zero and divmod(b * c, g)[1].is_zero
     assert g.degree >= c.degree  # c divides both arguments
 
 
 def test_ratfunc_normalization():
-    r = RatFunc(2 * Z + 2, Z**2 - 1)  # 2(z+1)/((z-1)(z+1))
+    r = RatFunc(2 * Z + 2, Z * Z - 1)  # 2(z+1)/((z-1)(z+1))
     assert r.num == Poly((2,)) and r.den == Z - 1
     assert RatFunc(Z, 2 * Z).num == Poly((F(1, 2),))
     assert RatFunc(Poly(()), Z).is_zero
     with pytest.raises(ZeroDivisionError):
         RatFunc(Z, Poly(()))
-    assert RatFunc(Z**2 - 1, Z + 1) == RatFunc(Z - 1)
+    assert RatFunc(Z * Z - 1, Z + 1) == RatFunc(Z - 1)
 
 
 @given(poly_st, nonzero_poly_st, poly_st, nonzero_poly_st)
@@ -105,12 +105,17 @@ def test_ratfunc_field_axioms(a, b, c, d):
         assert (x / y) * y == x
 
 
+def test_ratfunc_rejects_operands_that_are_not_ratfuncs():
+    r = RatFunc(Z)
+    for op in (lambda: r + 2, lambda: r - 2, lambda: r * 2, lambda: r / 2,
+               lambda: r / Z):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_ratfunc_eval_and_taylor():
     r = RatFunc(Poly((1,)), Poly((1, -1)))  # 1/(1-z)
     assert r.taylor(5) == [F(1)] * 6
-    assert r(F(1, 2)) == 2
-    with pytest.raises(ZeroDivisionError):
-        r(F(1))
     pole = RatFunc(Poly((1,)), Z)
     assert not pole.regular_at_zero()
     with pytest.raises(ZeroDivisionError):

@@ -8,16 +8,26 @@ from fmzv.verify import (
     check_tasks,
     evaluate_tasks_for_prime,
     record_sort_key,
+    task_record_keys,
     verify_antipode,
     verify_ao,
     verify_height_sum,
     verify_lemma,
     verify_lm,
-    verify_range,
     verify_reversal,
 )
 
 IX = Index.of
+
+
+def sweep(checks, primes, **grid):
+    """The records of ``fmzv verify`` in its order: prime by prime, each
+    prime's records sorted by ``record_sort_key``."""
+    tasks = [task for check in checks for task in check_tasks(check, **grid)]
+    records = []
+    for p in primes:
+        records.extend(sorted(evaluate_tasks_for_prime(p, tasks), key=record_sort_key))
+    return records
 
 
 def test_verify_ao_examples():
@@ -153,14 +163,20 @@ def test_family_table_built_once_per_prime(monkeypatch):
         memo_builds.clear()
         sweeps.clear()
         prime_ctx.cache_clear()  # contexts of earlier runs hold built tables
-        records = verify_range(checks, primes, k_max=10)
+        records = sweep(checks, primes, k_max=10)
         assert records and all(r.passed for r in records)
         assert memo_builds == sweeps == {p: 1 for p in primes}, checks
 
 
 def test_verify_range_sorted_and_green():
-    records = verify_range(["ao", "lm", "lemma"], primes_in_range(7, 31), k_max=6)
-    assert records == sorted(records, key=record_sort_key)
+    checks, primes = ["ao", "lm", "lemma"], primes_in_range(7, 31)
+    records = sweep(checks, primes, k_max=6)
+    # each prime's records come in the order --resume expects them in
+    keys = task_record_keys([t for c in checks for t in check_tasks(c, k_max=6)])
+    for p in primes:
+        got = [{"check": r.check, "k": r.k, "s": r.s, "index": r.index}
+               for r in records if r.p == p]
+        assert got == keys, p
     assert all(r.passed for r in records)
     assert any(r.skipped for r in records)  # small primes vs k=6
     live = [r for r in records if not r.skipped]
@@ -168,6 +184,6 @@ def test_verify_range_sorted_and_green():
 
 
 def test_verify_range_antipode_small():
-    records = verify_range(["antipode", "reversal"], primes_in_range(11, 31), w_max=5)
+    records = sweep(["antipode", "reversal"], primes_in_range(11, 31), w_max=5)
     assert all(r.passed for r in records)
     assert all(r.index is not None for r in records)
