@@ -2,18 +2,23 @@
 
 Every value is an int in [0, p).
 
-Two independent routes are kept deliberately separate:
+Two independent routes are kept deliberately separate.  Both run over
+l <= h = (p-1)/2 only, because l and p - l pair up:
 
 * the power sum sum(l^n, l < p) = p * B_n mod p^2, one O(p) sum per
-  value (the route every check reads).  l -> l^n mod p^2 is completely
-  multiplicative, so ``pow`` runs only at prime l and a composite takes
-  the product of two earlier terms, split at its smallest prime factor.
-  That factor comes from one sieve shared by all primes, grown on
-  demand;
+  value (the route every check reads).  For even n, (p-l)^n = l^n -
+  n*p*l^(n-1) mod p^2, so the sum is 2*sum(l^n) - n*p*sum(l^(n-1))
+  over l <= h, the second sum needed only mod p.  l -> l^(n-1) mod p^2
+  is completely multiplicative, so ``pow`` runs only at prime l and a
+  composite takes the product of two earlier terms, split at its
+  smallest prime factor.  That factor comes from one sieve shared by
+  all primes, grown on demand;
 * the alternating inverse power sum, which a classical congruence ties
-  to 2*(1 - 2^(1-k)) * B_(p-k)/k whenever 2^(k-1) is not 1 mod p.  It
-  reads l^(-k) as (l^(-1))^k mod p from the O(p) table of inverses, so
-  no exponent exceeds k.
+  to 2*(1 - 2^(1-k)) * B_(p-k)/k whenever 2^(k-1) is not 1 mod p.  As
+  (p-l)^(-k) = (-1)^k * l^(-k) mod p and l, p - l have opposite parity,
+  the sum is 2*sum((-1)^(l-1) * l^(-k), l <= h) for odd k and 0 for
+  even k.  It reads l^(-k) as (l^(-1))^k mod p from the O(p) table of
+  inverses, so no exponent exceeds k.
 
 The two routes share no arithmetic: one works mod p^2 from the sieve,
 the other mod p from the inverses.
@@ -28,6 +33,7 @@ row carries the residue as lhs and ``zero``/``cross`` extras.
 from __future__ import annotations
 
 from math import isqrt
+from operator import mul
 
 from .errors import VonStaudtPoleError
 from .modfield import PrimeCtx, inverses, prime_ctx
@@ -56,14 +62,20 @@ def _smallest_prime_factors(n: int) -> list[int]:
 
 
 def _power_sum_mod_p2(n: int, p: int) -> int:
-    """sum(l^n, l < p) mod p^2, with ``pow`` at prime l only."""
+    """sum(l^n, l < p) mod p^2 for even n, from l <= h = (p-1)/2 only.
+
+    For even n, (p-l)^n = l^n - n*p*l^(n-1) mod p^2, so with
+    u[l] = l^(n-1) mod p^2 the sum is 2*sum(l*u[l]) - n*p*(sum(u[l]) mod p)
+    over l <= h.  ``pow`` runs at prime l only.
+    """
     p2 = p * p
-    spf = _smallest_prime_factors(p)
-    power = [0, 1] + [0] * (p - 2)
-    for l in range(2, p):
+    h = (p - 1) // 2
+    spf = _smallest_prime_factors(h + 1)
+    u = [0, 1] + [0] * (h - 1)
+    for l in range(2, h + 1):
         q = spf[l]
-        power[l] = pow(l, n, p2) if q == l else power[q] * power[l // q] % p2
-    return sum(power) % p2
+        u[l] = pow(l, n - 1, p2) if q == l else u[q] * u[l // q] % p2
+    return (2 * sum(map(mul, range(h + 1), u)) - n * p * (sum(u) % p)) % p2
 
 
 def bernoulli_mod(n: int, ctx: PrimeCtx) -> int:
@@ -97,16 +109,22 @@ def bernoulli_mod(n: int, ctx: PrimeCtx) -> int:
 def alternating_power_sum(k: int, ctx: PrimeCtx) -> int:
     """Sum of (-1)^(l-1) * l^(-k) over l = 1..p-1, mod p.
 
-    l^(-k) is inv[l]^k, from a table of inverses that lives only for the
-    call: nothing p-sized stays on the context.
+    (p-l)^(-k) = (-1)^k * l^(-k) mod p, and l, p - l have opposite
+    parity, so the terms at l and p - l are equal for odd k and cancel
+    for even k: the sum is 2*sum((-1)^(l-1) * l^(-k), l <= (p-1)/2) for
+    odd k and 0 for even k.  l^(-k) is inv[l]^k, from a prefix of the
+    table of inverses that lives only for the call: nothing p-sized
+    stays on the context.
     """
     if k < 1:
         raise ValueError(f"exponent must be >= 1, got {k}")
+    if k % 2 == 0:
+        return 0
     p = ctx.p
-    inv = inverses(p)
+    inv = inverses(p, (p + 1) // 2)
     odd = sum(pow(x, k, p) for x in inv[1::2])
     even = sum(pow(x, k, p) for x in inv[2::2])
-    return (odd - even) % p
+    return 2 * (odd - even) % p
 
 
 def zeta_residue(k: int, ctx: PrimeCtx) -> int:

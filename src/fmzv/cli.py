@@ -29,7 +29,6 @@ import contextlib
 import csv
 import io
 import json
-import multiprocessing
 import os
 import sys
 
@@ -283,6 +282,9 @@ def cmd_verify(args) -> int:
     with contextlib.ExitStack() as stack:
         shards = map(_verify_worker, shard_args)
         if jobs > 1 and len(shard_args) > 1:
+            # imported here, the only place a pool starts: every other
+            # command starts up without it
+            import multiprocessing
             pool = stack.enter_context(multiprocessing.Pool(processes=jobs))
             shards = pool.imap(_verify_worker, shard_args)
         tally = _emit(shards, emitter)

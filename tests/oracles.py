@@ -109,6 +109,12 @@ def power_sum(k, p):
     return sum(pow(l, -k, p) for l in range(1, p)) % p
 
 
+def power_sum_mod_p2(n, p):
+    """Sum of l^n over l = 1..p-1, mod p^2, term by term over the full range."""
+    p2 = p * p
+    return sum(pow(l, n, p2) for l in range(1, p)) % p2
+
+
 def alternating_power_sum(k, p):
     """Sum of (-1)^(l-1) * l^(-k) over l = 1..p-1, mod p, term by term."""
     return sum((-1) ** (l - 1) * pow(l, -k, p) for l in range(1, p)) % p

@@ -65,6 +65,19 @@ def test_power_sum_matches_recurrence_oracle(monkeypatch):
             assert zeta_residue(k, ctx) == want, (k, p)
 
 
+def test_power_sum_mod_p2_matches_term_by_term_oracle(monkeypatch):
+    # the half-range reflection against the full-range sum: every even n
+    # in 2..p-3 at each prime to 200 (p = 5 and 7 give h = 2 and 3), and
+    # n = p-3 at three larger primes.  From an empty sieve the primes go
+    # up and then down, so a grown sieve is read at a smaller p.
+    monkeypatch.setattr(bernoulli, "_spf", [])
+    cases = [(n, p) for p in primes_in_range(5, 200) for n in range(2, p - 2, 2)]
+    cases += [(p - 3, p) for p in (1009, 2999, 16843)]
+    want = {case: oracles.power_sum_mod_p2(*case) for case in cases}
+    for n, p in cases + cases[::-1]:
+        assert bernoulli._power_sum_mod_p2(n, p) == want[n, p], (n, p)
+
+
 # The irregular pairs (p, 2j) with p < 160, p | B_2j (Buhler, Crandall,
 # Ernvall and Metsänkylä, Math. Comp. 61 (1993); Washington, Cyclotomic
 # Fields, table).

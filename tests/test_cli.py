@@ -532,15 +532,24 @@ def test_resume_refuses_a_mismatched_run(tmp_path, capsys, first, resumed, fmt):
     assert out.read_bytes() == before
 
 
-def test_cli_imports_only_the_standard_library():
+def test_cli_imports_only_the_standard_library(tmp_path):
     # fmzv has no runtime dependency: a CLI run in a fresh interpreter
-    # imports nothing beyond the standard library and fmzv itself
+    # imports nothing beyond the standard library and fmzv itself.
+    # multiprocessing is imported only where `verify` starts a pool, so a
+    # zsweep runs without it; a pool then writes the bytes of --jobs 1
     # (multiprocessing registers __main__ again as __mp_main__)
     src = os.path.dirname(os.path.dirname(fmzv.__file__))
+    outs = [tmp_path / f"jobs{jobs}.jsonl" for jobs in (1, 2)]
+    verify = ["verify", "ao,lm", "--kmax", "6", "--primes", "5..61"]
     code = ("import sys\n"
             "before = set(sys.modules)\n"
             "from fmzv.cli import main\n"
             "assert main(['zsweep', '--k', '3', '--primes', '5..200']) == 0\n"
+            "assert 'multiprocessing' not in sys.modules\n"
+            f"assert main({verify + ['--jobs', '1', '--out', str(outs[0])]!r}) == 0\n"
+            "assert 'multiprocessing' not in sys.modules\n"
+            f"assert main({verify + ['--jobs', '2', '--out', str(outs[1])]!r}) == 0\n"
+            "assert 'multiprocessing' in sys.modules\n"
             "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
             "extra = new - set(sys.stdlib_module_names) - {'fmzv', '__mp_main__'}\n"
             "assert not extra, sorted(extra)\n")
@@ -549,3 +558,5 @@ def test_cli_imports_only_the_standard_library():
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("\n") == 44  # one record per prime in 5..200
+    jobs1 = outs[0].read_bytes()
+    assert jobs1.count(b"\n") > 100 and outs[1].read_bytes() == jobs1
