@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -440,8 +441,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first call and reused: parse_args keeps no state between
+# calls, and in-process callers run main many times.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _StdoutClosed:

@@ -8,8 +8,17 @@ with precomputed inverse power tables, giving O(p * depth) per index.
 Family sums aggregate these values over every index of fixed weight and
 height.  They come from one engine: a (weight, height) dynamic program
 that fills the whole table up to a weight in a single pass over m, kept
-on the ``PrimeCtx``.  Enumerating the family index by index is the
-independent oracle of the tests, not a production path.
+on the ``PrimeCtx``.  The parts e >= 2 placed at one m sum to the
+geometric tail y * (x/m)^2 / (1 - x/m) of Aoki and Ohno's generating
+series, so the DP carries them as one running tail per height,
+
+    G[w][h] = sign * m^(-2) * T[w-2][h-1] + m^(-1) * G[w-1][h],
+
+and costs O(p * k * h) per table from the rows m^(-1) and m^(-2) alone.
+The star sweep reads the values already updated at m, the strict sweep
+those from before m (see ``_family_sweep``).  Enumerating the family
+index by index is the independent oracle of the tests, not a production
+path.
 """
 
 from __future__ import annotations
@@ -82,34 +91,48 @@ def _family_sweep(k_max: int, ctx: PrimeCtx, sign: int, first_min: int) -> list[
 
     T[w][h] holds the contribution of all partial indices of weight w and
     height h whose parts sit at positions > m; T[0][0] = 1 is the empty
-    index.  A part e placed at m multiplies by m^(-e) and moves (w, h) to
-    (w + e, h + [e >= 2]); the first part placed is k1 and must be
-    >= ``first_min``.  ``sign = -1`` gives strict chains with (-1)^depth
-    folded in: at most one part per m, so w sweeps downward and reads the
-    values from before m.  ``sign = +1`` gives star chains: several parts
-    may share m, so w sweeps upward and reads the values already updated.
+    index.  A part e placed at m multiplies by sign * m^(-e) and moves
+    (w, h) to (w + e, h + [e >= 2]); the first part placed is k1 and must
+    be >= ``first_min``.  The parts e >= 2 at m add up to the running tail
+
+        G[w][h] = sum over e >= 2 of sign * m^(-e) * T[w-e][h-1]
+                = sign * m^(-2) * T[w-2][h-1] + m^(-1) * G[w-1][h],
+
+    so each cell costs O(1) per m, O(p * k * h) per table, and the sweep
+    reads only the rows m^(-1) and m^(-2).  Each height is one column,
+    swept upward in w with G carried along it.  ``sign = +1`` gives star
+    chains: several parts may share m, so the heights go upward and every
+    read sees the values already updated at m.  ``sign = -1`` gives strict
+    chains with (-1)^depth folded in: at most one part per m, so every
+    read must see the values from before m; the heights go downward, so
+    height h-1 is not yet updated when height h reads it, and T[w-1][h]
+    is kept from before its update.
     """
     p = ctx.p
     h_max = k_max // 2
-    rows = _inverse_power_rows(ctx, k_max)
-    table = [[0] * (h_max + 1) for _ in range(k_max + 1)]
-    table[0][0] = 1
-    weights = range(k_max, 0, -1) if sign < 0 else range(1, k_max + 1)
+    inv1, inv2 = _inverse_power_rows(ctx, 2)[1:3]
+    star = sign > 0
+    # cols[h][w] = T[w][h]; with k1 >= 2 height 0 holds only the empty index
+    cols = [[1] + [0] * k_max] + [[0] * (k_max + 1) for _ in range(h_max)]
+    heights = range(0 if first_min < 2 else 1, h_max + 1)
+    if not star:
+        heights = heights[::-1]
+    zero = [0] * (k_max + 1)
     for m in range(p - 1, 0, -1):
-        ipw = [sign * rows[e][m] for e in range(k_max + 1)]
-        for w in weights:
-            row = table[w]
-            # a part 1 keeps the height; from the empty state it is k1
-            ones = table[w - 1] if w > 1 or first_min < 2 else None
-            for h in range(min(w // 2, h_max) + 1):
-                acc = row[h]
-                if ones is not None:
-                    acc += ipw[1] * ones[h]
-                if h:
-                    for e in range(2, w + 1):
-                        acc += ipw[e] * table[w - e][h - 1]
-                row[h] = acc % p
-    return table
+        a = inv1[m]
+        s1, s2 = (a, inv2[m]) if star else (p - a, p - inv2[m])  # sign * m^(-1), m^(-2)
+        for h in heights:
+            col = cols[h]
+            below = cols[h - 1] if h else zero
+            start = 2 * h or 1  # T[w][h] = 0 for w < 2h
+            # prev is T[w-1][h], which a part 1 extends; g is G[w][h]
+            prev, g = col[start - 1], 0
+            for w in range(start, k_max + 1):
+                g = (s2 * below[w - 2] + a * g) % p
+                old = col[w]
+                col[w] = new = (old + s1 * prev + g) % p
+                prev = new if star else old
+    return [list(row) for row in zip(*cols)]
 
 
 def family_table(k: int, ctx: PrimeCtx) -> list[list[list[int]]]:

@@ -195,6 +195,40 @@ def test_module_entry_point():
     assert "value=1" in proc.stdout
 
 
+# In order, through one process's parser: a --seed given by one call must
+# not become the default of the next, and neither a usage error nor --help
+# may leave state behind.
+PARSER_REUSE = [
+    ["symbolic", "gauss", "--mmax", "3", "--pairs", "4"],
+    ["symbolic", "gauss", "--mmax", "3", "--pairs", "4", "--seed", "5"],
+    ["symbolic", "gauss", "--mmax", "3", "--pairs", "x"],
+    ["verify", "ao,lm", "--help"],
+    ["symbolic", "gauss", "--mmax", "3", "--pairs", "4"],
+    ["symbolic", "gauss", "--mmax", "3", "--pairs", "4", "--seed", "42"],
+]
+
+
+def test_reused_parser_matches_fresh_runs(capsys, monkeypatch):
+    import fmzv.cli as cli_mod
+
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps alike in both runs
+    src = os.path.dirname(os.path.dirname(fmzv.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = []
+    for argv in PARSER_REUSE:
+        runs.append(run_cli(argv, capsys))
+        fresh = subprocess.run([sys.executable, "-m", "fmzv", *argv],
+                               capture_output=True, text=True, env=env)
+        assert runs[-1] == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert [code for code, _, _ in runs] == [0, 0, 2, 0, 0, 0]
+    # gauss defaults to seed 42 before and after the call that gave 5
+    assert runs[0] == runs[4] == runs[5] and runs[0][1] != runs[1][1]
+    assert "usage:" in runs[3][1]
+    reused = vars(cli_mod._parser().parse_args(PARSER_REUSE[0]))
+    assert reused == vars(cli_mod.build_parser().parse_args(PARSER_REUSE[0]))
+    assert reused["seed"] is None
+
+
 # Each writes well over the 64 KiB a pipe holds (90 to 160 KiB in all), so
 # it cannot finish before its reader goes away.
 CLOSED_STDOUT_COMMANDS = [
@@ -458,6 +492,23 @@ def test_zsweep_golden_sha256(capsys, k, fmt):
                             "--format", fmt], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ZSWEEP_SHA256[k, fmt]
+
+
+# sha256 of the stdout of `verify ao,lm,lemma,heightsum --kmax 12 --primes
+# 5..200 --jobs 1` in each format: every family check of the DP engine
+VERIFY_FAMILY_SHA256 = {
+    "jsonl": "fb0a28841c799f57d089ae2de99821e11bf780ec751a96494e661a55ba361ab2",
+    "csv": "5fcbfc886730fab14fb0cc3a8f349c26f8062590b7f6e3c11a6463053660c397",
+}
+
+
+@pytest.mark.parametrize("fmt", VERIFY_FAMILY_SHA256)
+def test_verify_family_golden_sha256(capsys, fmt):
+    code, out, err = run_cli(["verify", "ao,lm,lemma,heightsum", "--kmax", "12",
+                              "--primes", "5..200", "--jobs", "1", "--format", fmt],
+                             capsys)
+    assert code == 0 and err == "verify: 6864 records, 0 failed, 364 skipped\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FAMILY_SHA256[fmt]
 
 
 # (prime, samples, seed) -> skipped_samples of l = 1, 2, ..., p - 2; every

@@ -5,11 +5,12 @@ from fmzv.harmonic import (
     family_sum_alt_strict,
     family_sum_star,
     family_sum_star_unrestricted,
+    family_table,
     mhs_star,
     mhs_strict,
 )
 from fmzv.indices import Index, iter_indices_of_weight
-from fmzv.modfield import prime_ctx, primes_in_range
+from fmzv.modfield import PrimeCtx, prime_ctx, primes_in_range
 
 IX = Index.of
 
@@ -123,6 +124,25 @@ def test_family_sums_dp_matches_enumeration():
                     assert family_sum_alt_strict(k, s, ctx) == alt, (k, s, p)
                     assert family_sum_star(k, s, ctx) == star, (k, s, p)
                 assert family_sum_star_unrestricted(k, s, ctx) == star_all, (k, s, p)
+
+
+def test_family_sums_dp_matches_enumeration_at_large_weight():
+    # k = 9..12, the weights of the benchmark and the CLI sweeps, down to
+    # the boundary p = k + 2 (11 for k = 9, 13 for k = 11).  Each order
+    # starts from a fresh context: increasing k grows the table step by
+    # step, decreasing k has the table built at the top answer the rest.
+    for p in (11, 13, 17, 31):
+        weights = range(9, min(12, p - 2) + 1)
+        want = {k: oracles.family_sums(k, p) for k in weights}
+        for order in (weights, weights[::-1]):
+            ctx = PrimeCtx(p)
+            for k in order:
+                for s, (alt, star, star_all) in want[k].items():
+                    if s >= 1:
+                        assert family_sum_alt_strict(k, s, ctx) == alt, (k, s, p)
+                        assert family_sum_star(k, s, ctx) == star, (k, s, p)
+                    assert family_sum_star_unrestricted(k, s, ctx) == star_all, (k, s, p)
+            assert len(family_table(weights[0], ctx)[0]) == weights[-1] + 1
 
 
 def test_family_sums_dp_small_prime_guard():
