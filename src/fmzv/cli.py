@@ -9,9 +9,13 @@ Four subcommands:
 * ``zsweep``: the zeta-residue hunt with the two-method cross-check.
 * ``symbolic``: exact-arithmetic suites (gauss, anl, phi0, hypcong).
 
-Every command that reports records writes them as VerificationRecord
-dicts through one loop, ``_emit``, which also counts them for the
-stderr summary line.
+Every command that reports records takes one path: ``_open_out`` opens
+stdout or ``--out`` (a fresh CSV gets its header there), and ``_emit``
+writes each VerificationRecord dict as one JSON or CSV line and counts
+them for the stderr summary line.  ``verify`` and ``zsweep`` share
+``_open_sweep``: it parses ``--primes`` and, for ``--resume``, checks
+that ``--out`` holds a prefix of this run's records (``_resume_primes``)
+before any record is computed.
 
 Exit codes: 0 all records passed or were skipped, 1 at least one record
 failed, 2 usage error (including a flag that leaves nothing to check),
@@ -28,7 +32,6 @@ import argparse
 import contextlib
 import csv
 import functools
-import io
 import json
 import os
 import sys
@@ -95,67 +98,27 @@ def _default_jobs() -> int:
     return jobs
 
 
-def _json_line(record: dict) -> str:
-    return _JSON.encode(record)
-
-
-def _csv_line(record: dict, columns) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="")
-    row = []
-    for col in columns:
-        value = record.get(col)
-        if value is None:
-            row.append("")
-        elif isinstance(value, bool):
-            row.append("true" if value else "false")
-        else:
-            row.append(str(value))
-    writer.writerow(row)
-    return buf.getvalue()
-
-
 class _StdoutClosed(Exception):
     """The reader of stdout went away; stdout now points at os.devnull."""
 
 
-class _Emitter:
-    """Streams record lines to stdout or an (append-mode) output file."""
-
-    def __init__(self, out_path, fmt, columns, resuming):
-        self.fmt = fmt
-        self.columns = columns
-        self.path = out_path
-        if out_path is None:
-            self.handle = sys.stdout
-            self.owns = False
-            fresh = True
-        else:
-            exists = os.path.exists(out_path) and os.path.getsize(out_path) > 0
-            mode = "a" if resuming and exists else "w"
-            self.handle = open(out_path, mode, newline="")
-            self.owns = True
-            fresh = mode == "w"
-        if fmt == "csv" and fresh:
-            self.handle.write(",".join(columns) + "\n")
-
-    def emit(self, record: dict):
-        if self.fmt == "csv":
-            self.handle.write(_csv_line(record, self.columns) + "\n")
-        else:
-            self.handle.write(_json_line(record) + "\n")
-
-    def flush(self):
-        self.handle.flush()
-
-    def close(self):
-        if self.owns:
-            self.handle.close()
+def _open_out(path, fmt, columns, resuming):
+    """stdout, or ``path`` to append to (when resuming) or to write.  A
+    fresh CSV gets its header here, before any work."""
+    if path is None:
+        handle, resumed = sys.stdout, False
+    else:
+        resumed = resuming and os.path.exists(path) and os.path.getsize(path) > 0
+        handle = open(path, "a" if resumed else "w", newline="")
+    if fmt == "csv" and not resumed:
+        handle.write(",".join(columns) + "\n")
+    return handle
 
 
-def _emit(batches, emitter: _Emitter) -> dict:
-    """Write every batch of record dicts, flushing after each, then close
-    ``emitter``.
+def _emit(batches, handle, fmt, columns) -> dict:
+    """Write every batch of record dicts to ``handle`` as JSON lines or as
+    CSV rows of ``columns``, flushing after each, then close it unless it
+    is stdout.
 
     Returns the tallies: records, failed and skipped, and of zsweep rows
     the zero residues and the degenerate cross-checks.  A broken pipe on
@@ -164,25 +127,32 @@ def _emit(batches, emitter: _Emitter) -> dict:
     unwinds the command (tearing down its pool) up to ``main``.
     """
     tally = dict.fromkeys(("records", "failed", "skipped", "zero", "degenerate"), 0)
+    writer = csv.writer(handle, lineterminator="\n") if fmt == "csv" else None
     try:
         for batch in batches:
             for rec in batch:
-                emitter.emit(rec)
+                if writer is None:
+                    handle.write(_JSON.encode(rec) + "\n")
+                else:
+                    # true/false as in JSON; csv writes None as an empty field
+                    writer.writerow([str(v).lower() if isinstance(v, bool) else v
+                                     for v in map(rec.get, columns)])
                 tally["records"] += 1
                 tally["failed"] += not rec["pass"]
                 tally["skipped"] += rec["skipped"]
                 tally["zero"] += rec.get("zero", False)
                 tally["degenerate"] += rec.get("cross") == "degenerate"
-            emitter.flush()
+            handle.flush()
     except BrokenPipeError:
-        if emitter.owns:
+        if handle is not sys.stdout:
             raise
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         raise _StdoutClosed from None
     finally:
-        emitter.close()
+        if handle is not sys.stdout:
+            handle.close()
     return tally
 
 
@@ -190,16 +160,18 @@ def _text(value) -> str:
     return "" if value is None else str(value)
 
 
-def _resume_primes(path, fmt, keys, primes) -> list[int]:
+def _resume_primes(path, fmt, columns, keys, primes) -> list[int]:
     """Cut ``path`` back to its last complete prime; return the primes after it.
 
-    The output file is the checkpoint.  ``keys`` holds, for each record
-    the run writes per prime and in its order, the fields that name it
-    (check, k, ...).  A prime is complete when records carrying exactly
-    those keys sit on whole lines.  Only the tail may be cut: a torn
-    last line and the records of a prime the run did not finish.  A
-    file that breaks this pattern anywhere else is not a checkpoint of
-    this run, so it is left as it is and a ValueError is raised.
+    The output file is the checkpoint: it must hold a prefix of the lines
+    this run writes, a CSV header of ``columns`` and then its records.
+    ``keys`` holds the fields (check, k, ...) that name each record of one
+    prime, in the run's order, so record i names ``keys[i % len(keys)]``
+    at ``primes[i // len(keys)]``.  Only a torn last line and the records
+    of an unfinished last prime are cut.  A file that breaks the rule
+    anywhere else (another command, check list, grid or --k, a moved
+    bottom prime, primes past this run's top) is left as it is, and a
+    ValueError is raised.
     """
     if not os.path.exists(path):
         return primes
@@ -209,45 +181,49 @@ def _resume_primes(path, fmt, keys, primes) -> list[int]:
     per_prime = len(keys)
     keep = 0
     if fmt == "csv" and lines:
-        header = next(csv.reader([lines[0].decode()]))
-        if "p" not in header:
-            raise ValueError(f"{path}: CSV header has no p column")
+        if lines[0] != ",".join(columns).encode():
+            raise ValueError(f"{path}: CSV header {lines[0][:60]!r} is not this "
+                             f"run's {','.join(columns)}")
         keep = len(lines[0]) + 1
         lines = lines[1:]
     pos = keep
-    last = run_p = None
-    run_n = 0
-    for line in lines:
+    for i, line in enumerate(lines):
         pos += len(line) + 1
+        lineno = i + 1 + (fmt == "csv")
         try:
             if fmt == "csv":
-                rec = dict(zip(header, next(csv.reader([line.decode()]))))
+                rec = dict(zip(columns, next(csv.reader([line.decode()]))))
             else:
                 rec = json.loads(line)
-            p = int(rec["p"])
+            int(rec["p"])  # a non-object JSON line fails here too
         except (ValueError, KeyError, IndexError, TypeError):
             raise ValueError(f"{path}: unreadable record {line[:60]!r}") from None
-        if p != run_p:
-            if run_p is not None and (run_n != per_prime or p < run_p):
-                raise ValueError(f"{path}: prime {run_p} has {run_n} records before "
-                                 f"prime {p}; this run writes {per_prime} per prime")
-            run_p, run_n = p, 0
-        if run_n == per_prime:
-            raise ValueError(f"{path}: prime {p} has more than the {per_prime} "
-                             f"records per prime this run writes")
-        want = keys[run_n]
+        if i == per_prime * len(primes):
+            raise ValueError(f"{path}: line {lineno} is not this run's: it ends "
+                             f"at prime {primes[-1]}")
+        want = dict(keys[i % per_prime], p=primes[i // per_prime])
         if any(_text(rec.get(field)) != _text(value) for field, value in want.items()):
             named = " ".join(f"{field}={value}" for field, value in want.items()
                              if value is not None)
-            raise ValueError(f"{path}: record {run_n + 1} of prime {p} is not this "
-                             f"run's {named}")
-        run_n += 1
-        if run_n == per_prime:
-            keep, last = pos, p
+            raise ValueError(f"{path}: line {lineno} is not this run's {named}")
+        if (i + 1) % per_prime == 0:
+            keep = pos
     if keep < len(data):
         with open(path, "r+b") as handle:
             handle.truncate(keep)
-    return primes if last is None else [p for p in primes if p > last]
+    return primes[len(lines) // per_prime:]
+
+
+def _open_sweep(args, columns, keys):
+    """A sweep's primes left to run and the handle for its records: parse
+    --primes, resume --out against ``keys`` (see ``_resume_primes``) and
+    open it, raising ValueError or OSError before any record is computed."""
+    primes = _parse_prime_range(args.primes)
+    if args.resume and not args.out:
+        raise ValueError("--resume requires --out")
+    if args.resume:
+        primes = _resume_primes(args.out, args.format, columns, keys, primes)
+    return primes, _open_out(args.out, args.format, columns, args.resume)
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +243,12 @@ def cmd_verify(args) -> int:
     try:
         tasks = [task for c in checks for task in check_tasks(c, **grid)]
         require_tasks(checks, tasks, **grid)
-        primes = _parse_prime_range(args.primes)
-        if args.resume and not args.out:
-            raise ValueError("--resume requires --out")
+        # before the resume scan, which may cut --out
         jobs = _default_jobs() if args.jobs is None else args.jobs
         if jobs < 1:
             raise ValueError(f"--jobs must be >= 1, got {jobs}")
-        if args.resume:
-            primes = _resume_primes(args.out, args.format, task_record_keys(tasks),
-                                    primes)
-        emitter = _Emitter(args.out, args.format, VERIFY_COLUMNS, args.resume)
+        keys = task_record_keys(tasks) if args.resume else ()
+        primes, handle = _open_sweep(args, VERIFY_COLUMNS, keys)
     except (ValueError, OSError) as err:
         return _fail(str(err))
     shard_args = [(p, tuple(tasks)) for p in primes]
@@ -288,7 +260,7 @@ def cmd_verify(args) -> int:
             import multiprocessing
             pool = stack.enter_context(multiprocessing.Pool(processes=jobs))
             shards = pool.imap(_verify_worker, shard_args)
-        tally = _emit(shards, emitter)
+        tally = _emit(shards, handle, args.format, VERIFY_COLUMNS)
     print(f"verify: {tally['records']} records, {tally['failed']} failed, "
           f"{tally['skipped']} skipped", file=sys.stderr)
     return 1 if tally["failed"] else 0
@@ -302,17 +274,12 @@ def cmd_zsweep(args) -> int:
     if args.k < 2:
         return _fail(f"need k >= 2, got {args.k}")
     try:
-        primes = _parse_prime_range(args.primes)
-        if args.resume and not args.out:
-            raise ValueError("--resume requires --out")
-        if args.resume:
-            primes = _resume_primes(args.out, args.format,
-                                    [{"check": "zsweep", "k": args.k}], primes)
-        emitter = _Emitter(args.out, args.format, ZSWEEP_COLUMNS, args.resume)
+        primes, handle = _open_sweep(args, ZSWEEP_COLUMNS,
+                                     [{"check": "zsweep", "k": args.k}])
     except (ValueError, OSError) as err:
         return _fail(str(err))
     rows = ([zeta_sweep_row(args.k, p).to_json_dict()] for p in primes)
-    tally = _emit(rows, emitter)
+    tally = _emit(rows, handle, args.format, ZSWEEP_COLUMNS)
     print(
         f"zsweep k={args.k}: {tally['records']} primes, {tally['zero']} zero residues, "
         f"{tally['failed']} cross-check failures, {tally['degenerate']} degenerate, "
@@ -374,10 +341,10 @@ def cmd_symbolic(args) -> int:
         "hypcong": lambda: run_hypcong_suite(args.prime, samples=args.samples, seed=seed),
     }
     try:
-        emitter = _Emitter(args.out, "jsonl", (), False)
+        handle = _open_out(args.out, "jsonl", (), False)
     except OSError as err:
         return _fail(str(err))
-    tally = _emit(_suite_batch(runs[suite]), emitter)
+    tally = _emit(_suite_batch(runs[suite]), handle, "jsonl", ())
     print(f"symbolic {suite}: {tally['records']} records, {tally['failed']} failed",
           file=sys.stderr)
     return 1 if tally["failed"] else 0

@@ -511,6 +511,24 @@ def test_verify_family_golden_sha256(capsys, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_FAMILY_SHA256[fmt]
 
 
+# sha256 of the stdout of `verify antipode,reversal --wmax 6 --primes 11..61
+# --jobs 1` in each format: the index-level checks, whose CSV quotes an
+# index with more than one part ("2,1") in 1596 of its 1765 lines
+VERIFY_INDEX_SHA256 = {
+    "jsonl": "13b1ac0045e6749a9109e1d8d4261d6295a6031a16d102449d1790ecef666e12",
+    "csv": "02d1c1747a6f731dcda6d8a700f6cc7624fa6c13c09c291588f2d86afa103d4a",
+}
+
+
+@pytest.mark.parametrize("fmt", VERIFY_INDEX_SHA256)
+def test_verify_index_golden_sha256(capsys, fmt):
+    code, out, err = run_cli(["verify", "antipode,reversal", "--wmax", "6",
+                              "--primes", "11..61", "--jobs", "1", "--format", fmt],
+                             capsys)
+    assert code == 0 and err == "verify: 1764 records, 0 failed, 0 skipped\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_INDEX_SHA256[fmt]
+
+
 # (prime, samples, seed) -> skipped_samples of l = 1, 2, ..., p - 2; every
 # l evaluates all three congruences at `samples` points
 HYPCONG_SKIPS = {
@@ -557,8 +575,11 @@ def test_hypcong_golden_sha256(capsys, flags):
 
 
 MISMATCHED_RESUMES = [
-    # (first run, resumed run): another check, another --kmax (with the
-    # same number of records per prime, then with more), another --k
+    # (first run, resumed run): another check; another --kmax (with the
+    # same number of records per prime, then with more); another --k; a
+    # bottom prime moved down (the file lacks the run's first primes) or
+    # up (the file holds primes the run does not write); and a file that
+    # holds more primes than the run
     (["verify", "ao", "--kmax", "3", "--jobs", "1", "--primes", "5..13"],
      ["verify", "lm", "--kmax", "3", "--jobs", "1", "--primes", "5..19"]),
     (["verify", "ao,lm", "--kmax", "3", "--jobs", "1", "--primes", "5..13"],
@@ -568,6 +589,14 @@ MISMATCHED_RESUMES = [
       "--primes", "5..19"]),
     (["zsweep", "--k", "3", "--primes", "5..13"],
      ["zsweep", "--k", "5", "--primes", "5..19"]),
+    (["verify", "ao", "--kmax", "3", "--jobs", "1", "--primes", "11..13"],
+     ["verify", "ao", "--kmax", "3", "--jobs", "1", "--primes", "5..19"]),
+    (["zsweep", "--k", "3", "--primes", "5..13"],
+     ["zsweep", "--k", "3", "--primes", "11..31"]),
+    (["verify", "ao", "--kmax", "3", "--jobs", "1", "--primes", "5..31"],
+     ["verify", "ao", "--kmax", "3", "--jobs", "1", "--primes", "5..11"]),
+    (["zsweep", "--k", "3", "--primes", "5..31"],
+     ["zsweep", "--k", "3", "--primes", "5..11"]),
 ]
 
 
@@ -581,6 +610,57 @@ def test_resume_refuses_a_mismatched_run(tmp_path, capsys, first, resumed, fmt):
                                            "--resume"], capsys)
     assert code == 2 and stdout == "" and "is not this run's" in err
     assert out.read_bytes() == before
+
+
+FOREIGN_CSV = [
+    b"check,k,p\nzsweep,3,5\n",
+    b"check,k,p,rhs,lhs,pass,skipped,reason,zero,cross\n"
+    b"zsweep,3,5,1,1,true,false,,false,ok\n",
+]
+
+
+@pytest.mark.parametrize("foreign", FOREIGN_CSV)
+def test_resume_refuses_a_csv_header_of_another_layout(tmp_path, capsys, foreign):
+    # rows appended under a header that names other columns would be read
+    # back wrong, though each row's check, k and p fit the run
+    out = tmp_path / "z.csv"
+    out.write_bytes(foreign)
+    code, stdout, err = run_cli(["zsweep", "--k", "3", "--primes", "5..13", "--format",
+                                 "csv", "--out", str(out), "--resume"], capsys)
+    assert (code, stdout) == (2, "") and "CSV header" in err and "is not this run's" in err
+    assert out.read_bytes() == foreign
+
+
+@pytest.mark.parametrize("line", [b"3", b"[1]", b'"p"', b"null"])
+def test_resume_refuses_a_json_line_that_is_not_an_object(tmp_path, capsys, line):
+    out = tmp_path / "z.jsonl"
+    base = ["zsweep", "--k", "3", "--out", str(out)]
+    assert run_cli(base + ["--primes", "5..13"], capsys)[0] == 0
+    first, rest = out.read_bytes().split(b"\n", 1)
+    bad = first + b"\n" + line + b"\n" + rest  # before the tail, not torn
+    out.write_bytes(bad)
+    code, stdout, err = run_cli(base + ["--primes", "5..29", "--resume"], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: {out}: unreadable record {line!r}\n"
+    assert out.read_bytes() == bad
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_jobs_are_checked_before_the_resume_scan(tmp_path, capsys, monkeypatch, fmt):
+    # the scan cuts a torn tail, so a usage error must come before it
+    out = tmp_path / f"v.{fmt}"
+    argv = ["verify", "ao", "--kmax", "3", "--primes", "5..13", "--format", fmt,
+            "--out", str(out)]
+    assert run_cli(argv + ["--jobs", "1"], capsys)[0] == 0
+    torn = out.read_bytes()[:-5]
+    out.write_bytes(torn)
+    code, stdout, err = run_cli(argv + ["--resume", "--jobs", "0"], capsys)
+    assert (code, stdout, err) == (2, "", "error: --jobs must be >= 1, got 0\n")
+    assert out.read_bytes() == torn
+    monkeypatch.setenv("FMZV_JOBS", "junk")
+    code, stdout, err = run_cli(argv + ["--resume"], capsys)
+    assert (code, stdout) == (2, "") and "FMZV_JOBS" in err
+    assert out.read_bytes() == torn
 
 
 def test_cli_imports_only_the_standard_library(tmp_path):
