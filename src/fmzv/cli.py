@@ -170,8 +170,10 @@ def _resume_primes(path, fmt, columns, keys, primes) -> list[int]:
     at ``primes[i // len(keys)]``.  Only a torn last line and the records
     of an unfinished last prime are cut.  A file that breaks the rule
     anywhere else (another command, check list, grid or --k, a moved
-    bottom prime, primes past this run's top) is left as it is, and a
-    ValueError is raised.
+    bottom prime, primes past this run's top, or a stub record: a CSV row
+    of another field count than the header's, or a JSON line without
+    boolean ``pass`` and ``skipped``) is left as it is, and a ValueError
+    is raised.
     """
     if not os.path.exists(path):
         return primes
@@ -192,10 +194,16 @@ def _resume_primes(path, fmt, columns, keys, primes) -> list[int]:
         lineno = i + 1 + (fmt == "csv")
         try:
             if fmt == "csv":
-                rec = dict(zip(columns, next(csv.reader([line.decode()]))))
+                row = next(csv.reader([line.decode()]))
+                if len(row) != len(columns):
+                    raise ValueError
+                rec = dict(zip(columns, row))
             else:
                 rec = json.loads(line)
-            int(rec["p"])  # a non-object JSON line fails here too
+                # a non-object JSON line fails here too
+                if not (isinstance(rec["pass"], bool) and isinstance(rec["skipped"], bool)):
+                    raise ValueError
+            int(rec["p"])
         except (ValueError, KeyError, IndexError, TypeError):
             raise ValueError(f"{path}: unreadable record {line[:60]!r}") from None
         if i == per_prime * len(primes):

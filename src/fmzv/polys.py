@@ -421,6 +421,15 @@ def fp_mul(a, b, p):
     return fp_trim(out)
 
 
+def fp_mul_linear(a, c0, c1, p):
+    """a * (c0 + c1*z) in one O(len a) pass."""
+    if not a:
+        return []
+    out = [(c0 * x + c1 * y) % p for x, y in zip(a, [0] + a)]
+    out.append(c1 * a[-1] % p)
+    return fp_trim(out)
+
+
 def fp_eval(a, x, p):
     out = 0
     for c in reversed(a):
@@ -462,7 +471,7 @@ def fp_pochhammer_poly(shift, scale, n, p):
     """(scale*z + shift)(scale*z + shift + 1)...(n factors) over Z/pZ."""
     out = [1]
     for i in range(n):
-        out = fp_mul(out, [(shift + i) % p, scale % p], p)
+        out = fp_mul_linear(out, shift + i, scale, p)
     return out
 
 

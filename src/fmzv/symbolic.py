@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .errors import (
     AllSamplesSkippedError,
@@ -38,8 +38,10 @@ from .polys import (
     RatFunc,
     fp_add,
     fp_mul,
+    fp_mul_linear,
     fp_pochhammer_poly,
     fp_scale,
+    fp_trim,
 )
 from .records import VerificationRecord, comparison_record, skipped_record
 
@@ -176,23 +178,33 @@ def gf_coeff_series(n: int, dx: int = 12, dz: int = 12) -> BiSeries:
 
 
 def polylog_star_coeff(ix: Index, n: int) -> Fraction:
-    """Coefficient of t^n in the non-strict polylogarithm of ``ix``."""
+    """Coefficient of t^n in the non-strict polylogarithm of ``ix``.
+
+    For parts (k_1, ..., k_r) this is n^(-k_1) times the sum over
+    n >= m_2 >= ... >= m_r >= 1 of prod m_j^(-k_j), run as a suffix
+    recursion over m.  Every term has a denominator dividing
+    L^weight with L = lcm(1..n), so the recursion runs on plain ints
+    scaled by a power of L (a step of part k adds (L/m)^k * suffix[m]),
+    and only the single Fraction at the end is reduced.
+    """
     parts = tuple(ix)
     if not parts:
         raise ValueError("index must have depth >= 1")
     if n < 1:
         raise ValueError("need n >= 1")
-    # suffix[u]: sum over non-strict chains bounded by u of the tail product
-    suffix = [Fraction(1)] * (n + 1)
-    for j in range(len(parts) - 1, 0, -1):
-        k = parts[j]
-        acc = Fraction(0)
-        new = [Fraction(0)] * (n + 1)
-        for m in range(1, n + 1):
-            acc += Fraction(1, m**k) * suffix[m]
-            new[m] = acc
+    big = lcm(*range(1, n + 1))
+    q = [big // m for m in range(1, n + 1)]
+    # suffix[m-1]: sum over non-strict chains bounded by m of the tail
+    # product, times big^(weight of the tail)
+    suffix = [1] * n
+    for k in reversed(parts[1:]):
+        acc = 0
+        new = []
+        for qm, sm in zip(q, suffix):
+            acc += qm ** k * sm
+            new.append(acc)
         suffix = new
-    return Fraction(1, n ** parts[0]) * suffix[n]
+    return Fraction(q[-1] ** parts[0] * suffix[-1], big ** sum(parts))
 
 
 def gf_coefficient_check(n: int, k: int, s: int) -> VerificationRecord:
@@ -256,18 +268,22 @@ def _build_congruence_sides(l: int, ctx: PrimeCtx):
     #   acc_N = sum_{n<=N} c_n (z)_n prod_{n<=i<N} (2z+1+i),
     # and acc_(N+1) = acc_N (2z+1+N) + c_(N+1) (z)_(N+1): one pass of
     # Horner's rule.  The truncated sum (i) stops at N = M-1, the full
-    # series (ii) at N = M.
+    # series (ii) at N = M.  Each step multiplies by linear factors in
+    # O(N) (``fp_mul_linear``), then adds c_(N+1) (z)_(N+1) in one zip.
+    # acc_N has degree <= N, but its top coefficient can vanish mod p,
+    # so the product is padded to (z)_(N+1)'s length before the zip.
     z_poch, den, acc = [1], [1], [1]  # (z)_N, (2z+1)_N, acc_N at N = 0
     poch_l = 1  # (l)_N mod p
     for n in range(M):
         if n == M - 1:
             num_i, den_M1 = acc, den
-        linear = [(1 + n) % p, 2]
-        den = fp_mul(den, linear, p)
-        z_poch = fp_mul(z_poch, [n % p, 1], p)
+        den = fp_mul_linear(den, 1 + n, 2, p)
+        z_poch = fp_mul_linear(z_poch, n, 1, p)
         poch_l = poch_l * ((l + n) % p) % p
-        acc = fp_add(fp_mul(acc, linear, p),
-                     fp_scale(z_poch, poch_l * inv_fact[n + 1], p), p)
+        c = poch_l * inv_fact[n + 1] % p
+        step = fp_mul_linear(acc, 1 + n, 2, p)
+        step += [0] * (len(z_poch) - len(step))
+        acc = fp_trim([(x + c * w) % p for x, w in zip(step, z_poch)])
     num_ii, den_M = acc, den
     tail_const = poch_l * inv_fact[M] % p  # (l)_M / M!
 

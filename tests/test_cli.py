@@ -574,6 +574,14 @@ def test_hypcong_golden_sha256(capsys, flags):
     assert hashlib.sha256(out.encode()).hexdigest() == HYPCONG_SHA256[flags]
 
 
+def test_phi0_golden_sha256(capsys):
+    # the phi0 suite of the benchmark, byte for byte
+    code, out, err = run_cli(["symbolic", "phi0", "--nmax", "8", "--kmax", "10"], capsys)
+    assert code == 0 and err == "symbolic phi0: 200 records, 0 failed\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e38745ca826aa09894b8a89a4fba214dec9a60d87b051a9dfc239223b661a99b")
+
+
 MISMATCHED_RESUMES = [
     # (first run, resumed run): another check; another --kmax (with the
     # same number of records per prime, then with more); another --k; a
@@ -643,6 +651,27 @@ def test_resume_refuses_a_json_line_that_is_not_an_object(tmp_path, capsys, line
     assert (code, stdout) == (2, "")
     assert err == f"error: {out}: unreadable record {line!r}\n"
     assert out.read_bytes() == bad
+
+
+STUB_RECORDS = {
+    "jsonl": b'{"check":"zsweep","k":3,"p":5}\n',
+    "csv": b"check,k,p,lhs,rhs,pass,skipped,reason,zero,cross\nzsweep,3,5\n",
+}
+
+
+@pytest.mark.parametrize("fmt", STUB_RECORDS)
+def test_resume_refuses_a_stub_record(tmp_path, capsys, fmt):
+    # a line that names prime 5's record but holds no outcome is not that
+    # record: a CSV row of fewer fields than the header, a JSON object
+    # without pass and skipped
+    out = tmp_path / f"z.{fmt}"
+    out.write_bytes(STUB_RECORDS[fmt])
+    code, stdout, err = run_cli(["zsweep", "--k", "3", "--primes", "5..11", "--format",
+                                 fmt, "--out", str(out), "--resume"], capsys)
+    stub = STUB_RECORDS[fmt].splitlines()[-1]
+    assert (code, stdout) == (2, "")
+    assert err == f"error: {out}: unreadable record {stub!r}\n"
+    assert out.read_bytes() == STUB_RECORDS[fmt]
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])

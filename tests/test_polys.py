@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from fmzv.polys import (
     BiSeries,
     FpRatFunc,
@@ -14,6 +15,7 @@ from fmzv.polys import (
     fp_eval,
     fp_gcd,
     fp_mul,
+    fp_mul_linear,
     fp_pochhammer_poly,
     poly_gcd,
 )
@@ -158,6 +160,41 @@ def test_fp_matches_rational_route(p, data):
     got = fp_mul([c % p for c in a], [c % p for c in b], p)
     got += [0] * (len(want) - len(got))
     assert got[: len(want)] == want
+
+
+def _pochhammer_by_oracle(shift, scale, n, p):
+    out = [1]
+    for i in range(n):
+        out = oracles.poly_mul_mod(out, [(shift + i) % p, scale % p], p)
+    return out
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_fp_pochhammer_poly_matches_factor_by_factor_oracle(p):
+    # shifts and scales past p and below 0, a shift that is 0 mod p (the
+    # factor scale*z), a scale that is 0 mod p (constant factors, one of
+    # them 0), and n >= p
+    for shift in (0, 1, 3, p, p + 2, -1, -p - 1):
+        for scale in (1, 2, -1, p + 2, 0, p):
+            for n in range(p + 3):
+                want = _pochhammer_by_oracle(shift, scale, n, p)
+                assert fp_pochhammer_poly(shift, scale, n, p) == want, (shift, scale, n)
+    # p consecutive shifts of z multiply to z^p - z, not to 0
+    for shift in (0, 1, p - 1):
+        assert fp_pochhammer_poly(shift, 1, p, p) == [0, p - 1] + [0] * (p - 2) + [1]
+
+
+def test_fp_mul_linear_matches_oracle():
+    p = 7
+    polys = [[], [3], [0, 1], [1, 2, 3], [6, 0, 0, 5], [2, 5, 1, 4, 6]]
+    for a in polys:
+        for c0 in (0, 1, 3, p, -2):
+            for c1 in (0, 1, 2, p, -1, 2 * p + 5):
+                want = oracles.poly_mul_mod(a, [c0 % p, c1 % p], p)
+                assert fp_mul_linear(a, c0, c1, p) == want, (a, c0, c1)
+    # c1 = 0 mod p: the top coefficient vanishes and is trimmed
+    assert fp_mul_linear([1, 2, 3], 2, p, p) == [2, 4, 6]
+    assert fp_mul_linear([1, 2, 3], p, 2 * p, p) == []
 
 
 def test_fp_ratfunc_reduction_and_eval():

@@ -92,8 +92,9 @@ def test_polylog_star_coeff_examples():
 
 
 def test_polylog_star_coeff_matches_bruteforce():
-    for ix in iter_indices_of_weight(5):
-        for n in range(1, 6):
+    # every index of weight <= 7; n = 4, 6 and 8 are where lcm(1..n) < n!
+    for ix in iter_indices_of_weight(7):
+        for n in range(1, 9):
             got = polylog_star_coeff(ix, n)
             assert got == oracles.brute_li_star_coeff(tuple(ix), n), (tuple(ix), n)
 
