@@ -15,7 +15,8 @@ writes each VerificationRecord dict as one JSON or CSV line and counts
 them for the stderr summary line.  ``verify`` and ``zsweep`` share
 ``_open_sweep``: it parses ``--primes`` and, for ``--resume``, checks
 that ``--out`` holds a prefix of this run's records (``_resume_primes``)
-before any record is computed.
+before any record is computed.  The records a resume keeps count in the
+summary line and the exit code, so both describe the whole file.
 
 Exit codes: 0 all records passed or were skipped, 1 at least one record
 failed, 2 usage error (including a flag that leaves nothing to check),
@@ -115,18 +116,34 @@ def _open_out(path, fmt, columns, resuming):
     return handle
 
 
-def _emit(batches, handle, fmt, columns) -> dict:
+def _new_tally() -> dict:
+    return dict.fromkeys(("records", "failed", "skipped", "zero", "degenerate"), 0)
+
+
+def _count(tally, records) -> None:
+    """Add record dicts to ``tally``: records, failed and skipped, and of
+    zsweep rows the zero residues and the degenerate cross-checks."""
+    for rec in records:
+        tally["records"] += 1
+        tally["failed"] += not rec["pass"]
+        tally["skipped"] += rec["skipped"]
+        tally["zero"] += rec.get("zero", False)
+        tally["degenerate"] += rec.get("cross") == "degenerate"
+
+
+def _emit(batches, handle, fmt, columns, tally=None) -> dict:
     """Write every batch of record dicts to ``handle`` as JSON lines or as
     CSV rows of ``columns``, flushing after each, then close it unless it
     is stdout.
 
-    Returns the tallies: records, failed and skipped, and of zsweep rows
-    the zero residues and the degenerate cross-checks.  A broken pipe on
-    stdout stops the run quietly: stdout is pointed at os.devnull, so the
-    interpreter's last flush cannot fail again, and ``_StdoutClosed``
-    unwinds the command (tearing down its pool) up to ``main``.
+    Returns ``tally`` (a fresh one by default) with the written records
+    counted in (see ``_count``).  A broken pipe on stdout stops the run
+    quietly: stdout is pointed at os.devnull, so the interpreter's last
+    flush cannot fail again, and ``_StdoutClosed`` unwinds the command
+    (tearing down its pool) up to ``main``.
     """
-    tally = dict.fromkeys(("records", "failed", "skipped", "zero", "degenerate"), 0)
+    if tally is None:
+        tally = _new_tally()
     writer = csv.writer(handle, lineterminator="\n") if fmt == "csv" else None
     try:
         for batch in batches:
@@ -134,14 +151,11 @@ def _emit(batches, handle, fmt, columns) -> dict:
                 if writer is None:
                     handle.write(_JSON.encode(rec) + "\n")
                 else:
-                    # true/false as in JSON; csv writes None as an empty field
+                    # true/false as in JSON; csv writes None as an empty
+                    # field (``_csv_record`` reads a row back)
                     writer.writerow([str(v).lower() if isinstance(v, bool) else v
                                      for v in map(rec.get, columns)])
-                tally["records"] += 1
-                tally["failed"] += not rec["pass"]
-                tally["skipped"] += rec["skipped"]
-                tally["zero"] += rec.get("zero", False)
-                tally["degenerate"] += rec.get("cross") == "degenerate"
+            _count(tally, batch)
             handle.flush()
     except BrokenPipeError:
         if handle is not sys.stdout:
@@ -156,12 +170,20 @@ def _emit(batches, handle, fmt, columns) -> dict:
     return tally
 
 
+def _csv_record(columns, row) -> dict:
+    """The record dict of a CSV row as ``_emit`` writes it: an empty field
+    is left out, as JSON leaves out None, and true/false are booleans."""
+    return {c: v == "true" if v in ("true", "false") else v
+            for c, v in zip(columns, row) if v}
+
+
 def _text(value) -> str:
     return "" if value is None else str(value)
 
 
-def _resume_primes(path, fmt, columns, keys, primes) -> list[int]:
-    """Cut ``path`` back to its last complete prime; return the primes after it.
+def _resume_primes(path, fmt, columns, keys, primes) -> tuple[list[int], dict]:
+    """Cut ``path`` back to its last complete prime; return the primes after
+    it and the tally of the records kept (see ``_count``).
 
     The output file is the checkpoint: it must hold a prefix of the lines
     this run writes, a CSV header of ``columns`` and then its records.
@@ -171,12 +193,13 @@ def _resume_primes(path, fmt, columns, keys, primes) -> list[int]:
     of an unfinished last prime are cut.  A file that breaks the rule
     anywhere else (another command, check list, grid or --k, a moved
     bottom prime, primes past this run's top, or a stub record: a CSV row
-    of another field count than the header's, or a JSON line without
-    boolean ``pass`` and ``skipped``) is left as it is, and a ValueError
-    is raised.
+    of another field count than the header's, or a record whose ``pass``
+    and ``skipped`` are not both booleans, or whose ``zero``, where it is
+    given, is not one) is left as it is, and a ValueError is raised.
     """
+    tally = _new_tally()
     if not os.path.exists(path):
-        return primes
+        return primes, tally
     with open(path, "rb") as handle:
         data = handle.read()
     lines = data.split(b"\n")[:-1]  # the piece after the last newline is torn
@@ -189,6 +212,7 @@ def _resume_primes(path, fmt, columns, keys, primes) -> list[int]:
         keep = len(lines[0]) + 1
         lines = lines[1:]
     pos = keep
+    pending = []  # the records of the prime being read
     for i, line in enumerate(lines):
         pos += len(line) + 1
         lineno = i + 1 + (fmt == "csv")
@@ -197,12 +221,13 @@ def _resume_primes(path, fmt, columns, keys, primes) -> list[int]:
                 row = next(csv.reader([line.decode()]))
                 if len(row) != len(columns):
                     raise ValueError
-                rec = dict(zip(columns, row))
+                rec = _csv_record(columns, row)
             else:
                 rec = json.loads(line)
-                # a non-object JSON line fails here too
-                if not (isinstance(rec["pass"], bool) and isinstance(rec["skipped"], bool)):
-                    raise ValueError
+            # the flags _count tallies; a non-object JSON line fails here too
+            flags = (rec["pass"], rec["skipped"], rec.get("zero", False))
+            if not all(isinstance(flag, bool) for flag in flags):
+                raise ValueError
             int(rec["p"])
         except (ValueError, KeyError, IndexError, TypeError):
             raise ValueError(f"{path}: unreadable record {line[:60]!r}") from None
@@ -214,24 +239,29 @@ def _resume_primes(path, fmt, columns, keys, primes) -> list[int]:
             named = " ".join(f"{field}={value}" for field, value in want.items()
                              if value is not None)
             raise ValueError(f"{path}: line {lineno} is not this run's {named}")
+        pending.append(rec)
         if (i + 1) % per_prime == 0:
             keep = pos
+            _count(tally, pending)
+            pending.clear()
     if keep < len(data):
         with open(path, "r+b") as handle:
             handle.truncate(keep)
-    return primes[len(lines) // per_prime:]
+    return primes[len(lines) // per_prime:], tally
 
 
 def _open_sweep(args, columns, keys):
-    """A sweep's primes left to run and the handle for its records: parse
+    """A sweep's primes left to run, the handle for its records and the
+    tally of the records a resume keeps (None without --resume): parse
     --primes, resume --out against ``keys`` (see ``_resume_primes``) and
     open it, raising ValueError or OSError before any record is computed."""
     primes = _parse_prime_range(args.primes)
     if args.resume and not args.out:
         raise ValueError("--resume requires --out")
+    kept = None
     if args.resume:
-        primes = _resume_primes(args.out, args.format, columns, keys, primes)
-    return primes, _open_out(args.out, args.format, columns, args.resume)
+        primes, kept = _resume_primes(args.out, args.format, columns, keys, primes)
+    return primes, _open_out(args.out, args.format, columns, args.resume), kept
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +286,7 @@ def cmd_verify(args) -> int:
         if jobs < 1:
             raise ValueError(f"--jobs must be >= 1, got {jobs}")
         keys = task_record_keys(tasks) if args.resume else ()
-        primes, handle = _open_sweep(args, VERIFY_COLUMNS, keys)
+        primes, handle, kept = _open_sweep(args, VERIFY_COLUMNS, keys)
     except (ValueError, OSError) as err:
         return _fail(str(err))
     shard_args = [(p, tuple(tasks)) for p in primes]
@@ -268,7 +298,7 @@ def cmd_verify(args) -> int:
             import multiprocessing
             pool = stack.enter_context(multiprocessing.Pool(processes=jobs))
             shards = pool.imap(_verify_worker, shard_args)
-        tally = _emit(shards, handle, args.format, VERIFY_COLUMNS)
+        tally = _emit(shards, handle, args.format, VERIFY_COLUMNS, kept)
     print(f"verify: {tally['records']} records, {tally['failed']} failed, "
           f"{tally['skipped']} skipped", file=sys.stderr)
     return 1 if tally["failed"] else 0
@@ -282,12 +312,12 @@ def cmd_zsweep(args) -> int:
     if args.k < 2:
         return _fail(f"need k >= 2, got {args.k}")
     try:
-        primes, handle = _open_sweep(args, ZSWEEP_COLUMNS,
-                                     [{"check": "zsweep", "k": args.k}])
+        primes, handle, kept = _open_sweep(args, ZSWEEP_COLUMNS,
+                                           [{"check": "zsweep", "k": args.k}])
     except (ValueError, OSError) as err:
         return _fail(str(err))
     rows = ([zeta_sweep_row(args.k, p).to_json_dict()] for p in primes)
-    tally = _emit(rows, handle, args.format, ZSWEEP_COLUMNS)
+    tally = _emit(rows, handle, args.format, ZSWEEP_COLUMNS, kept)
     print(
         f"zsweep k={args.k}: {tally['records']} primes, {tally['zero']} zero residues, "
         f"{tally['failed']} cross-check failures, {tally['degenerate']} degenerate, "

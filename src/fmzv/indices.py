@@ -19,20 +19,41 @@ stay stable and nothing is materialized (the family sizes grow like
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 
-@dataclass(frozen=True, slots=True)
 class Index:
-    """An ordered tuple of positive integer parts; possibly empty."""
+    """An ordered tuple of positive integer parts; possibly empty.
 
-    parts: tuple[int, ...] = ()
+    An immutable value: equal parts compare and hash equal, and setting or
+    deleting an attribute raises AttributeError.
+    """
 
-    def __post_init__(self):
-        for x in self.parts:
+    __slots__ = ("parts",)
+    parts: tuple[int, ...]
+
+    def __init__(self, parts: tuple[int, ...] = ()):
+        for x in parts:
             if not isinstance(x, int) or x < 1:
                 raise ValueError(f"index parts must be positive integers, got {x!r}")
+        object.__setattr__(self, "parts", parts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: Index is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: Index is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.parts == other.parts
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.parts)
+
+    def __reduce__(self):
+        return self.__class__, (self.parts,)
 
     @classmethod
     def of(cls, *parts: int) -> "Index":

@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     """Outcome of a single check.
 
     ``passed`` is true iff lhs equals rhs (both rendered as decimal or
     num/den strings).  Skipped records carry no lhs/rhs and explain
     themselves in ``reason``.  ``extra`` holds check-specific key/value
     pairs (sample counts, seeds, ...) in a fixed order.
+
+    An immutable value (a named tuple): records with equal fields compare
+    and hash equal.
     """
 
     check: str
@@ -29,24 +31,26 @@ class VerificationRecord:
 
     def to_json_dict(self) -> dict:
         """Serializable dict with a stable key order."""
-        out: dict = {"check": self.check}
-        if self.k is not None:
-            out["k"] = self.k
-        if self.s is not None:
-            out["s"] = self.s
-        if self.index is not None:
-            out["index"] = self.index
-        if self.p is not None:
-            out["p"] = self.p
-        if self.lhs is not None:
-            out["lhs"] = self.lhs
-        if self.rhs is not None:
-            out["rhs"] = self.rhs
-        out["pass"] = self.passed
-        out["skipped"] = self.skipped
-        if self.reason is not None:
-            out["reason"] = self.reason
-        for key, value in self.extra:
+        # one unpack: a named tuple's field reads are slower than locals
+        check, p, k, s, index, lhs, rhs, passed, skipped, reason, extra = self
+        out: dict = {"check": check}
+        if k is not None:
+            out["k"] = k
+        if s is not None:
+            out["s"] = s
+        if index is not None:
+            out["index"] = index
+        if p is not None:
+            out["p"] = p
+        if lhs is not None:
+            out["lhs"] = lhs
+        if rhs is not None:
+            out["rhs"] = rhs
+        out["pass"] = passed
+        out["skipped"] = skipped
+        if reason is not None:
+            out["reason"] = reason
+        for key, value in extra:
             out[key] = value
         return out
 

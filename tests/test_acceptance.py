@@ -261,3 +261,16 @@ def test_criterion_14_wolstenholme_prime_16843():
           and all(dict(row.extra)["cross"] == "ok" for row in rows))
     _report(14, ok, f"k=3 hunt over {len(rows)} primes in 16800..16900: "
                     "the only zero residue is at 16843, cross-check ok")
+
+
+def test_criterion_15_wolstenholme_prime_2124679(tmp_path):
+    # the second Wolstenholme prime (McIntosh and Roettger, Math. Comp. 76
+    # (2007)): the zsweep record, byte for byte, zero with both routes
+    # agreeing
+    path = tmp_path / "z.jsonl"
+    assert cli_main(["zsweep", "--k", "3", "--primes", "2124679..2124679",
+                     "--out", str(path)]) == 0
+    want = ('{"check":"zsweep","k":3,"p":2124679,"lhs":"0","rhs":"0","pass":true,'
+            '"skipped":false,"zero":true,"cross":"ok"}\n')
+    got = path.read_text()
+    _report(15, got == want, f"k=3 at p = 2124679: {got.strip()}")

@@ -1,10 +1,14 @@
 """The public surface: the package's star import and the README example."""
 
 import ast
+import pickle
 import re
 from pathlib import Path
 
+import pytest
+
 import fmzv
+from fmzv.records import VerificationRecord, comparison_record
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -38,3 +42,30 @@ def test_readme_library_block():
         assert got == want and type(got) is type(want), code
         checked.append(want)
     assert checked == [3, 3, 1, True, "13/54", True]
+
+
+def test_record_value_contract():
+    # a VerificationRecord is an immutable value: keyword construction
+    # fills the documented defaults, equal fields compare and hash equal,
+    # it refuses attribute writes, survives pickling, and its repr names
+    # every field
+    rec = comparison_record("zsweep", "0", "0", p=5, k=3,
+                            extra=(("zero", True), ("cross", "ok")))
+    same = VerificationRecord(check="zsweep", p=5, k=3, lhs="0", rhs="0", passed=True,
+                              extra=(("zero", True), ("cross", "ok")))
+    assert rec == same and hash(rec) == hash(same)
+    assert rec == pickle.loads(pickle.dumps(rec))
+    assert rec != VerificationRecord(check="zsweep", p=7, k=3)
+    bare = VerificationRecord(check="x")
+    assert (bare.check, bare.p, bare.k, bare.s, bare.index, bare.lhs, bare.rhs,
+            bare.passed, bare.skipped, bare.reason, bare.extra) == (
+        "x", None, None, None, None, None, None, False, False, None, ())
+    for mutate in (lambda: setattr(rec, "passed", False), lambda: delattr(rec, "p"),
+                   lambda: setattr(rec, "other", 1)):
+        with pytest.raises(AttributeError):
+            mutate()
+    assert rec.passed is True
+    assert repr(rec) == (
+        "VerificationRecord(check='zsweep', p=5, k=3, s=None, index=None, lhs='0', "
+        "rhs='0', passed=True, skipped=False, reason=None, "
+        "extra=(('zero', True), ('cross', 'ok')))")

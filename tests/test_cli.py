@@ -306,6 +306,50 @@ RESUMABLE = [
 ]
 
 
+def _fail_first_record(data, fmt):
+    """``data`` with its first record's pass field set to false."""
+    if fmt == "jsonl":
+        return data.replace(b'"pass":true', b'"pass":false', 1)
+    header, rows = data.split(b"\n", 1)
+    return header + b"\n" + rows.replace(b",true,", b",false,", 1)
+
+
+@pytest.mark.parametrize("argv, fmt", RESUMABLE)
+def test_resume_summary_counts_the_kept_records(tmp_path, capsys, argv, fmt):
+    # the summary line and the exit code describe the whole file: a
+    # resumed run reports what a one-shot run reports, and a failed record
+    # that the resume keeps fails the run
+    base = argv + ["--format", fmt, "--primes", "5..29"]
+    out = tmp_path / f"run.{fmt}"
+    code, _, oneshot_err = run_cli(base + ["--out", str(out)], capsys)
+    assert code == 0
+    whole = out.read_bytes()
+    half = whole[:whole.index(b"\n", len(whole) // 2) + 1]
+    out.write_bytes(half)
+    code, _, err = run_cli(base + ["--out", str(out), "--resume"], capsys)
+    assert (code, err) == (0, oneshot_err) and out.read_bytes() == whole
+    out.write_bytes(_fail_first_record(half, fmt))
+    code, _, err = run_cli(base + ["--out", str(out), "--resume"], capsys)
+    assert code == 1 and out.read_bytes() == _fail_first_record(whole, fmt)
+    assert err == (oneshot_err.replace(", 0 failed", ", 1 failed")
+                   .replace(", 0 cross-check", ", 1 cross-check"))
+
+
+@pytest.mark.parametrize("argv, fmt", RESUMABLE)
+def test_resume_keeps_skipped_records(tmp_path, capsys, argv, fmt):
+    # primes from 2 give skipped records: their empty CSV fields and the
+    # fields JSON leaves out are read back and counted like any other
+    base = argv + ["--format", fmt, "--primes", "2..29"]
+    out = tmp_path / f"run.{fmt}"
+    code, _, oneshot_err = run_cli(base + ["--out", str(out)], capsys)
+    assert code == 0 and ", 0 skipped" not in oneshot_err
+    whole = out.read_bytes()
+    for kept in (whole, whole[:whole.index(b"\n", len(whole) // 2) + 1]):
+        out.write_bytes(kept)
+        code, _, err = run_cli(base + ["--out", str(out), "--resume"], capsys)
+        assert (code, err) == (0, oneshot_err) and out.read_bytes() == whole
+
+
 @pytest.mark.parametrize("argv, fmt", RESUMABLE)
 def test_resume_after_torn_tail(tmp_path, capsys, argv, fmt):
     # a run cut anywhere in its last lines resumes to the bytes of a run
@@ -355,13 +399,14 @@ def test_prime_range_without_a_prime_is_a_usage_error(tmp_path, capsys):
                  ["zsweep", "--k", "3", "--primes", "24..28"]):
         code, out, err = run_cli(argv, capsys)
         assert code == 2 and out == "" and "error: no prime in '24..28'" in err, argv
-    # a resumed run whose primes are all done is not an empty range
+    # a resumed run whose primes are all done is not an empty range: it
+    # writes nothing and reports the four primes it keeps
     done = tmp_path / "z.jsonl"
     argv = ["zsweep", "--k", "3", "--primes", "5..13", "--out", str(done)]
     assert run_cli(argv, capsys)[0] == 0
     before = done.read_bytes()
     code, _, err = run_cli(argv + ["--resume"], capsys)
-    assert code == 0 and "0 primes" in err
+    assert code == 0 and "4 primes" in err
     assert done.read_bytes() == before
 
 
@@ -674,6 +719,31 @@ def test_resume_refuses_a_stub_record(tmp_path, capsys, fmt):
     assert out.read_bytes() == STUB_RECORDS[fmt]
 
 
+ZSWEEP_HEADER = b"check,k,p,lhs,rhs,pass,skipped,reason,zero,cross\n"
+NOT_A_BOOLEAN = {
+    "csv-pass": ("csv", ZSWEEP_HEADER + b"zsweep,3,5,2,2,yes,false,,false,ok\n"),
+    "csv-zero": ("csv", ZSWEEP_HEADER + b"zsweep,3,5,2,2,true,false,,yes,ok\n"),
+    "jsonl-zero-null": ("jsonl", b'{"check":"zsweep","k":3,"p":5,"lhs":"2","rhs":"2",'
+                                 b'"pass":true,"skipped":false,"zero":null,"cross":"ok"}\n'),
+    "jsonl-zero-text": ("jsonl", b'{"check":"zsweep","k":3,"p":5,"lhs":"2","rhs":"2",'
+                                 b'"pass":true,"skipped":false,"zero":"x","cross":"ok"}\n'),
+}
+
+
+@pytest.mark.parametrize("case", NOT_A_BOOLEAN)
+def test_resume_refuses_a_flag_that_is_not_a_boolean(tmp_path, capsys, case):
+    # pass, skipped and (where given) zero are counted in the summary, so
+    # each must read true or false
+    fmt, bad = NOT_A_BOOLEAN[case]
+    out = tmp_path / f"z.{fmt}"
+    out.write_bytes(bad)
+    code, stdout, err = run_cli(["zsweep", "--k", "3", "--primes", "5..11", "--format",
+                                 fmt, "--out", str(out), "--resume"], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: {out}: unreadable record {bad.splitlines()[-1][:60]!r}\n"
+    assert out.read_bytes() == bad
+
+
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
 def test_jobs_are_checked_before_the_resume_scan(tmp_path, capsys, monkeypatch, fmt):
     # the scan cuts a torn tail, so a usage error must come before it
@@ -697,7 +767,8 @@ def test_cli_imports_only_the_standard_library(tmp_path):
     # imports nothing beyond the standard library and fmzv itself.
     # multiprocessing is imported only where `verify` starts a pool, so a
     # zsweep runs without it; a pool then writes the bytes of --jobs 1
-    # (multiprocessing registers __main__ again as __mp_main__)
+    # (multiprocessing registers __main__ again as __mp_main__).  Nor does
+    # a run import dataclasses or inspect, which cost start-up time
     src = os.path.dirname(os.path.dirname(fmzv.__file__))
     outs = [tmp_path / f"jobs{jobs}.jsonl" for jobs in (1, 2)]
     verify = ["verify", "ao,lm", "--kmax", "6", "--primes", "5..61"]
@@ -708,6 +779,8 @@ def test_cli_imports_only_the_standard_library(tmp_path):
             "assert 'multiprocessing' not in sys.modules\n"
             f"assert main({verify + ['--jobs', '1', '--out', str(outs[0])]!r}) == 0\n"
             "assert 'multiprocessing' not in sys.modules\n"
+            "slow = {'dataclasses', 'inspect'} & (set(sys.modules) - before)\n"
+            "assert not slow, sorted(slow)\n"
             f"assert main({verify + ['--jobs', '2', '--out', str(outs[1])]!r}) == 0\n"
             "assert 'multiprocessing' in sys.modules\n"
             "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"

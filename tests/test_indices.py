@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 import oracles
@@ -105,3 +107,19 @@ def test_parse_and_str_roundtrip():
     for bad in ("2,,1", "a", "2, 1", "0", "-3", "1.5"):
         with pytest.raises(ValueError):
             Index.parse(bad)
+
+
+def test_index_value_contract():
+    # an Index is an immutable value: equal parts compare and hash equal,
+    # it refuses attribute writes, survives pickling, and reprs its parts
+    ix = Index.of(2, 1)
+    assert ix == Index((2, 1)) == Index(parts=(2, 1)) == pickle.loads(pickle.dumps(ix))
+    assert hash(ix) == hash(Index.parse("2,1"))
+    assert len({ix, Index((2, 1)), Index.of(1, 2)}) == 2
+    assert ix != (2, 1) and ix != Index.of(1, 2)
+    assert Index() == Index(()) and Index().parts == ()
+    for mutate in (lambda: setattr(ix, "parts", (3,)), lambda: delattr(ix, "parts")):
+        with pytest.raises(AttributeError):
+            mutate()
+    assert ix.parts == (2, 1)
+    assert repr(ix) == "Index(2,1)" and repr(Index(())) == "Index()"
