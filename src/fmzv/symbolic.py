@@ -8,9 +8,11 @@ height (z); its t^n coefficient is a finite sum of partial fractions
 
 whose weights W(n,l) are ratios of rising factorials.  This module
 builds those weights exactly (``pole_weight``), expands the t^n
-coefficient as a double power series (``gf_coeff_series``), and checks
-the expansion coefficient-by-coefficient against brute polylog sums
-(``gf_coefficient_check``).  It also certifies the terminating
+coefficient as a double power series (``gf_coeff_series``: W's Laurent
+series in z once per l, then one division by the linear factor z - l
+per power of x, and each z -> -z pair as twice its even part), and
+checks the expansion coefficient-by-coefficient against brute polylog
+sums (``gf_coefficient_check``).  It also certifies the terminating
 evaluation of the Gauss series at 1 and, working over Z/pZ, the
 truncation congruences that connect the finite sums to that evaluation.
 
@@ -140,40 +142,39 @@ def anl_form_agreement(n_max: int) -> list[VerificationRecord]:
 def gf_coeff_series(n: int, dx: int = 12, dz: int = 12) -> BiSeries:
     """Double power series of the t^n generating-function coefficient.
 
-    Each pole term is expanded geometrically in x; the two z -> -z
-    partner terms at l = n are combined symbolically first so the simple
-    pole at z = 0 cancels exactly before any series expansion.  A
-    surviving pole raises PoleCancellationError (a bug, not bad input).
+    The x^j coefficient of W(z)/(x+z-l) is (-1)^j W(z)/(z-l)^(j+1), and
+    its z -> -z partner W(-z)/(x-z-l) gives the same function at -z, so
+    each pair contributes twice its even part in z.  W's Laurent series
+    is taken once per l; each further power of 1/(z-l) is one O(dz)
+    division of that series by the linear factor.  Only at l = n may W
+    have a pole at z = 0, a simple one, whose odd z^-1 terms cancel in
+    the pair; any other pole raises PoleCancellationError (a bug, not
+    bad input).
     """
     if n < 1:
         raise ValueError("need n >= 1")
     grid = [[Fraction(0)] * (dz + 1) for _ in range(dx + 1)]
     for l in range(1, n + 1):
-        w_pos = pole_weight(n, l)
-        w_neg = w_pos.subs_neg()
-        lin_pos = RatFunc(Poly((-l, 1)))   # z - l
-        lin_neg = RatFunc(Poly((-l, -1)))  # -z - l
-        cur_pos, cur_neg = w_pos, w_neg
+        w = pole_weight(n, l)
+        den = w.den.coeffs
+        v = next(i for i, c in enumerate(den) if c)  # pole order at z = 0
+        if l == n and v > 1:
+            raise PoleCancellationError(
+                f"pole at z=0 survived the l={l} pair of the n={n} term")
+        if l < n and v:
+            raise PoleCancellationError(
+                f"unexpected z=0 pole in the (n={n}, l={l}) term")
+        # t[i]: the z^(i-v) coefficient of W, then of W/(z-l)^(j+1)
+        t = RatFunc(w.num, Poly(den[v:])).taylor(dz + v)
         for j in range(dx + 1):
-            cur_pos = cur_pos / lin_pos
-            cur_neg = cur_neg / lin_neg
-            sign = -1 if j % 2 else 1
-            if l == n:
-                pair = cur_pos + cur_neg
-                if not pair.regular_at_zero():
-                    raise PoleCancellationError(
-                        f"pole at z=0 survived the l={l} pair of the n={n} term")
-                rows = [pair.taylor(dz)]
-            else:
-                for part in (cur_pos, cur_neg):
-                    if not part.regular_at_zero():
-                        raise PoleCancellationError(
-                            f"unexpected z=0 pole in the (n={n}, l={l}) term")
-                rows = [cur_pos.taylor(dz), cur_neg.taylor(dz)]
-            dest = grid[j]
-            for coeffs in rows:
-                for i, c in enumerate(coeffs):
-                    dest[i] += sign * c
+            # (z - l) * new = old, so new_i = (new_(i-1) - old_i) / l
+            prev = 0
+            for i, s in enumerate(t):
+                prev = t[i] = (prev - s) / l
+            twice = -2 if j % 2 else 2
+            row = grid[j]
+            for i in range(0, dz + 1, 2):
+                row[i] += twice * t[i + v]
     return BiSeries(grid, dx, dz)
 
 

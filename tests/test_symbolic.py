@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+import fmzv.symbolic
 import oracles
-from fmzv.errors import DegenerateParametersError
+from fmzv.errors import DegenerateParametersError, PoleCancellationError
 from fmzv.indices import Index, iter_admissible_indices, iter_indices_of_weight
 from fmzv.modfield import prime_ctx
 from fmzv.polys import Poly, RatFunc, Z
@@ -78,6 +79,67 @@ def test_gf_series_even_in_z():
         for i in range(series.dx + 1):
             for j in range(1, series.dz + 1, 2):
                 assert series.coeff(i, j) == 0, (n, i, j)
+
+
+def _ratfunc_gf_series(n, dx, dz):
+    """The t^n coefficient expanded in x by dividing RatFuncs.
+
+    The reference for ``gf_coeff_series``: each x-order divides both
+    pole terms by their linear factor as reduced rational functions, and
+    the l = n pair is summed before its Taylor series is taken.
+    """
+    grid = [[F(0)] * (dz + 1) for _ in range(dx + 1)]
+    for l in range(1, n + 1):
+        cur_pos = pole_weight(n, l)
+        cur_neg = cur_pos.subs_neg()
+        lin_pos, lin_neg = RatFunc(Poly((-l, 1))), RatFunc(Poly((-l, -1)))
+        for j in range(dx + 1):
+            cur_pos, cur_neg = cur_pos / lin_pos, cur_neg / lin_neg
+            parts = [cur_pos + cur_neg] if l == n else [cur_pos, cur_neg]
+            for part in parts:
+                for i, c in enumerate(part.taylor(dz)):
+                    grid[j][i] += (-1) ** j * c
+    return grid
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_gf_series_matches_ratfunc_expansion(n):
+    # a truncated series' coefficients do not depend on where it is cut,
+    # so one reference grid at the largest orders serves all four
+    ref = _ratfunc_gf_series(n, 14, 16)
+    for dx, dz in ((12, 12), (14, 12), (12, 16), (3, 5)):
+        series = gf_coeff_series(n, dx, dz)
+        assert series.grid == tuple(tuple(row[:dz + 1]) for row in ref[:dx + 1]), (dx, dz)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_gf_series_matches_brute_polylog_sums(n):
+    # every even cell of weight k = i + j + 2 <= 10 against the family sum
+    # over admissible compositions of height s = (j + 2) / 2
+    series = gf_coeff_series(n, 8, 8)
+    for k in range(2, 11):
+        for j in range(0, k - 1, 2):
+            i = k - j - 2
+            want = sum((oracles.brute_li_star_coeff(c, n)
+                        for c in oracles.compositions_filtered(k, (j + 2) // 2, first_min=2)),
+                       F(0))
+            assert series.coeff(i, j) == want, (n, i, j)
+
+
+@pytest.mark.parametrize("bad_l, weight, message", [
+    (3, RatFunc(Poly((1,)), Z * Z), "survived the l=3 pair"),  # double pole, l = n
+    (2, RatFunc(Poly((1,)), Z), r"unexpected z=0 pole in the \(n=3, l=2\)"),
+])
+def test_gf_series_refuses_a_surviving_pole(monkeypatch, bad_l, weight, message):
+    real = pole_weight
+    monkeypatch.setattr(fmzv.symbolic, "pole_weight",
+                        lambda n, l: weight if l == bad_l else real(n, l))
+    gf_coeff_series.cache_clear()
+    try:
+        with pytest.raises(PoleCancellationError, match=message):
+            gf_coeff_series(3)
+    finally:
+        gf_coeff_series.cache_clear()
 
 
 def test_polylog_star_coeff_examples():
