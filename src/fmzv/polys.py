@@ -5,7 +5,9 @@ Two flavors live here:
 * ``Poly`` / ``RatFunc``: one-variable carriers with
   ``fractions.Fraction`` coefficients, and ``BiSeries``, a truncated
   two-variable coefficient grid.  No rounding anywhere; all rational
-  functions are kept reduced with a monic denominator.
+  functions are kept reduced with a monic denominator, by a gcd or, for
+  a quotient of known linear factors, by cancelling the common roots
+  (``RatFunc.from_roots``).
 * list-based polynomials over Z/pZ (``fp_*`` helpers and ``FpRatFunc``)
   for congruence checks sampled in prime fields.
 
@@ -254,6 +256,15 @@ def _series_div(num, den, order: int) -> list[Fraction]:
     return out
 
 
+def _int_linear_product(roots) -> tuple[list[int], int]:
+    """prod(q z - p) over the roots p/q, ascending, and its leading prod(q)."""
+    out = [1]
+    for r in roots:
+        p, q = r.numerator, r.denominator
+        out = [q * hi - p * lo for lo, hi in zip(out + [0], [0] + out)]
+    return out, out[-1]
+
+
 class RatFunc:
     """A reduced rational function num/den with monic denominator."""
 
@@ -282,6 +293,29 @@ class RatFunc:
             den = den * (1 / lead)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    @classmethod
+    def from_roots(cls, const, num_roots, den_roots) -> "RatFunc":
+        """const * prod(z - a) / prod(z - b), with no gcd.
+
+        The roots are ints or Fractions.  No root may lie on both sides,
+        so the quotient is already reduced.  Each side is expanded on
+        ints, a root p/q as the factor (q z - p), and its leading
+        coefficient prod(q) divided out once per coefficient.
+        """
+        const = _as_fraction(const)
+        if const == 0:
+            return cls(Poly())
+        num_roots, den_roots = tuple(num_roots), tuple(den_roots)
+        if not set(num_roots).isdisjoint(den_roots):
+            raise ValueError("a root on both sides: the quotient is not reduced")
+        num, num_lead = _int_linear_product(num_roots)
+        den, den_lead = _int_linear_product(den_roots)
+        a, b = const.numerator, const.denominator * num_lead
+        self = object.__new__(cls)
+        object.__setattr__(self, "num", Poly(Fraction(a * c, b) for c in num))
+        object.__setattr__(self, "den", Poly(Fraction(c, den_lead) for c in den))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")

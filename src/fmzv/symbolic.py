@@ -7,16 +7,20 @@ height (z); its t^n coefficient is a finite sum of partial fractions
     sum over l of [ W(n,l)(z)/(x+z-l) + W(n,l)(-z)/(x-z-l) ]
 
 whose weights W(n,l) are ratios of rising factorials.  This module
-builds those weights exactly (``pole_weight``), expands the t^n
-coefficient as a double power series (``gf_coeff_series``: W's Laurent
-series in z once per l, then one division by the linear factor z - l
-per power of x, and each z -> -z pair as twice its even part), and
-checks the expansion coefficient-by-coefficient against brute polylog
-sums (``gf_coefficient_check``).  It also certifies the terminating
-evaluation of the Gauss series at 1 and, working over Z/pZ, the
-truncation congruences that connect the finite sums to that evaluation.
+builds those weights exactly from their linear factors (``pole_weight``),
+expands the t^n coefficient as a double power series on ints
+(``gf_coeff_series``: W's Laurent series in z once per l, then one
+division by the linear factor z - l per power of x, and each z -> -z
+pair as twice its even part), and checks the expansion
+coefficient-by-coefficient against the polylog family sums, which one
+star (weight, height) DP per n gives for every (k, s) at once
+(``polylog_family_coeff``, from ``gf_coefficient_check``).  It also
+certifies the terminating evaluation of the Gauss series at 1 and,
+working over Z/pZ, the truncation congruences that connect the finite
+sums to that evaluation.
 
-All arithmetic is exact; re-running any check yields bit-identical
+All arithmetic is exact, and the rational suites run on ints with one
+Fraction per reported value; re-running any check yields bit-identical
 rationals.
 """
 
@@ -24,20 +28,26 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from itertools import accumulate
+from math import comb, factorial, lcm, prod
 
 from .errors import (
     AllSamplesSkippedError,
     DegenerateParametersError,
     PoleCancellationError,
 )
-from .indices import Index, iter_admissible_indices
+from .indices import Index
+# Unused here: perfbench/tracing.py patches this name on this module.
+from .indices import iter_admissible_indices  # noqa: F401
 from .modfield import PrimeCtx, prime_ctx
 from .polys import (
     BiSeries,
     FpRatFunc,
     Poly,
     RatFunc,
+    _ZERO,
+    _as_fraction,
+    _series_div,
     fp_add,
     fp_mul,
     fp_mul_linear,
@@ -82,13 +92,6 @@ def pochhammer_poly(shift: int, scale: int, n: int) -> Poly:
     return out
 
 
-def _poch_frac(a: Fraction, n: int) -> Fraction:
-    out = Fraction(1)
-    for i in range(n):
-        out *= a + i
-    return out
-
-
 def pole_weight(n: int, l: int) -> RatFunc:
     """The partial-fraction weight at the pole x = l - z, canonical form.
 
@@ -96,16 +99,21 @@ def pole_weight(n: int, l: int) -> RatFunc:
 
         (-1)^l / (2z) * (z-l+1)_(l-1) / (2z-l+1)_(l-1)
                       * (l)_m (z)_m / ((2z+1)_m m!)
+
+    Every factor is linear with a known root.  The numerator's roots are
+    1..l-1 and 0, -1, ..., -(m-1); the denominator's are 0, the halves
+    1/2..(l-1)/2 and -1/2..-m/2, under the leading coefficient 2^n.  The
+    roots of each side are distinct, so the common ones cancel as sets,
+    and ``RatFunc.from_roots`` expands the rest with no gcd.
     """
     if not 1 <= l <= n:
         raise ValueError(f"need 1 <= l <= n, got l={l}, n={n}")
     m = n - l
-    num = pochhammer_poly(1 - l, 1, l - 1) * pochhammer_poly(0, 1, m)
-    den = (pochhammer_poly(1 - l, 2, l - 1)
-           * Poly((0, 2))
-           * pochhammer_poly(1, 2, m))
-    const = Fraction((-1) ** l) * _poch_frac(Fraction(l), m) / factorial(m)
-    return RatFunc(num * const, den)
+    num = {*range(1, l), *range(0, -m, -1)}
+    den = {0, *(Fraction(i, 2) for i in range(1, l)),
+           *(Fraction(-i, 2) for i in range(1, m + 1))}
+    const = Fraction((-1) ** l * prod(range(l, n)), factorial(m) << n)
+    return RatFunc.from_roots(const, num - den, den - num)
 
 
 def pole_weight_product_form(n: int, l: int) -> RatFunc:
@@ -150,10 +158,17 @@ def gf_coeff_series(n: int, dx: int = 12, dz: int = 12) -> BiSeries:
     have a pole at z = 0, a simple one, whose odd z^-1 terms cancel in
     the pair; any other pole raises PoleCancellationError (a bug, not
     bad input).
+
+    The divisions run on ints.  With D the common denominator of every
+    W's series, big = lcm(1..n) and t_i the z^i coefficient after j+1
+    divisions, U_i = D * big^(i+j+1) * t_i; dividing by z - l is then
+    U_i <- (big/l) * (U_(i-1) - U_i).  Every l's term in the cell (j, i)
+    has the denominator D * big^(i+j+1+v), so each even cell sums ints
+    and becomes one Fraction.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    grid = [[Fraction(0)] * (dz + 1) for _ in range(dx + 1)]
+    laurent = []  # (l, v, the z^(i-v) coefficients of W)
     for l in range(1, n + 1):
         w = pole_weight(n, l)
         den = w.den.coeffs
@@ -164,17 +179,27 @@ def gf_coeff_series(n: int, dx: int = 12, dz: int = 12) -> BiSeries:
         if l < n and v:
             raise PoleCancellationError(
                 f"unexpected z=0 pole in the (n={n}, l={l}) term")
-        # t[i]: the z^(i-v) coefficient of W, then of W/(z-l)^(j+1)
-        t = RatFunc(w.num, Poly(den[v:])).taylor(dz + v)
+        laurent.append((l, v, _series_div(w.num.coeffs, den[v:], dz + v)))
+    big = lcm(*range(1, n + 1))
+    d = lcm(*(c.denominator for _, _, t in laurent for c in t))
+    top = max(v for _, v, _ in laurent)
+    nums = [[0] * (dz + 1) for _ in range(dx + 1)]
+    for l, v, t in laurent:
+        q = big // l
+        u = [c.numerator * (d // c.denominator) * big ** i for i, c in enumerate(t)]
+        lift = big ** (top - v)  # onto the common denominator of the cell
         for j in range(dx + 1):
             # (z - l) * new = old, so new_i = (new_(i-1) - old_i) / l
             prev = 0
-            for i, s in enumerate(t):
-                prev = t[i] = (prev - s) / l
-            twice = -2 if j % 2 else 2
-            row = grid[j]
+            for i, s in enumerate(u):
+                prev = u[i] = q * (prev - s)
+            twice = -2 * lift if j % 2 else 2 * lift
+            row = nums[j]
             for i in range(0, dz + 1, 2):
-                row[i] += twice * t[i + v]
+                row[i] += twice * u[i + v]
+    grid = [[Fraction(row[i], d * big ** (i + j + 1 + top)) if i % 2 == 0 else _ZERO
+             for i in range(dz + 1)]
+            for j, row in enumerate(nums)]
     return BiSeries(grid, dx, dz)
 
 
@@ -187,6 +212,9 @@ def polylog_star_coeff(ix: Index, n: int) -> Fraction:
     L^weight with L = lcm(1..n), so the recursion runs on plain ints
     scaled by a power of L (a step of part k adds (L/m)^k * suffix[m]),
     and only the single Fraction at the end is reduced.
+
+    This is the per-index reference of ``polylog_family_coeff``, which
+    gives a whole family's sum at once; no suite calls it.
     """
     parts = tuple(ix)
     if not parts:
@@ -208,15 +236,84 @@ def polylog_star_coeff(ix: Index, n: int) -> Fraction:
     return Fraction(q[-1] ** parts[0] * suffix[-1], big ** sum(parts))
 
 
+class _StarTails:
+    """Star tail sums below n on ints, grown one weight at a time.
+
+    rows[w][h][m-1] is T_m[w][h]: over the tails (k_2, ..., k_r) of
+    weight w and height h (the number of parts >= 2) and the chains
+    m >= m_2 >= ... >= m_r >= 1, the sum of prod q_(m_j)^(k_j), where
+    q_m = big/m and big = lcm(1..n), so each tail product is scaled by
+    big^w.  Placing the largest position m_2 = m first gives the star
+    step
+
+        T_m[w][h] = T_(m-1)[w][h] + sum over e >= 1 of q_m^e T_m[w-e][h-[e>=2]],
+
+    whose reads see values already updated at m, since several parts may
+    share it.  A row of weight w reads only lighter rows, so the table is
+    built row by row, each row over every m as a running sum, and a
+    larger weight extends it without a rebuild.
+    """
+
+    def __init__(self, n: int):
+        self.big = lcm(*range(1, n + 1))
+        self.pows = [[1] for _ in range(n)]  # pows[m-1][e] = q_m^e
+        self.rows = [[[1] * n]]  # weight 0: the empty tail alone
+
+    def grow(self, w_max: int) -> None:
+        rows, pows = self.rows, self.pows
+        for w in range(len(rows), w_max + 1):
+            for m, pw in enumerate(pows, 1):
+                pw.append(pw[-1] * (self.big // m))
+            row = []
+            for h in range(w // 2 + 1):
+                # T_m[w-e][h'] is zero unless 2h' <= w - e
+                if 2 * h <= w - 1:
+                    inc = [pw[1] * t for pw, t in zip(pows, rows[w - 1][h])]
+                else:
+                    inc = [0] * len(pows)
+                if h:
+                    for e in range(2, w - 2 * h + 3):
+                        src = rows[w - e][h - 1]
+                        inc = [a + pw[e] * t for a, pw, t in zip(inc, pows, src)]
+                row.append(list(accumulate(inc)))
+            rows.append(row)
+
+
+@lru_cache(maxsize=64)
+def _star_tails(n: int) -> _StarTails:
+    return _StarTails(n)
+
+
+def polylog_family_coeff(n: int, k: int, s: int) -> Fraction:
+    """Coefficient of t^n summed over the admissible family (k, s).
+
+    The sum of ``polylog_star_coeff`` over every index of weight k and
+    height s with k_1 >= 2: the first part k_1 sits at m = n, and the
+    tail after it has weight k - k_1 and height s - 1, so the family sum
+    is sum over k_1 of q_n^(k_1) T_n[k-k_1][s-1] / big^k, with T the
+    cached ``_StarTails`` of n.
+    """
+    if n < 1 or s < 1:
+        raise ValueError(f"need n >= 1 and s >= 1, got n={n}, s={s}")
+    tails = _star_tails(n)
+    tails.grow(k - 2)
+    q = tails.big // n
+    num = sum(q ** k1 * tails.rows[k - k1][s - 1][-1]
+              for k1 in range(2, k - 2 * s + 3))
+    return Fraction(num, tails.big ** k)
+
+
 def gf_coefficient_check(n: int, k: int, s: int) -> VerificationRecord:
-    """[x^(k-2s) z^(2s-2)] of the series vs the brute polylog family sum."""
+    """[x^(k-2s) z^(2s-2)] of the series vs the polylog family sum.
+
+    Every s of one (n, k) reads the same grid, cut at max(12, k - 2) on
+    both axes.
+    """
     if n < 1 or s < 1 or 2 * s > k:
         raise ValueError(f"need n >= 1, s >= 1, 2s <= k; got n={n}, k={k}, s={s}")
-    i, j = k - 2 * s, 2 * s - 2
-    series = gf_coeff_series(n, max(12, i), max(12, j))
-    lhs = series.coeff(i, j)
-    rhs = sum((polylog_star_coeff(ix, n) for ix in iter_admissible_indices(k, s)),
-              Fraction(0))
+    order = max(12, k - 2)
+    lhs = gf_coeff_series(n, order, order).coeff(k - 2 * s, 2 * s - 2)
+    rhs = polylog_family_coeff(n, k, s)
     return comparison_record("phi0", frac_str(lhs), frac_str(rhs),
                              k=k, s=s, extra=(("n", n),))
 
@@ -225,23 +322,37 @@ def gauss_terminating_check(m: int, b, c) -> VerificationRecord:
     """Terminating Gauss series at 1 vs its closed rising-factorial form.
 
     Checks sum_{j<=m} (-m)_j (b)_j / ((c)_j j!) = (c-b)_m / (c)_m with
-    exact rationals; a vanishing (c)_j factor raises
-    DegenerateParametersError.
+    exact rationals; b and c must be ints or Fractions, and a vanishing
+    (c)_j factor raises DegenerateParametersError.
+
+    Both sides run on ints over one denominator each.  With b = bn/bd
+    and c = cn/cd, term j is P_j/Q_j, where P_j and Q_j are the products
+    over i < j of (i-m)(bn + i bd) cd and (cn + i cd)(i+1) bd, so the sum
+    is sum_j P_j (Q_m/Q_j) / Q_m, with Q_m/Q_j a suffix product; the
+    closed form is prod_{i<m} (cn bd - bn cd + i bd cd) over
+    prod_{i<m} (cn + i cd) times bd^m.
     """
     if m < 0:
         raise ValueError("need m >= 0")
-    b, c = Fraction(b), Fraction(c)
+    b, c = _as_fraction(b), _as_fraction(c)
+    bn, bd, cn, cd = b.numerator, b.denominator, c.numerator, c.denominator
     for j in range(m):
-        if c + j == 0:
+        if cn + j * cd == 0:
             raise DegenerateParametersError(
                 f"(c)_{j + 1} vanishes at c={frac_str(c)}")
-    lhs = Fraction(0)
-    term = Fraction(1)
-    for j in range(m + 1):
-        lhs += term
-        if j < m:
-            term *= Fraction((-m + j)) * (b + j) / ((c + j) * (j + 1))
-    rhs = _poch_frac(c - b, m) / _poch_frac(c, m)
+    p = [1]  # p[j] = P_j
+    for i in range(m):
+        p.append(p[-1] * (i - m) * (bn + i * bd) * cd)
+    lhs_num, suffix = p[m], 1  # suffix = Q_m / Q_j
+    for j in range(m - 1, -1, -1):
+        suffix *= (cn + j * cd) * (j + 1) * bd
+        lhs_num += p[j] * suffix
+    rhs_num = rhs_den = 1
+    for i in range(m):
+        rhs_num *= cn * bd - bn * cd + i * bd * cd
+        rhs_den *= cn + i * cd
+    lhs = Fraction(lhs_num, suffix)
+    rhs = Fraction(rhs_num, rhs_den * bd ** m)
     return comparison_record(
         "gauss", frac_str(lhs), frac_str(rhs),
         extra=(("m", m), ("b", frac_str(b)), ("c", frac_str(c))))

@@ -95,6 +95,36 @@ def test_ratfunc_normalization():
     assert RatFunc(Z * Z - 1, Z + 1) == RatFunc(Z - 1)
 
 
+def _linear(root):
+    return Poly((-root, 1))
+
+
+@given(st.lists(frac_st, max_size=5, unique=True),
+       frac_st.filter(lambda q: q != 0), st.integers(0, 5))
+@settings(max_examples=60, deadline=None)
+def test_ratfunc_from_roots_matches_the_reduced_product(roots, const, split):
+    # the same quotient through the gcd: products of the linear factors
+    num_roots, den_roots = roots[:split], roots[split:]
+    num, den = Poly((const,)), Poly((1,))
+    for r in num_roots:
+        num = num * _linear(r)
+    for r in den_roots:
+        den = den * _linear(r)
+    got = RatFunc.from_roots(const, num_roots, den_roots)
+    assert got == RatFunc(num, den)
+    assert str(got) == str(RatFunc(num, den))
+
+
+def test_ratfunc_from_roots_edges():
+    assert RatFunc.from_roots(F(-1, 2), [], [0]) == RatFunc(Poly((-1,)), 2 * Z)
+    assert RatFunc.from_roots(0, [1], [2]).is_zero
+    assert RatFunc.from_roots(3, (), ()) == RatFunc(Poly((3,)))
+    with pytest.raises(ValueError):
+        RatFunc.from_roots(1, [F(1, 2), 2], [2])  # 2 is a root of both sides
+    with pytest.raises(TypeError):
+        RatFunc.from_roots(0.5, [1], [2])
+
+
 @given(poly_st, nonzero_poly_st, poly_st, nonzero_poly_st)
 @settings(max_examples=60, deadline=None)
 def test_ratfunc_field_axioms(a, b, c, d):

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -19,6 +21,7 @@ from fmzv.symbolic import (
     pochhammer_poly,
     pole_weight,
     pole_weight_product_form,
+    polylog_family_coeff,
     polylog_star_coeff,
     run_gauss_suite,
     run_hypcong_suite,
@@ -46,6 +49,25 @@ def test_pole_weight_examples():
         pole_weight(2, 3)
     with pytest.raises(ValueError):
         pole_weight(2, 0)
+
+
+def _raw_pole_weight(n, l):
+    """W(n, l) as the raw products of its rising factorials, reduced by gcd."""
+    m = n - l
+    num = pochhammer_poly(1 - l, 1, l - 1) * pochhammer_poly(0, 1, m)
+    den = pochhammer_poly(1 - l, 2, l - 1) * Poly((0, 2)) * pochhammer_poly(1, 2, m)
+    const = F((-1) ** l)
+    for i in range(m):
+        const *= l + i
+    return RatFunc(num * (const / factorial(m)), den)
+
+
+def test_pole_weight_matches_raw_products():
+    for n in range(1, 15):
+        for l in range(1, n + 1):
+            got, want = pole_weight(n, l), _raw_pole_weight(n, l)
+            assert got == want, (n, l)
+            assert str(got) == str(want), (n, l)
 
 
 def test_pole_weight_forms_agree():
@@ -161,6 +183,37 @@ def test_polylog_star_coeff_matches_bruteforce():
             assert got == oracles.brute_li_star_coeff(tuple(ix), n), (tuple(ix), n)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_polylog_family_coeff_matches_brute_chains(n):
+    for k in range(2, 10):
+        for s in range(1, k // 2 + 1):
+            want = sum((oracles.brute_li_star_coeff(c, n)
+                        for c in oracles.compositions_filtered(k, s, first_min=2)),
+                       F(0))
+            assert polylog_family_coeff(n, k, s) == want, (n, k, s)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_polylog_family_coeff_matches_per_index_sums(n):
+    for k in range(2, 13):
+        for s in range(1, k // 2 + 1):
+            want = sum((polylog_star_coeff(ix, n) for ix in iter_admissible_indices(k, s)),
+                       F(0))
+            assert polylog_family_coeff(n, k, s) == want, (n, k, s)
+
+
+def test_phi0_reads_one_grid_per_order():
+    # every s of an (n, k) shares the grid cut at max(12, k - 2): for
+    # k <= 18 that is 5 orders (12..16) for each of the 4 values of n
+    gf_coeff_series.cache_clear()
+    try:
+        records = run_phi0_suite(n_max=4, k_max=18)
+        assert records and all(r.passed for r in records)
+        assert gf_coeff_series.cache_info().misses <= 20
+    finally:
+        gf_coeff_series.cache_clear()
+
+
 def test_gf_coefficient_check_examples():
     rec = gf_coefficient_check(1, 4, 1)
     assert rec.passed and rec.lhs == "3/1"
@@ -184,6 +237,53 @@ def test_gauss_terminating_examples():
         gauss_terminating_check(3, F(1, 2), -2)
     with pytest.raises(ValueError):
         gauss_terminating_check(-1, 1, 1)
+
+
+def _fraction_gauss(m, b, c):
+    """Both sides of the terminating Gauss evaluation, term by term."""
+    lhs, term = F(0), F(1)
+    for j in range(m + 1):
+        lhs += term
+        if j < m:
+            term *= F(j - m) * (b + j) / ((c + j) * (j + 1))
+    num = den = F(1)
+    for i in range(m):
+        num *= c - b + i
+        den *= c + i
+    return lhs, num / den
+
+
+def _gauss_pairs():
+    """240 seeded (b, c): negative values, b = c and integer c among them."""
+    rng = random.Random(20181)
+    pairs = [(F(3, 4), F(3, 4)), (F(-5, 3), F(-5, 3)), (F(2, 7), F(4)), (F(-9, 2), F(-23))]
+    for i in range(236):
+        b = F(rng.randint(-30, 30), rng.randint(1, 12))
+        c = F(rng.randint(-30, 30), rng.randint(1, 12) if i % 4 else 1)
+        pairs.append((b, b if i % 10 == 0 else c))
+    return pairs
+
+
+def test_gauss_matches_fraction_loop():
+    degenerate = 0
+    for b, c in _gauss_pairs():
+        for m in range(21):
+            if any(c + j == 0 for j in range(m)):
+                degenerate += 1
+                with pytest.raises(DegenerateParametersError):
+                    gauss_terminating_check(m, b, c)
+                continue
+            lhs, rhs = _fraction_gauss(m, b, c)
+            rec = gauss_terminating_check(m, b, c)
+            assert rec.passed and lhs == rhs, (m, b, c)
+            assert (rec.lhs, rec.rhs) == (f"{lhs.numerator}/{lhs.denominator}",) * 2, (m, b, c)
+    assert degenerate > 100
+
+
+@pytest.mark.parametrize("b, c", [(0.1, 3), (F(1, 2), 2.0), ("1/2", 3), (None, 1)])
+def test_gauss_rejects_inexact_parameters(b, c):
+    with pytest.raises(TypeError):
+        gauss_terminating_check(2, b, c)
 
 
 def test_gauss_suite_runs_clean():
