@@ -16,8 +16,9 @@ coefficient-by-coefficient against the polylog family sums, which one
 star (weight, height) DP per n gives for every (k, s) at once
 (``polylog_family_coeff``, from ``gf_coefficient_check``).  It also
 certifies the terminating evaluation of the Gauss series at 1 and,
-working over Z/pZ, the truncation congruences that connect the finite
-sums to that evaluation.
+over Z/pZ, the truncation congruences that connect the finite sums to
+that evaluation, at sampled points, each side from its order and
+leading coefficient there (``hypergeom_congruence_check``).
 
 All arithmetic is exact, and the rational suites run on ints with one
 Fraction per reported value; re-running any check yields bit-identical
@@ -31,30 +32,14 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial, lcm, prod
 
-from .errors import (
-    AllSamplesSkippedError,
-    DegenerateParametersError,
-    PoleCancellationError,
-)
+from .errors import AllSamplesSkippedError, DegenerateParametersError, PoleCancellationError
 from .indices import Index
 # Unused here: perfbench/tracing.py patches this name on this module.
 from .indices import iter_admissible_indices  # noqa: F401
 from .modfield import PrimeCtx, prime_ctx
-from .polys import (
-    BiSeries,
-    FpRatFunc,
-    Poly,
-    RatFunc,
-    _ZERO,
-    _as_fraction,
-    _series_div,
-    fp_add,
-    fp_mul,
-    fp_mul_linear,
-    fp_pochhammer_poly,
-    fp_scale,
-    fp_trim,
-)
+from .polys import BiSeries, Poly, RatFunc, _ZERO, _as_fraction, _series_div
+# Unused here: perfbench/tracing.py patches these names on this module.
+from .polys import fp_add, fp_mul, fp_pochhammer_poly, fp_scale  # noqa: F401
 from .records import VerificationRecord, comparison_record, skipped_record
 
 
@@ -359,119 +344,134 @@ def gauss_terminating_check(m: int, b, c) -> VerificationRecord:
 
 
 # ---------------------------------------------------------------------------
-# congruence checks over Z/pZ
+# congruence checks over Z/pZ, each side read at one sampled point z0 at a
+# time from its order and leading coefficient there
+
+_CONGRUENCES = ("truncation", "closed-form", "tail-term")
 
 
-def _build_congruence_sides(l: int, ctx: PrimeCtx):
-    """The three displayed congruences as reduced pairs over Z/pZ.
+def _horner_jets(z0: int, coeffs: list[int], p: int):
+    """First-order jets (value, derivative) at z0 of the series' sides.
 
-    Returns [(name, lhs, rhs), ...].  The Fermat-quotient factor
-    (z^(p-1)-1)/((2z)^(p-1)-1) is built literally and reduces to 1 in
-    Z/pZ(z), which is what lets the closed forms be sampled at all:
-    written as raw products of ~p consecutive shifts, both sides vanish
-    at every prime-field point.
+    The terms are c_n (z)_n / (2z+1)_n, coeffs[n] = c_n = (l)_n / n! for
+    n <= M = p - l.  Over (2z+1)_N the first N+1 terms sum to acc_N, and
+    acc_(N+1) = acc_N (2z+1+N) + c_(N+1) (z)_(N+1): one Horner pass, run
+    on jets beside those of (z)_N, (z+1)_N and (2z+1)_N.  Returns the
+    (numerator, denominator) jets of the truncated sum (i), which stops
+    at N = M-1, the full series (ii), the tail term c_M (z)_M / (2z+1)_M
+    (iii) and the right side of (i), ((z+1)_M - c_M (z)_M) / (2z+1)_M.
     """
-    p = ctx.p
-    M = p - l
-    inv_fact = ctx.factorials()[1]
+    av, ad, zv, zd, sv, sd, dv, dd = 1, 0, 1, 0, 1, 0, 1, 0  # acc, (z), (z+1), (2z+1)
+    last = len(coeffs) - 2
+    for n, c in enumerate(coeffs[1:]):
+        if n == last:
+            trunc = ((av, ad), (dv, dd))
+        f, g = (2 * z0 + 1 + n) % p, (z0 + n) % p
+        zv, zd = zv * g % p, (zd * g + zv) % p
+        sv, sd = sv * (g + 1) % p, (sd * (g + 1) + sv) % p
+        av, ad = (av * f + c * zv) % p, (ad * f + 2 * av + c * zd) % p
+        dv, dd = dv * f % p, (dd * f + 2 * dv) % p
+    t, den = coeffs[-1], (dv, dd)
+    return (trunc, ((av, ad), den), ((t * zv % p, t * zd % p), den),
+            (((sv - t * zv) % p, (sd - t * zd) % p), den))
 
-    # The series' terms are c_n (z)_n / (2z+1)_n with c_n = (l)_n / n!.
-    # Over the common denominator (2z+1)_N the first N+1 terms sum to
-    #   acc_N = sum_{n<=N} c_n (z)_n prod_{n<=i<N} (2z+1+i),
-    # and acc_(N+1) = acc_N (2z+1+N) + c_(N+1) (z)_(N+1): one pass of
-    # Horner's rule.  The truncated sum (i) stops at N = M-1, the full
-    # series (ii) at N = M.  Each step multiplies by linear factors in
-    # O(N) (``fp_mul_linear``), then adds c_(N+1) (z)_(N+1) in one zip.
-    # acc_N has degree <= N, but its top coefficient can vanish mod p,
-    # so the product is padded to (z)_(N+1)'s length before the zip.
-    z_poch, den, acc = [1], [1], [1]  # (z)_N, (2z+1)_N, acc_N at N = 0
-    poch_l = 1  # (l)_N mod p
-    for n in range(M):
-        if n == M - 1:
-            num_i, den_M1 = acc, den
-        den = fp_mul_linear(den, 1 + n, 2, p)
-        z_poch = fp_mul_linear(z_poch, n, 1, p)
-        poch_l = poch_l * ((l + n) % p) % p
-        c = poch_l * inv_fact[n + 1] % p
-        step = fp_mul_linear(acc, 1 + n, 2, p)
-        step += [0] * (len(z_poch) - len(step))
-        acc = fp_trim([(x + c * w) % p for x, w in zip(step, z_poch)])
-    num_ii, den_M = acc, den
-    tail_const = poch_l * inv_fact[M] % p  # (l)_M / M!
 
-    # (i) truncated sum vs terminating series minus its last term
-    lhs_i = FpRatFunc(num_i, den_M1, p)
-    rhs_i_num = fp_add(fp_pochhammer_poly(1, 1, M, p),
-                       fp_scale(z_poch, -tail_const % p, p), p)
-    rhs_i = FpRatFunc(rhs_i_num, den_M, p)
+def _jet_ratio(num, den, p: int):
+    """num/den at z0 from their jets there; None at a pole.
 
-    # (ii) full terminating series vs the Fermat-quotient closed form
-    lhs_ii = FpRatFunc(num_ii, den_M, p)
-    fermat = FpRatFunc([-1] + [0] * (p - 2) + [1],
-                       [-1] + [0] * (p - 2) + [pow(2, p - 1, p)], p)
-    rhs_ii = fermat * FpRatFunc(fp_pochhammer_poly(1 - l, 2, l - 1, p),
-                                fp_pochhammer_poly(1 - l, 1, l - 1, p), p)
+    Every den here is (2z+1)_N with N <= p-1, whose roots are distinct
+    mod p, so it vanishes to order <= 1, and a num whose jet is (0, 0)
+    leaves a zero of the quotient, not a pole.
+    """
+    (a0, a1), (b0, b1) = num, den
+    if b0:
+        return a0 * pow(b0, p - 2, p) % p
+    if not b1:
+        raise ArithmeticError("a denominator vanishes to order >= 2 at a sampled point")
+    return None if a0 else a1 * pow(b1, p - 2, p) % p
 
-    # (iii) the subtracted tail term vs its closed form
-    lhs_iii = FpRatFunc(fp_scale(z_poch, tail_const, p), den_M, p)
-    sign = 1 if l % 2 == 1 else -1
-    rhs_iii = fermat * FpRatFunc(
-        fp_mul([0, 1], fp_pochhammer_poly(1 - l, 2, l - 1, p), p),
-        fp_pochhammer_poly(-l, 1, l, p), p)
-    rhs_iii = rhs_iii.scale(sign)
 
-    return [("truncation", lhs_i, rhs_i),
-            ("closed-form", lhs_ii, rhs_ii),
-            ("tail-term", lhs_iii, rhs_iii)]
+def _quotient_at(nums, dens, p: int):
+    """prod(nums)/prod(dens) at z0 from their (order, lead) pairs; None at a pole."""
+    order = sum(o for o, _ in nums) - sum(o for o, _ in dens)
+    if order:
+        return None if order < 0 else 0
+    return prod(c for _, c in nums) * pow(prod(c for _, c in dens), p - 2, p) % p
+
+
+def _congruence_values(l: int, z0: int, coeffs: list[int], fact, inv_fact, p: int):
+    """(lhs, rhs) at z0 of each congruence, in the order of _CONGRUENCES.
+
+    The closed forms of (ii) and (iii) carry the Fermat-quotient factor
+    (z^(p-1)-1)/((2z)^(p-1)-1) literally; it is 1 in Z/pZ(z), which lets
+    them be sampled at all: written as raw products of ~p consecutive
+    shifts, both sides vanish at every prime-field point.
+    """
+    def poch(shift, scale, n):
+        # (order, lead) of prod_{i<n} (scale z + shift + i), n < p: the factors
+        # at z0 run a, a+1, ... from a in [1, p] and vanish only at p, where the
+        # factor is scale (z - z0); (p-1)! = -1 mod p
+        a = (scale * z0 + shift - 1) % p + 1
+        if a + n <= p:
+            return 0, fact[a + n - 1] * inv_fact[a - 1] % p
+        return 1, -scale * inv_fact[a - 1] * fact[a + n - 1 - p] % p
+
+    def fermat(c):  # c z^(p-1) - 1 vanishes at z0 != 0 to order one at most
+        v = (c * pow(z0, p - 1, p) - 1) % p
+        return (0, v) if v else (1, -c * pow(z0, p - 2, p) % p)
+
+    trunc, full, tail, rhs_trunc = _horner_jets(z0, coeffs, p)
+    halves, top, over = poch(1 - l, 2, l - 1), fermat(1), fermat(pow(2, p - 1, p))
+    sign = (0, 1 if l % 2 else p - 1)
+    return [(_jet_ratio(*trunc, p), _jet_ratio(*rhs_trunc, p)),
+            (_jet_ratio(*full, p),
+             _quotient_at((top, halves), (over, poch(1 - l, 1, l - 1)), p)),
+            (_jet_ratio(*tail, p),
+             _quotient_at((sign, top, poch(0, 1, 1), halves), (over, poch(-l, 1, l)), p))]
 
 
 def hypergeom_congruence_check(l: int, ctx: PrimeCtx, samples: int = 20,
                                seed: int = 1) -> VerificationRecord:
     """Sample the three truncation/closed-form congruences at random z0.
 
-    Each congruence is built symbolically as a reduced rational function
-    over Z/pZ, then evaluated pointwise at seeded pseudorandom z0 in
-    [1, p-1]; a z0 where either reduced denominator vanishes is skipped
-    and reported.  Raises AllSamplesSkippedError when some congruence
-    never finds an admissible z0.
+    Each side is a rational function over Z/pZ, read at seeded
+    pseudorandom z0 in [1, p-1] from its order and leading coefficient
+    there, which give its reduced form's value with no gcd: a pole at a
+    negative order, else the coefficient at order 0 and 0 above.  A z0
+    where either side has a pole is skipped and reported.  Raises
+    AllSamplesSkippedError when some congruence never finds an admissible z0.
     """
     p = ctx.p
     if not 1 <= l <= p - 2:
         raise ValueError(f"need 1 <= l <= p-2, got l={l}, p={p}")
     if samples < 1:
         raise ValueError("need samples >= 1")
-    sides = _build_congruence_sides(l, ctx)
+    fact, inv_fact = ctx.factorials()
+    coeffs = [fact[l + n - 1] * inv_fact[l - 1] * inv_fact[n] % p for n in range(p - l + 1)]
     rng = Lcg((seed << 20) ^ (p << 8) ^ l)
-    evaluated = [0] * len(sides)
-    skipped = [0] * len(sides)
-    mismatch = None
-    cap = samples * 16
-    for _ in range(cap):
+    evaluated, skipped, mismatch, seen = [0, 0, 0], [0, 0, 0], None, {}
+    for _ in range(samples * 16):
         if all(e >= samples for e in evaluated):
             break
         z0 = 1 + rng.below(p - 1)
-        for idx, (name, lhs, rhs) in enumerate(sides):
+        if z0 not in seen:  # draws repeat
+            seen[z0] = _congruence_values(l, z0, coeffs, fact, inv_fact, p)
+        for idx, (name, (lv, rv)) in enumerate(zip(_CONGRUENCES, seen[z0])):
             if evaluated[idx] >= samples:
                 continue
-            lv = lhs.eval_at(z0)
-            rv = rhs.eval_at(z0)
             if lv is None or rv is None:
                 skipped[idx] += 1
                 continue
             evaluated[idx] += 1
             if lv != rv and mismatch is None:
                 mismatch = (name, z0, lv, rv)
-    if any(e == 0 for e in evaluated):
-        starved = [sides[i][0] for i in range(len(sides)) if evaluated[i] == 0]
+    starved = [name for name, e in zip(_CONGRUENCES, evaluated) if e == 0]
+    if starved:
         raise AllSamplesSkippedError(
             f"no admissible z0 for {', '.join(starved)} (l={l}, p={p})")
-    extra = (
-        ("l", l),
-        ("seed", seed),
-        ("samples", samples),
-        ("evaluated", "/".join(str(e) for e in evaluated)),
-        ("skipped_samples", "/".join(str(s) for s in skipped)),
-    )
+    extra = (("l", l), ("seed", seed), ("samples", samples),
+             ("evaluated", "/".join(str(e) for e in evaluated)),
+             ("skipped_samples", "/".join(str(s) for s in skipped)))
     if mismatch is None:
         return VerificationRecord(check="hypcong", p=p, passed=True, extra=extra)
     name, z0, lv, rv = mismatch

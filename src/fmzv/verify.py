@@ -37,7 +37,9 @@ from .harmonic import (
     mhs_star,
     mhs_strict,
 )
-from .indices import Index, iter_all_indices, iter_indices_of_weight
+from .indices import Index, iter_indices_of_weight
+# Unused here: perfbench/tracing.py patches this name on this module.
+from .indices import iter_all_indices  # noqa: F401
 from .modfield import PrimeCtx, binom_mod, prime_ctx
 from .records import VerificationRecord, comparison_record, skipped_record
 
@@ -149,8 +151,8 @@ def _family_params(k_max: int, w_max: int, s_max: int | None) -> list[tuple]:
 
 
 def _height_params(k_max: int, w_max: int, s_max: int | None) -> list[tuple]:
-    return [(k, s) for k in range(1, k_max + 1) for s in range(0, _s_top(k, s_max) + 1)
-            if next(iter_all_indices(k, s), None) is not None]
+    # no cell is empty: s parts 2 and k - 2s parts 1 have weight k and height s
+    return [(k, s) for k in range(1, k_max + 1) for s in range(0, _s_top(k, s_max) + 1)]
 
 
 def _index_params(k_max: int, w_max: int, s_max: int | None) -> list[tuple]:

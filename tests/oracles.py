@@ -3,7 +3,11 @@
 Everything here is deliberately naive: direct chain enumeration for
 harmonic sums, bitmask composition generation, the textbook rational
 Bernoulli recurrence and its O(p^2) table mod p.  None of it shares
-code with the package paths it checks.
+code with the package paths it checks; the hypcong reference builds its
+sides as whole polynomials over Z/pZ with ``fmzv.polys``, which the
+pointwise evaluator it checks does not use, and shares only the seeded
+draws and the record type with it.  It imports ``fmzv`` when called,
+so the module loads without the package on the path.
 """
 
 from fractions import Fraction
@@ -240,3 +244,88 @@ def hypcong_left_sides(l, p):
 
     tail = poly_mul_mod(z_poch[M], [c[M]], p)
     return [numerator(M - 1), numerator(M), (tail, suffixes(M)[0])]
+
+
+@lru_cache(maxsize=None)
+def hypcong_sides(l, p):
+    """The three hypcong congruences at (l, p) as reduced FpRatFunc pairs.
+
+    Returns [(name, lhs, rhs), ...].  Both left numerators come from one
+    Horner pass on dense coefficient lists, acc_(N+1) = acc_N (2z+1+N) +
+    c_(N+1) (z)_(N+1) over the common denominator (2z+1)_N, and every
+    side is reduced by its gcd.  The Fermat-quotient factor
+    (z^(p-1)-1)/((2z)^(p-1)-1) is built literally and reduces to 1.
+    """
+    from fmzv.polys import (FpRatFunc, fp_add, fp_mul, fp_mul_linear,
+                            fp_pochhammer_poly, fp_scale, fp_trim)
+    M = p - l
+    z_poch, den, acc = [1], [1], [1]  # (z)_N, (2z+1)_N, acc_N at N = 0
+    poch_l, fact = 1, 1  # (l)_N and N! mod p
+    for n in range(M):
+        if n == M - 1:
+            num_i, den_M1 = acc, den
+        den = fp_mul_linear(den, 1 + n, 2, p)
+        z_poch = fp_mul_linear(z_poch, n, 1, p)
+        poch_l, fact = poch_l * (l + n) % p, fact * (n + 1) % p
+        c = poch_l * pow(fact, p - 2, p) % p
+        step = fp_mul_linear(acc, 1 + n, 2, p)
+        step += [0] * (len(z_poch) - len(step))
+        acc = fp_trim([(x + c * w) % p for x, w in zip(step, z_poch)])
+    tail_const = c  # (l)_M / M!
+
+    lhs_i = FpRatFunc(num_i, den_M1, p)
+    rhs_i = FpRatFunc(fp_add(fp_pochhammer_poly(1, 1, M, p),
+                             fp_scale(z_poch, -tail_const % p, p), p), den, p)
+    lhs_ii = FpRatFunc(acc, den, p)
+    fermat = FpRatFunc([-1] + [0] * (p - 2) + [1],
+                       [-1] + [0] * (p - 2) + [pow(2, p - 1, p)], p)
+    rhs_ii = fermat * FpRatFunc(fp_pochhammer_poly(1 - l, 2, l - 1, p),
+                                fp_pochhammer_poly(1 - l, 1, l - 1, p), p)
+    lhs_iii = FpRatFunc(fp_scale(z_poch, tail_const, p), den, p)
+    rhs_iii = (fermat * FpRatFunc(fp_mul([0, 1], fp_pochhammer_poly(1 - l, 2, l - 1, p), p),
+                                  fp_pochhammer_poly(-l, 1, l, p), p)
+               ).scale(1 if l % 2 == 1 else -1)
+    return [("truncation", lhs_i, rhs_i),
+            ("closed-form", lhs_ii, rhs_ii),
+            ("tail-term", lhs_iii, rhs_iii)]
+
+
+def hypcong_check(l, p, samples, seed):
+    """The hypcong record at (l, p), sampling the reduced sides with eval_at.
+
+    Draws z0 as ``fmzv.symbolic.hypergeom_congruence_check`` does and
+    raises AllSamplesSkippedError with its message when a congruence
+    never finds a z0 where both its sides are defined.
+    """
+    from fmzv.errors import AllSamplesSkippedError
+    from fmzv.records import VerificationRecord
+    from fmzv.symbolic import Lcg
+    sides = hypcong_sides(l, p)
+    rng = Lcg((seed << 20) ^ (p << 8) ^ l)
+    evaluated, skipped, mismatch = [0, 0, 0], [0, 0, 0], None
+    for _ in range(samples * 16):
+        if all(e >= samples for e in evaluated):
+            break
+        z0 = 1 + rng.below(p - 1)
+        for idx, (name, lhs, rhs) in enumerate(sides):
+            if evaluated[idx] >= samples:
+                continue
+            lv, rv = lhs.eval_at(z0), rhs.eval_at(z0)
+            if lv is None or rv is None:
+                skipped[idx] += 1
+                continue
+            evaluated[idx] += 1
+            if lv != rv and mismatch is None:
+                mismatch = (name, z0, lv, rv)
+    starved = [name for (name, _, _), e in zip(sides, evaluated) if e == 0]
+    if starved:
+        raise AllSamplesSkippedError(
+            f"no admissible z0 for {', '.join(starved)} (l={l}, p={p})")
+    extra = (("l", l), ("seed", seed), ("samples", samples),
+             ("evaluated", "/".join(map(str, evaluated))),
+             ("skipped_samples", "/".join(map(str, skipped))))
+    if mismatch is None:
+        return VerificationRecord(check="hypcong", p=p, passed=True, extra=extra)
+    name, z0, lv, rv = mismatch
+    return VerificationRecord(check="hypcong", p=p, lhs=str(lv), rhs=str(rv), passed=False,
+                              reason=f"{name} congruence failed at z0={z0}", extra=extra)

@@ -6,13 +6,14 @@ import pytest
 
 import fmzv.symbolic
 import oracles
-from fmzv.errors import DegenerateParametersError, PoleCancellationError
+from fmzv.errors import AllSamplesSkippedError, DegenerateParametersError, PoleCancellationError
 from fmzv.indices import Index, iter_admissible_indices, iter_indices_of_weight
 from fmzv.modfield import prime_ctx
-from fmzv.polys import Poly, RatFunc, Z
+from fmzv.polys import FpRatFunc, Poly, RatFunc, Z
 from fmzv.symbolic import (
     Lcg,
-    _build_congruence_sides,
+    _horner_jets,
+    _jet_ratio,
     anl_form_agreement,
     gauss_terminating_check,
     gf_coeff_series,
@@ -331,13 +332,67 @@ def test_phi0_suite_small():
     assert records and all(r.passed for r in records)
 
 
+def _jet(poly, x, p):
+    """(value, derivative) of a coefficient list at x, mod p."""
+    return (sum(c * x ** i for i, c in enumerate(poly)) % p,
+            sum(i * c * x ** (i - 1) for i, c in enumerate(poly) if i) % p)
+
+
+def _series_coeffs(l, p):
+    """c_n = (l)_n / n! mod p for n <= p - l, term by term."""
+    out, poch, fact = [], 1, 1
+    for n in range(p - l + 1):
+        out.append(poch * pow(fact, p - 2, p) % p)
+        poch, fact = poch * (l + n) % p, fact * (n + 1) % p
+    return out
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 31, 61])
 def test_congruence_sides_match_suffix_product_oracle(p):
-    # the Horner pass against the three sums built term by term from
-    # suffix products; the sides are reduced, so compare cross products
-    ctx = prime_ctx(p)
+    # the Horner pass on jets against the three left sides built term by
+    # term from suffix products: value and derivative at every z0
     for l in range(1, p - 1):
-        sides = _build_congruence_sides(l, ctx)
-        for (name, lhs, _), (num, den) in zip(sides, oracles.hypcong_left_sides(l, p)):
-            assert (oracles.poly_mul_mod(list(lhs.num), den, p)
-                    == oracles.poly_mul_mod(num, list(lhs.den), p)), (name, l)
+        sides = oracles.hypcong_left_sides(l, p)
+        coeffs = _series_coeffs(l, p)
+        for z0 in range(1, p):
+            want = [(_jet(num, z0, p), _jet(den, z0, p)) for num, den in sides]
+            assert list(_horner_jets(z0, coeffs, p)[:3]) == want, (l, z0)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 31, 61])
+def test_hypergeom_congruence_matches_reduced_ratfunc_oracle(p):
+    # every record, skip counts included, against the sides built as
+    # whole polynomials, reduced by gcd and sampled with eval_at
+    ctx = prime_ctx(p)
+
+    def outcome(check, *args):
+        try:
+            return check(*args)
+        except AllSamplesSkippedError as err:
+            return str(err)
+
+    for seed in (1, 3, 7):
+        for samples in (3, 20):
+            for l in range(1, p - 1):
+                assert (outcome(hypergeom_congruence_check, l, ctx, samples, seed)
+                        == outcome(oracles.hypcong_check, l, p, samples, seed)), (seed, samples, l)
+
+
+def test_jet_ratio_reads_the_local_order():
+    p = 7
+    # (z-3)^2 (z+1) over (z-3)(z+2): a double root over a simple one is a
+    # zero of the quotient at z = 3, not a pole
+    num = oracles.poly_mul_mod(oracles.poly_mul_mod([4, 1], [4, 1], p), [1, 1], p)
+    den = oracles.poly_mul_mod([4, 1], [2, 1], p)
+    assert _jet(num, 3, p) == (0, 0)
+    assert _jet_ratio(_jet(num, 3, p), _jet(den, 3, p), p) == 0
+    assert FpRatFunc(num, den, p).eval_at(3) == 0
+    # a simple root over a simple root: the ratio of the derivatives
+    num = oracles.poly_mul_mod([4, 1], [1, 1], p)
+    assert _jet_ratio(_jet(num, 3, p), _jet(den, 3, p), p) == FpRatFunc(num, den, p).eval_at(3)
+    # no root over a simple root: a pole
+    assert _jet_ratio(_jet([1, 1], 3, p), _jet(den, 3, p), p) is None
+    assert FpRatFunc([1, 1], den, p).eval_at(3) is None
+    # a denominator vanishing to order 2 breaks the premise and raises
+    with pytest.raises(ArithmeticError):
+        _jet_ratio(_jet(num, 3, p), (0, 0), p)

@@ -1,5 +1,6 @@
 import pytest
 
+import oracles
 from fmzv import harmonic
 from fmzv.errors import InfeasibleFamilyError
 from fmzv.indices import Index
@@ -129,6 +130,20 @@ def test_check_tasks_grids():
     assert ("antipode", (1,)) in anti and ("antipode", (2, 1)) in anti
     with pytest.raises(ValueError):
         check_tasks("nope")
+
+
+@pytest.mark.parametrize("s_max", [None, 0, 1, 3])
+def test_height_grid_has_no_empty_cell(s_max):
+    # the heightsum grid is the whole triangle 0 <= s <= k // 2 (cut at
+    # --smax), and every cell of it holds a composition of weight k and
+    # height s, so filtering out empty families would drop nothing
+    heights = {k: {sum(1 for x in c if x >= 2) for c in oracles.all_compositions(k)}
+               for k in range(1, 15)}
+    for k_max in range(1, 15):
+        grid = [(k, s) for _, k, s in check_tasks("heightsum", k_max=k_max, s_max=s_max)]
+        assert grid == [(k, s) for k in range(1, k_max + 1)
+                        for s in range(k // 2 + 1) if s_max is None or s <= s_max]
+        assert grid == [(k, s) for k, s in grid if s in heights[k]]
 
 
 def test_evaluate_tasks_for_prime_skips_without_ctx():
