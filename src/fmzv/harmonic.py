@@ -7,18 +7,19 @@ with precomputed inverse power tables, giving O(p * depth) per index.
 
 Family sums aggregate these values over every index of fixed weight and
 height.  They come from one engine: a (weight, height) dynamic program
-that fills the whole table up to a weight in a single pass over m, kept
-on the ``PrimeCtx``.  The parts e >= 2 placed at one m sum to the
-geometric tail y * (x/m)^2 / (1 - x/m) of Aoki and Ohno's generating
-series, so the DP carries them as one running tail per height,
+that fills its three tables (alternating strict, star, and star with a
+free first part) up to a weight in a single pass over m, kept on the
+``PrimeCtx``.  The parts e >= 2 placed at one m sum to the geometric tail
+y * (x/m)^2 / (1 - x/m) of Aoki and Ohno's generating series, so the DP
+carries them as one running tail per height,
 
     G[w][h] = sign * m^(-2) * T[w-2][h-1] + m^(-1) * G[w-1][h],
 
-and costs O(p * k * h) per table from the rows m^(-1) and m^(-2) alone.
-The star sweep reads the values already updated at m, the strict sweep
-those from before m (see ``_family_sweep``).  Enumerating the family
-index by index is the independent oracle of the tests, not a production
-path.
+and costs O(p * k * h) from m^(-1) and m^(-2) alone, read once per m for
+all three tables.  The star tables read the values already updated at m,
+the strict table those from before m (see ``_family_tables``).
+Enumerating the family index by index is the independent oracle of the
+tests, not a production path.
 """
 
 from __future__ import annotations
@@ -86,53 +87,68 @@ def _require_prime_above(k: int, ctx: PrimeCtx) -> None:
         raise ValueError(f"prime {ctx.p} too small: need p > {k + 1} for weight {k}")
 
 
-def _family_sweep(k_max: int, ctx: PrimeCtx, sign: int, first_min: int) -> list[list[int]]:
-    """One pass over m = p-1 .. 1 of the (weight, height) DP; returns T[w][h].
+def _family_tables(k_max: int, ctx: PrimeCtx) -> list[list[list[int]]]:
+    """[alternating strict, star, star with free first part], each as T[w][h].
 
-    T[w][h] holds the contribution of all partial indices of weight w and
-    height h whose parts sit at positions > m; T[0][0] = 1 is the empty
-    index.  A part e placed at m multiplies by sign * m^(-e) and moves
-    (w, h) to (w + e, h + [e >= 2]); the first part placed is k1 and must
-    be >= ``first_min``.  The parts e >= 2 at m add up to the running tail
+    All three come from one pass over m = p-1 .. 1 of the (weight,
+    height) DP.  T[w][h] holds the contribution of all partial indices of
+    weight w and height h whose parts sit at positions > m; T[0][0] = 1 is
+    the empty index.  A part e placed at m multiplies by sign * m^(-e) and
+    moves (w, h) to (w + e, h + [e >= 2]); the first part placed is k1,
+    which must be >= 2 in the first two tables.  The parts e >= 2 at m add
+    up to the running tail
 
         G[w][h] = sum over e >= 2 of sign * m^(-e) * T[w-e][h-1]
                 = sign * m^(-2) * T[w-2][h-1] + m^(-1) * G[w-1][h],
 
-    so each cell costs O(1) per m, O(p * k * h) per table, and the sweep
-    reads only the rows m^(-1) and m^(-2).  Each height is one column,
-    swept upward in w with G carried along it.  ``sign = +1`` gives star
-    chains: several parts may share m, so the heights go upward and every
-    read sees the values already updated at m.  ``sign = -1`` gives strict
-    chains with (-1)^depth folded in: at most one part per m, so every
-    read must see the values from before m; the heights go downward, so
-    height h-1 is not yet updated when height h reads it, and T[w-1][h]
-    is kept from before its update.
+    so each cell costs O(1) per m, O(p * k * h) for the three tables, and
+    the pass reads m^(-1) and m^(-2) once per m.  Each height is one
+    column, swept upward in w with G carried along it; each table's plan
+    lists its columns, the column below each and the first weight each
+    can reach, in the order they are swept.
+
+    The star tables (sign +1) let several parts share m, so their heights
+    go upward and every read sees the values already updated at m.  The
+    strict table (sign -1, which folds in (-1)^depth) allows at most one
+    part per m, so every read must see the values from before m: its
+    heights go downward, so height h-1 is not yet updated when height h
+    reads it, and T[w-1][h] is kept from before its update.
     """
     p = ctx.p
     h_max = k_max // 2
     inv1, inv2 = _inverse_power_rows(ctx, 2)[1:3]
-    star = sign > 0
-    # cols[h][w] = T[w][h]; with k1 >= 2 height 0 holds only the empty index
-    cols = [[1] + [0] * k_max] + [[0] * (k_max + 1) for _ in range(h_max)]
-    heights = range(0 if first_min < 2 else 1, h_max + 1)
-    if not star:
-        heights = heights[::-1]
-    zero = [0] * (k_max + 1)
+    width = k_max + 1
+    zero = [0] * width
+
+    def columns():
+        # cols[h][w] = T[w][h]; with k1 >= 2 height 0 holds only the empty index
+        return [[1] + [0] * k_max] + [[0] * width for _ in range(h_max)]
+
+    def plan(cols, heights):
+        # T[w][h] = 0 for w < 2h, and every part has weight >= 1
+        return [(cols[h], cols[h - 1] if h else zero, 2 * h or 1) for h in heights]
+
+    alt, star, free = columns(), columns(), columns()
+    alt_plan = plan(alt, range(h_max, 0, -1))
+    star_plan = plan(star, range(1, h_max + 1)) + plan(free, range(h_max + 1))
     for m in range(p - 1, 0, -1):
-        a = inv1[m]
-        s1, s2 = (a, inv2[m]) if star else (p - a, p - inv2[m])  # sign * m^(-1), m^(-2)
-        for h in heights:
-            col = cols[h]
-            below = cols[h - 1] if h else zero
-            start = 2 * h or 1  # T[w][h] = 0 for w < 2h
-            # prev is T[w-1][h], which a part 1 extends; g is G[w][h]
+        a, b = inv1[m], inv2[m]
+        na, nb = p - a, p - b  # -m^(-1), -m^(-2)
+        for col, below, start in alt_plan:
+            # prev is T[w-1][h] from before m, which a part 1 extends; g is G[w][h]
             prev, g = col[start - 1], 0
-            for w in range(start, k_max + 1):
-                g = (s2 * below[w - 2] + a * g) % p
+            for w in range(start, width):
+                g = (nb * below[w - 2] + a * g) % p
                 old = col[w]
-                col[w] = new = (old + s1 * prev + g) % p
-                prev = new if star else old
-    return [list(row) for row in zip(*cols)]
+                col[w] = (old + na * prev + g) % p
+                prev = old
+        for col, below, start in star_plan:
+            # as above, but prev is T[w-1][h] already updated at m
+            prev, g = col[start - 1], 0
+            for w in range(start, width):
+                g = (b * below[w - 2] + a * g) % p
+                prev = col[w] = (col[w] + a * prev + g) % p
+    return [[list(row) for row in zip(*cols)] for cols in (alt, star, free)]
 
 
 def family_table(k: int, ctx: PrimeCtx) -> list[list[list[int]]]:
@@ -147,11 +163,6 @@ def family_table(k: int, ctx: PrimeCtx) -> list[list[list[int]]]:
             if len(tables[0]) <= k:
                 tables[:] = _family_tables(k, ctx)
     return tables
-
-
-def _family_tables(k: int, ctx: PrimeCtx) -> list[list[list[int]]]:
-    return [_family_sweep(k, ctx, -1, 2), _family_sweep(k, ctx, 1, 2),
-            _family_sweep(k, ctx, 1, 1)]
 
 
 def family_sum_star(k: int, s: int, ctx: PrimeCtx) -> int:

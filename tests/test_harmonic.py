@@ -2,6 +2,7 @@ import pytest
 
 import oracles
 from fmzv.harmonic import (
+    _family_tables,
     family_sum_alt_strict,
     family_sum_star,
     family_sum_star_unrestricted,
@@ -143,6 +144,41 @@ def test_family_sums_dp_matches_enumeration_at_large_weight():
                         assert family_sum_star(k, s, ctx) == star, (k, s, p)
                     assert family_sum_star_unrestricted(k, s, ctx) == star_all, (k, s, p)
             assert len(family_table(weights[0], ctx)[0]) == weights[-1] + 1
+
+
+def _assert_tables_match_enumeration(tables, k_max, p):
+    # every cell (w, h) of the three tables, w <= k_max, against the sums
+    # over every composition; the first two tables count the empty index
+    # at (0, 0) and no other index with a first part 1
+    alt, star, free = tables
+    assert len(alt) == len(star) == len(free) == k_max + 1
+    for w in range(k_max + 1):
+        want = oracles.family_sums(w, p)
+        for h in range(k_max // 2 + 1):
+            cell = (alt[w][h], star[w][h], free[w][h])
+            if w == 0:
+                assert cell == ((h == 0,) * 3), (w, h, p)
+            else:
+                assert cell == want.get(h, (0, 0, 0)), (w, h, p)
+
+
+@pytest.mark.parametrize("p", [11, 13, 17, 31, 37])
+def test_one_pass_tables_match_enumeration(p):
+    _assert_tables_match_enumeration(_family_tables(9, PrimeCtx(p)), 9, p)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 9])
+def test_one_pass_tables_match_enumeration_at_the_boundary_prime(k):
+    # p = k + 2, the least prime each weight is checked at
+    _assert_tables_match_enumeration(_family_tables(k, PrimeCtx(k + 2)), k, k + 2)
+
+
+@pytest.mark.parametrize("p", [11, 17, 37])
+def test_grown_family_table_equals_a_direct_build(p):
+    for k, grown in ((2, 9), (3, 8), (8, 9)):
+        ctx = PrimeCtx(p)
+        family_table(k, ctx)
+        assert family_table(grown, ctx) == _family_tables(grown, PrimeCtx(p)), (k, grown)
 
 
 def test_family_sums_dp_small_prime_guard():
