@@ -11,13 +11,12 @@ Four subcommands:
 
 Every command that reports records takes one path: ``_open_out`` opens
 stdout or ``--out`` (a fresh CSV gets its header there), and ``_emit``
-writes each VerificationRecord as one JSON line (``records.json_line``)
-or CSV row and counts them for the stderr summary line.  ``verify`` and
-``zsweep`` share ``_open_sweep``: it parses ``--primes`` and, for
-``--resume``, checks that ``--out`` holds a prefix of this run's records
-(``_resume_primes``) before any record is computed.  The records a resume
-keeps are read back into records and counted as ``_emit`` counts its own,
-so the summary line and the exit code describe the whole file.
+writes each VerificationRecord dict as one JSON or CSV line and counts
+them for the stderr summary line.  ``verify`` and ``zsweep`` share
+``_open_sweep``: it parses ``--primes`` and, for ``--resume``, checks
+that ``--out`` holds a prefix of this run's records (``_resume_primes``)
+before any record is computed.  The records a resume keeps count in the
+summary line and the exit code, so both describe the whole file.
 
 Exit codes: 0 all records passed or were skipped, 1 at least one record
 failed, 2 usage error (including a flag that leaves nothing to check),
@@ -42,7 +41,6 @@ from .bernoulli import zeta_sweep_row
 from .indices import Index
 from .modfield import PrimeCtx, is_prime, primes_in_range
 from .harmonic import mhs_star, mhs_strict
-from .records import JSON_KEYS, VerificationRecord, json_line
 from .symbolic import (
     run_anl_suite,
     run_gauss_suite,
@@ -61,6 +59,10 @@ from .verify import (
 VERIFY_COLUMNS = ("check", "k", "s", "index", "p", "lhs", "rhs", "pass", "skipped", "reason")
 ZSWEEP_COLUMNS = ("check", "k", "p", "lhs", "rhs", "pass", "skipped", "reason", "zero", "cross")
 EXIT_STDOUT_CLOSED = 141  # 128 + SIGPIPE, as a shell reports a killed writer
+
+# One encoder for every record: json.dumps with separators builds a new one
+# per call.
+_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
 def _fail(message: str) -> int:
@@ -119,22 +121,20 @@ def _new_tally() -> dict:
 
 
 def _count(tally, records) -> None:
-    """Add records to ``tally``: records, failed and skipped, and of
+    """Add record dicts to ``tally``: records, failed and skipped, and of
     zsweep rows the zero residues and the degenerate cross-checks."""
     for rec in records:
         tally["records"] += 1
-        tally["failed"] += not rec.passed
-        tally["skipped"] += rec.skipped
-        if rec.extra:
-            extra = dict(rec.extra)
-            tally["zero"] += extra.get("zero", False)
-            tally["degenerate"] += extra.get("cross") == "degenerate"
+        tally["failed"] += not rec["pass"]
+        tally["skipped"] += rec["skipped"]
+        tally["zero"] += rec.get("zero", False)
+        tally["degenerate"] += rec.get("cross") == "degenerate"
 
 
 def _emit(batches, handle, fmt, columns, tally=None) -> dict:
-    """Write every batch of records to ``handle`` as JSON lines or as CSV
-    rows of ``columns``, flushing after each, then close it unless it is
-    stdout.
+    """Write every batch of record dicts to ``handle`` as JSON lines or as
+    CSV rows of ``columns``, flushing after each, then close it unless it
+    is stdout.
 
     Returns ``tally`` (a fresh one by default) with the written records
     counted in (see ``_count``).  A broken pipe on stdout stops the run
@@ -147,18 +147,14 @@ def _emit(batches, handle, fmt, columns, tally=None) -> dict:
     writer = csv.writer(handle, lineterminator="\n") if fmt == "csv" else None
     try:
         for batch in batches:
-            if writer is None:
-                # a write per line, not one joined write per batch: a batch
-                # larger than a pipe could then land whole after a reader
-                # like `head -1` took its line, and the run would not see
-                # the closed pipe
-                handle.writelines(map(json_line, batch))
-            else:
-                for rec in batch:
+            for rec in batch:
+                if writer is None:
+                    handle.write(_JSON.encode(rec) + "\n")
+                else:
                     # true/false as in JSON; csv writes None as an empty
                     # field (``_csv_record`` reads a row back)
                     writer.writerow([str(v).lower() if isinstance(v, bool) else v
-                                     for v in map(rec.to_json_dict().get, columns)])
+                                     for v in map(rec.get, columns)])
             _count(tally, batch)
             handle.flush()
     except BrokenPipeError:
@@ -183,14 +179,6 @@ def _csv_record(columns, row) -> dict:
 
 def _text(value) -> str:
     return "" if value is None else str(value)
-
-
-def _record(fields: dict) -> VerificationRecord:
-    """The record of a JSON or CSV line read back, as ``_count`` reads it
-    (a CSV row's numbers stay strings)."""
-    return VerificationRecord(*map(fields.get, JSON_KEYS),
-                              extra=tuple((key, value) for key, value in fields.items()
-                                          if key not in JSON_KEYS))
 
 
 def _resume_primes(path, fmt, columns, keys, primes) -> tuple[list[int], dict]:
@@ -251,7 +239,7 @@ def _resume_primes(path, fmt, columns, keys, primes) -> tuple[list[int], dict]:
             named = " ".join(f"{field}={value}" for field, value in want.items()
                              if value is not None)
             raise ValueError(f"{path}: line {lineno} is not this run's {named}")
-        pending.append(_record(rec))
+        pending.append(rec)
         if (i + 1) % per_prime == 0:
             keep = pos
             _count(tally, pending)
@@ -284,7 +272,7 @@ def _verify_worker(args):
     p, tasks = args
     records = evaluate_tasks_for_prime(p, list(tasks))
     records.sort(key=record_sort_key)
-    return records
+    return [r.to_json_dict() for r in records]
 
 
 def cmd_verify(args) -> int:
@@ -328,7 +316,7 @@ def cmd_zsweep(args) -> int:
                                            [{"check": "zsweep", "k": args.k}])
     except (ValueError, OSError) as err:
         return _fail(str(err))
-    rows = ([zeta_sweep_row(args.k, p)] for p in primes)
+    rows = ([zeta_sweep_row(args.k, p).to_json_dict()] for p in primes)
     tally = _emit(rows, handle, args.format, ZSWEEP_COLUMNS, kept)
     print(
         f"zsweep k={args.k}: {tally['records']} primes, {tally['zero']} zero residues, "
@@ -366,7 +354,7 @@ def cmd_compute(args) -> int:
 
 def _suite_batch(run):
     """The suite's records as one batch, computed when ``_emit`` asks for it."""
-    yield list(run())
+    yield [rec.to_json_dict() for rec in run()]
 
 
 def cmd_symbolic(args) -> int:

@@ -1,21 +1,8 @@
-"""The VerificationRecord: one check outcome, the unit of every report.
-
-``json_line`` writes a record as the line ``json.dumps`` would make of its
-``to_json_dict()`` with separators (",", ":"), built from the fields
-without the dict: the JSONL path of every command.
-"""
+"""The VerificationRecord: one check outcome, the unit of every report."""
 
 from __future__ import annotations
 
-import json
-from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple
-
-# One encoder for the values json_line does not write itself: json.dumps
-# with separators builds a new one per call.
-_JSON = json.JSONEncoder(separators=(",", ":"))
-# The JSON key of each field but ``extra``, in field order.
-JSON_KEYS = ("check", "p", "k", "s", "index", "lhs", "rhs", "pass", "skipped", "reason")
 
 
 class VerificationRecord(NamedTuple):
@@ -83,49 +70,3 @@ def comparison_record(check: str, lhs: str, rhs: str, *, p=None, k=None, s=None,
         lhs=lhs, rhs=rhs, passed=(lhs == rhs), skipped=False,
         reason=reason, extra=tuple(extra),
     )
-
-
-def _json_value(value) -> str:
-    """``value`` as the shared encoder writes it: bools before ints, since
-    a bool is an int."""
-    if value.__class__ is str:
-        return _json_str(value)
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value.__class__ is int:
-        return int.__repr__(value)
-    return _JSON.encode(value)
-
-
-def json_line(rec: VerificationRecord) -> str:
-    """``json.dumps(rec.to_json_dict(), separators=(",", ":"))`` and a
-    newline, written from the fields in the dict's key order."""
-    check, p, k, s, index, lhs, rhs, passed, skipped, reason, extra = rec
-    if extra:
-        keys = dict(extra).keys()
-        if (len(keys) < len(extra) or not keys.isdisjoint(JSON_KEYS)
-                or not all(key.__class__ is str for key in keys)):
-            # a repeated key, a field's key or a key that is not a str:
-            # the dict decides which value stays and where
-            return _JSON.encode(rec.to_json_dict()) + "\n"
-    line = '{"check":' + _json_value(check)
-    if k is not None:
-        line += ',"k":' + _json_value(k)
-    if s is not None:
-        line += ',"s":' + _json_value(s)
-    if index is not None:
-        line += ',"index":' + _json_value(index)
-    if p is not None:
-        line += ',"p":' + _json_value(p)
-    if lhs is not None:
-        line += ',"lhs":' + _json_value(lhs)
-    if rhs is not None:
-        line += ',"rhs":' + _json_value(rhs)
-    line += ',"pass":' + _json_value(passed) + ',"skipped":' + _json_value(skipped)
-    if reason is not None:
-        line += ',"reason":' + _json_value(reason)
-    for key, value in extra:
-        line += "," + _json_str(key) + ":" + _json_value(value)
-    return line + "}\n"

@@ -177,7 +177,7 @@ def test_exit_code_on_failure(tmp_path, capsys, monkeypatch):
         p, _tasks = args
         rec = VerificationRecord(check="ao", p=p, k=2, s=1,
                                  lhs="1", rhs="2", passed=False)
-        return [rec]
+        return [rec.to_json_dict()]
 
     monkeypatch.setattr(cli_mod, "_verify_worker", fake_worker)
     code, out, _ = run_cli(["verify", "ao", "--kmax", "2", "--primes", "5..5",
@@ -339,8 +339,8 @@ def test_resume_summary_counts_the_kept_records(tmp_path, capsys, argv, fmt):
 @pytest.mark.parametrize("k", [4, 9])
 def test_resume_counts_kept_zero_and_degenerate_rows(tmp_path, capsys, k, fmt):
     # the zero residues and degenerate cross-checks of the rows a resume
-    # keeps are read back from their extras and counted like new ones,
-    # wherever the file was cut
+    # keeps are read back and counted like new ones, wherever the file was
+    # cut
     base = ["zsweep", "--k", str(k), "--format", fmt, "--primes", "3..31"]
     out = tmp_path / f"run.{fmt}"
     code, _, oneshot_err = run_cli(base + ["--out", str(out)], capsys)
