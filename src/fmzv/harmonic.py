@@ -72,13 +72,13 @@ def _mhs_int(parts: tuple[int, ...], ctx: PrimeCtx, star: bool) -> int:
     return state[0]
 
 
-def mhs_strict(ix: Index, ctx: PrimeCtx) -> int:
-    """Strict truncated sum for ``ix`` mod p; empty index gives 1."""
+def mhs_strict(ix: Index | tuple[int, ...], ctx: PrimeCtx) -> int:
+    """Strict truncated sum for ``ix``, an Index or parts tuple, mod p; empty gives 1."""
     return _mhs_int(tuple(ix), ctx, star=False)
 
 
-def mhs_star(ix: Index, ctx: PrimeCtx) -> int:
-    """Non-strict truncated sum for ``ix`` mod p; empty index gives 1."""
+def mhs_star(ix: Index | tuple[int, ...], ctx: PrimeCtx) -> int:
+    """Non-strict truncated sum for ``ix``, an Index or parts tuple, mod p; empty gives 1."""
     return _mhs_int(tuple(ix), ctx, star=True)
 
 

@@ -514,13 +514,10 @@ def run_phi0_suite(n_max: int = 5, k_max: int = 6) -> list[VerificationRecord]:
     return records
 
 
-def run_hypcong_suite(p: int, samples: int = 20, seed: int = 7,
-                      ls=None) -> list[VerificationRecord]:
+def run_hypcong_suite(p: int, samples: int = 20, seed: int = 7) -> list[VerificationRecord]:
     ctx = prime_ctx(p)
-    if ls is None:
-        ls = range(1, p - 1)
     records = []
-    for l in ls:
+    for l in range(1, p - 1):
         try:
             records.append(hypergeom_congruence_check(l, ctx, samples, seed))
         except AllSamplesSkippedError as err:

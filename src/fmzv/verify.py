@@ -21,6 +21,9 @@ reproduce it, and sweeps keep going past failures.
 which fixes its tasks, its guard and its record fields, and to its
 ``verify_*`` function.  Sweeps, resumes and the CLI read it and name no
 check themselves.
+
+A task is ``(check, k, s)`` or ``(check, parts)``, and one prime's records
+follow its tasks: sorted, the tasks give the order of ``record_sort_key``.
 """
 
 from __future__ import annotations
@@ -49,6 +52,10 @@ def _shared_rhs(k: int, s: int, ctx: PrimeCtx) -> int:
     binom = binom_mod(k - 1, 2 * s - 1, ctx)
     half_factor = (1 - pow(pow(2, k - 1, p), p - 2, p)) % p
     return 2 * binom % p * half_factor % p * zeta_residue(k, ctx) % p
+
+
+def _index_text(parts: tuple[int, ...]) -> str:
+    return ",".join(map(str, parts))  # as str(Index(parts))
 
 
 def _family_guards(k: int, s: int) -> None:
@@ -90,38 +97,35 @@ def verify_lemma(k: int, s: int, ctx: PrimeCtx) -> VerificationRecord:
     return comparison_record("lemma", str(lhs), str(rhs), p=ctx.p, k=k, s=s)
 
 
-def verify_antipode(ix: Index, ctx: PrimeCtx) -> VerificationRecord:
+def verify_antipode(ix: Index | tuple[int, ...], ctx: PrimeCtx) -> VerificationRecord:
     """Alternating strict/star convolution over prefix splits sums to zero.
 
     Empty prefix/suffix factors contribute 1, so the i = 0 and i = depth
     boundary terms are the plain star and signed strict values.
     """
-    if ix.depth < 1:
-        raise ValueError("antipode check needs depth >= 1")
-    if ctx.p <= ix.weight + 1:
-        return skipped_record("antipode", f"p <= {ix.weight + 1}",
-                              p=ctx.p, index=str(ix))
-    p = ctx.p
     parts = tuple(ix)
-    total = 0
+    if not parts:
+        raise ValueError("antipode check needs depth >= 1")
+    guard = sum(parts) + 1
+    if ctx.p <= guard:
+        return skipped_record("antipode", f"p <= {guard}", p=ctx.p, index=_index_text(parts))
+    p, total = ctx.p, 0
     for i in range(len(parts) + 1):
-        head = Index(parts[:i][::-1])
-        tail = Index(parts[i:])
         sign = -1 if i % 2 else 1
-        total = (total + sign * mhs_strict(head, ctx) * mhs_star(tail, ctx)) % p
-    return comparison_record("antipode", str(total), "0", p=ctx.p, index=str(ix))
+        total = (total + sign * mhs_strict(parts[:i][::-1], ctx) * mhs_star(parts[i:], ctx)) % p
+    return comparison_record("antipode", str(total), "0", p=ctx.p, index=_index_text(parts))
 
 
-def verify_reversal(ix: Index, ctx: PrimeCtx) -> VerificationRecord:
+def verify_reversal(ix: Index | tuple[int, ...], ctx: PrimeCtx) -> VerificationRecord:
     """Strict sum of the reversed index vs (-1)^weight times the original."""
-    if ctx.p <= ix.weight + 1:
-        return skipped_record("reversal", f"p <= {ix.weight + 1}",
-                              p=ctx.p, index=str(ix))
-    p = ctx.p
-    lhs = mhs_strict(ix.reverse(), ctx)
-    sign = 1 if ix.weight % 2 == 0 else -1
-    rhs = sign * mhs_strict(ix, ctx) % p
-    return comparison_record("reversal", str(lhs), str(rhs), p=ctx.p, index=str(ix))
+    parts = tuple(ix)
+    weight = sum(parts)
+    if ctx.p <= weight + 1:
+        return skipped_record("reversal", f"p <= {weight + 1}", p=ctx.p, index=_index_text(parts))
+    lhs = mhs_strict(parts[::-1], ctx)
+    sign = 1 if weight % 2 == 0 else -1
+    rhs = sign * mhs_strict(parts, ctx) % ctx.p
+    return comparison_record("reversal", str(lhs), str(rhs), p=ctx.p, index=_index_text(parts))
 
 
 def verify_height_sum(k: int, s: int, ctx: PrimeCtx) -> VerificationRecord:
@@ -162,28 +166,26 @@ def _index_params(k_max: int, w_max: int, s_max: int | None) -> list[tuple]:
 class Grid(NamedTuple):
     """A parameter grid that checks are swept over.
 
-    ``params(k_max, w_max, s_max)`` lists the grid's parameter tuples in
-    sweep order.  The other callables take one such tuple: ``weight``
-    gives its weight (primes up to weight + 1 are skipped), ``fields``
-    the k and s, or the index, that its record carries, and ``args``
-    what the check's verify function takes before the prime context.
-    ``flags`` names the options that size the grid, and ``family`` says
-    whether its checks read the family table.
+    ``params(k_max, w_max, s_max)`` lists the grid's parameter tuples,
+    (k, s) or (parts,), in sweep order; the check's verify function takes
+    one such tuple before the prime context.  The other callables take
+    one too: ``weight`` gives its weight (primes up to weight + 1 are
+    skipped), and ``fields`` the k and s, or the index, that its record
+    carries.  ``flags`` names the options that size the grid, and
+    ``family`` says whether its checks read the family table.
     """
 
     params: Callable[[int, int, int | None], list[tuple]]
     weight: Callable[..., int]
     fields: Callable[..., dict]
-    args: Callable[..., tuple]
     flags: tuple[str, ...]
     family: bool
 
 
 FAMILY = Grid(_family_params, lambda k, s: k, lambda k, s: {"k": k, "s": s},
-              lambda k, s: (k, s), ("kmax", "smax"), True)
+              ("kmax", "smax"), True)
 HEIGHT = FAMILY._replace(params=_height_params)
-INDEX = Grid(_index_params, sum, lambda parts: {"index": str(Index(parts))},
-             lambda parts: (Index(parts),), ("wmax",), False)
+INDEX = Grid(_index_params, sum, lambda parts: {"index": _index_text(parts)}, ("wmax",), False)
 
 
 class Check(NamedTuple):
@@ -216,10 +218,12 @@ def check_tasks(check: str, *, k_max: int = 8, w_max: int = 6,
 
 def require_tasks(checks: list[str], tasks: list[tuple], *, k_max: int, w_max: int,
                   s_max: int | None) -> None:
-    """Refuse a sweep that has no check or no task, naming the options
-    that sized the empty grid."""
+    """Refuse a sweep that has no check, a check named twice or no task,
+    naming the options that sized an empty grid."""
     if not checks:
         raise ValueError("no checks given")
+    if len(set(checks)) < len(checks):
+        raise ValueError(f"a check is named twice in {','.join(checks)}")
     if not tasks:
         named = {flag for check in checks for flag in CHECKS[check].grid.flags}
         sizes = {"kmax": k_max, "smax": s_max, "wmax": w_max}
@@ -229,7 +233,8 @@ def require_tasks(checks: list[str], tasks: list[tuple], *, k_max: int, w_max: i
 
 
 def evaluate_tasks_for_prime(p: int, tasks: list[tuple]) -> list[VerificationRecord]:
-    """All records for one prime; builds the context only when needed.
+    """All records for one prime, in task order; builds the context only
+    when needed.
 
     The family checks of this prime share one family table, built up
     front at the largest weight they ask for.
@@ -248,17 +253,15 @@ def evaluate_tasks_for_prime(p: int, tasks: list[tuple]) -> list[VerificationRec
             continue
         if ctx is None:
             ctx = prime_ctx(p)
-        out.append(verify(*grid.args(*params), ctx))
+        out.append(verify(*params, ctx))
     return out
 
 
 def task_record_keys(tasks: list[tuple]) -> list[dict]:
     """The check, k, s and index of the records one prime's tasks yield,
-    in the order ``record_sort_key`` puts them."""
-    stubs = [skipped_record(check, "", **CHECKS[check].grid.fields(*params))
-             for check, *params in tasks]
-    return [{"check": r.check, "k": r.k, "s": r.s, "index": r.index}
-            for r in sorted(stubs, key=record_sort_key)]
+    in sorted task order (the order ``record_sort_key`` puts them in)."""
+    return [{"check": check, "k": None, "s": None, "index": None,
+             **CHECKS[check].grid.fields(*params)} for check, *params in sorted(tasks)]
 
 
 def record_sort_key(rec: VerificationRecord):

@@ -412,6 +412,15 @@ def test_verify_empty_grid_is_a_usage_error(capsys):
     assert "--smax 0" in err
 
 
+def test_check_named_twice_is_a_usage_error(capsys):
+    # it would write every record of that check twice
+    for checks in ("ao,ao", "antipode,ao,antipode"):
+        code, out, err = run_cli(["verify", checks, "--kmax", "3", "--primes", "5..7",
+                                  "--jobs", "1"], capsys)
+        assert code == 2 and out == "", checks
+        assert "error: a check is named twice" in err, checks
+
+
 def test_prime_range_without_a_prime_is_a_usage_error(tmp_path, capsys):
     for argv in (["verify", "ao", "--kmax", "4", "--primes", "24..28", "--jobs", "1"],
                  ["zsweep", "--k", "3", "--primes", "24..28"]):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import oracles
@@ -104,6 +106,28 @@ def test_verify_reversal_examples():
     rec = verify_reversal(IX(2, 2), prime_ctx(7))  # even-weight palindrome
     assert rec.passed
     assert verify_reversal(IX(4), prime_ctx(5)).skipped
+
+
+def test_index_checks_take_a_parts_tuple():
+    # the sweep passes each index as its parts tuple and builds no Index
+    for parts in [(1,), (2, 1), (1, 3, 1), (2, 2, 1, 1)]:
+        for p in (3, 7, 11, 13):
+            ctx = prime_ctx(p)
+            assert verify_antipode(parts, ctx) == verify_antipode(Index(parts), ctx)
+            assert verify_reversal(parts, ctx) == verify_reversal(Index(parts), ctx)
+    assert verify_reversal((2, 1), prime_ctx(5)).index == "2,1"
+    with pytest.raises(ValueError):
+        verify_antipode((), prime_ctx(7))
+
+
+def test_sorted_tasks_give_the_record_order():
+    # the sweep sorts its tasks once instead of each prime's records
+    tasks = [task for check in ("ao", "lm", "lemma", "antipode", "reversal", "heightsum")
+             for task in check_tasks(check, k_max=7, w_max=5)]
+    random.Random(17).shuffle(tasks)
+    for p in (2, 7, 31):
+        want = sorted(evaluate_tasks_for_prime(p, tasks), key=record_sort_key)
+        assert evaluate_tasks_for_prime(p, sorted(tasks)) == want, p
 
 
 def test_verify_height_sum_examples():
