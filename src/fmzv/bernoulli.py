@@ -17,11 +17,12 @@ l <= h = (p-1)/2 only, because l and p - l pair up:
   to 2*(1 - 2^(1-k)) * B_(p-k)/k whenever 2^(k-1) is not 1 mod p.  As
   (p-l)^(-k) = (-1)^k * l^(-k) mod p and l, p - l have opposite parity,
   the sum is 2*sum((-1)^(l-1) * l^(-k), l <= h) for odd k and 0 for
-  even k.  It reads l^(-k) as (l^(-1))^k mod p from the O(p) table of
-  inverses, so no exponent exceeds k.
+  even k.  It keeps that sum as one running fraction N/D mod p, with
+  D the product of the l^k, and inverts D once at the end, so it holds
+  no table at all.
 
 The two routes share no arithmetic: one works mod p^2 from the sieve,
-the other mod p from the inverses.
+the other mod p with one Fermat inverse.
 
 The classical recurrence sum(C(m+1, j) * B_j, j <= m) = 0 is kept only
 as a test oracle.  ``check_euler_congruence`` confronts the two routes;
@@ -36,7 +37,7 @@ from math import isqrt
 from operator import mul
 
 from .errors import VonStaudtPoleError
-from .modfield import PrimeCtx, inverses, prime_ctx
+from .modfield import PrimeCtx, prime_ctx
 from .records import VerificationRecord, comparison_record, skipped_record
 
 # _spf[l] is the smallest prime factor of l, for 2 <= l < len(_spf).  One
@@ -112,19 +113,30 @@ def alternating_power_sum(k: int, ctx: PrimeCtx) -> int:
     (p-l)^(-k) = (-1)^k * l^(-k) mod p, and l, p - l have opposite
     parity, so the terms at l and p - l are equal for odd k and cancel
     for even k: the sum is 2*sum((-1)^(l-1) * l^(-k), l <= (p-1)/2) for
-    odd k and 0 for even k.  l^(-k) is inv[l]^k, from a prefix of the
-    table of inverses that lives only for the call: nothing p-sized
-    stays on the context.
+    odd k and 0 for even k.  That half sum is kept as one fraction N/D:
+    with t = l^k mod p, N <- N*t +- D and D <- D*t, and D (a product of
+    units) is inverted once at the end.  Nothing p-sized is built.
     """
     if k < 1:
         raise ValueError(f"exponent must be >= 1, got {k}")
     if k % 2 == 0:
         return 0
     p = ctx.p
-    inv = inverses(p, (p + 1) // 2)
-    odd = sum(pow(x, k, p) for x in inv[1::2])
-    even = sum(pow(x, k, p) for x in inv[2::2])
-    return 2 * (odd - even) % p
+    h = (p - 1) // 2
+    num, den = 0, 1
+    # two terms a step, odd l and even l + 1:
+    # N/D + 1/t - 1/u = (N*t*u + D*(u - t)) / (D*t*u)
+    for l in range(1, h, 2):
+        t = pow(l, k, p)
+        u = pow(l + 1, k, p)
+        tu = t * u
+        num = (num * tu + den * (u - t)) % p
+        den = den * tu % p
+    if h % 2:  # h is odd, and its term is left over
+        t = pow(h, k, p)
+        num = (num * t + den) % p
+        den = den * t % p
+    return 2 * num * pow(den, p - 2, p) % p
 
 
 def zeta_residue(k: int, ctx: PrimeCtx) -> int:

@@ -11,8 +11,9 @@ Four subcommands:
 
 Every command that reports records takes one path: ``_open_out`` opens
 stdout or ``--out`` (a fresh CSV gets its header there), and ``_emit``
-writes each VerificationRecord dict as one JSON or CSV line and counts
-them for the stderr summary line.  ``verify`` and ``zsweep`` share
+writes each VerificationRecord as one JSON line (``records.json_line``,
+straight from the fields) or one CSV row (from ``to_json_dict``) and
+counts them for the stderr summary line.  ``verify`` and ``zsweep`` share
 ``_open_sweep``: it parses ``--primes`` and, for ``--resume``, checks
 that ``--out`` holds a prefix of this run's records (``_resume_primes``)
 before any record is computed.  The records a resume keeps count in the
@@ -42,6 +43,7 @@ from .bernoulli import zeta_sweep_row
 from .indices import Index
 from .modfield import PrimeCtx, is_prime, primes_in_range
 from .harmonic import mhs_star, mhs_strict
+from .records import json_line
 from .symbolic import (
     run_anl_suite,
     run_gauss_suite,
@@ -61,10 +63,6 @@ from .verify import record_sort_key  # noqa: F401
 VERIFY_COLUMNS = ("check", "k", "s", "index", "p", "lhs", "rhs", "pass", "skipped", "reason")
 ZSWEEP_COLUMNS = ("check", "k", "p", "lhs", "rhs", "pass", "skipped", "reason", "zero", "cross")
 EXIT_STDOUT_CLOSED = 141  # 128 + SIGPIPE, as a shell reports a killed writer
-
-# One encoder for every record: json.dumps with separators builds a new one
-# per call.
-_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
 def _fail(message: str) -> int:
@@ -122,21 +120,29 @@ def _new_tally() -> dict:
     return dict.fromkeys(("records", "failed", "skipped", "zero", "degenerate"), 0)
 
 
-def _count(tally, records) -> None:
-    """Add record dicts to ``tally``: records, failed and skipped, and of
-    zsweep rows the zero residues and the degenerate cross-checks."""
-    for rec in records:
+def _count(tally, flags) -> None:
+    """Add records to ``tally``, each given by its four flags (pass,
+    skipped, zero, cross): records, failed and skipped, and of zsweep rows
+    the zero residues and the degenerate cross-checks."""
+    for passed, skipped, zero, cross in flags:
         tally["records"] += 1
-        tally["failed"] += not rec["pass"]
-        tally["skipped"] += rec["skipped"]
-        tally["zero"] += rec.get("zero", False)
-        tally["degenerate"] += rec.get("cross") == "degenerate"
+        tally["failed"] += not passed
+        tally["skipped"] += skipped
+        tally["zero"] += zero
+        tally["degenerate"] += cross == "degenerate"
+
+
+def _flags(rec) -> tuple:
+    """A record's four flags, as ``_count`` takes them; zero and cross are
+    extras of zsweep rows only."""
+    extra = dict(rec.extra) if rec.extra else {}
+    return rec.passed, rec.skipped, extra.get("zero", False), extra.get("cross")
 
 
 def _emit(batches, handle, fmt, columns, tally=None) -> dict:
-    """Write every batch of record dicts to ``handle`` as JSON lines or as
-    CSV rows of ``columns``, flushing after each, then close it unless it
-    is stdout.
+    """Write every batch of VerificationRecords to ``handle`` as JSON lines
+    or as CSV rows of ``columns``, flushing after each, then close it
+    unless it is stdout.
 
     Returns ``tally`` (a fresh one by default) with the written records
     counted in (see ``_count``).  A broken pipe on stdout stops the run
@@ -149,15 +155,19 @@ def _emit(batches, handle, fmt, columns, tally=None) -> dict:
     writer = csv.writer(handle, lineterminator="\n") if fmt == "csv" else None
     try:
         for batch in batches:
-            for rec in batch:
-                if writer is None:
-                    handle.write(_JSON.encode(rec) + "\n")
-                else:
+            if writer is None:
+                # a write per line, not one joined write per batch: a batch
+                # larger than a pipe could then land whole after a reader
+                # like `head -1` took its line, and the run would not see
+                # the closed pipe
+                handle.writelines(map(json_line, batch))
+            else:
+                for rec in batch:
                     # true/false as in JSON; csv writes None as an empty
                     # field (``_csv_record`` reads a row back)
                     writer.writerow([str(v).lower() if isinstance(v, bool) else v
-                                     for v in map(rec.get, columns)])
-            _count(tally, batch)
+                                     for v in map(rec.to_json_dict().get, columns)])
+            _count(tally, map(_flags, batch))
             handle.flush()
     except BrokenPipeError:
         if handle is not sys.stdout:
@@ -214,7 +224,7 @@ def _resume_primes(path, fmt, columns, keys, primes) -> tuple[list[int], dict]:
         keep = len(lines[0]) + 1
         lines = lines[1:]
     pos = keep
-    pending = []  # the records of the prime being read
+    pending = []  # the flags of the records of the prime being read
     for i, line in enumerate(lines):
         pos += len(line) + 1
         lineno = i + 1 + (fmt == "csv")
@@ -227,8 +237,8 @@ def _resume_primes(path, fmt, columns, keys, primes) -> tuple[list[int], dict]:
             else:
                 rec = json.loads(line)
             # the flags _count tallies; a non-object JSON line fails here too
-            flags = (rec["pass"], rec["skipped"], rec.get("zero", False))
-            if not all(isinstance(flag, bool) for flag in flags):
+            flags = (rec["pass"], rec["skipped"], rec.get("zero", False), rec.get("cross"))
+            if not all(isinstance(flag, bool) for flag in flags[:3]):
                 raise ValueError
             int(rec["p"])
         except (ValueError, KeyError, IndexError, TypeError):
@@ -241,7 +251,7 @@ def _resume_primes(path, fmt, columns, keys, primes) -> tuple[list[int], dict]:
             named = " ".join(f"{field}={value}" for field, value in want.items()
                              if value is not None)
             raise ValueError(f"{path}: line {lineno} is not this run's {named}")
-        pending.append(rec)
+        pending.append(flags)
         if (i + 1) % per_prime == 0:
             keep = pos
             _count(tally, pending)
@@ -272,7 +282,7 @@ def _open_sweep(args, columns, keys):
 
 def _verify_worker(args):
     p, tasks = args
-    return [r.to_json_dict() for r in evaluate_tasks_for_prime(p, tasks)]
+    return evaluate_tasks_for_prime(p, tasks)
 
 
 def cmd_verify(args) -> int:
@@ -316,7 +326,7 @@ def cmd_zsweep(args) -> int:
                                            [{"check": "zsweep", "k": args.k}])
     except (ValueError, OSError) as err:
         return _fail(str(err))
-    rows = ([zeta_sweep_row(args.k, p).to_json_dict()] for p in primes)
+    rows = ([zeta_sweep_row(args.k, p)] for p in primes)
     tally = _emit(rows, handle, args.format, ZSWEEP_COLUMNS, kept)
     print(
         f"zsweep k={args.k}: {tally['records']} primes, {tally['zero']} zero residues, "
@@ -354,7 +364,7 @@ def cmd_compute(args) -> int:
 
 def _suite_batch(run):
     """The suite's records as one batch, computed when ``_emit`` asks for it."""
-    yield [rec.to_json_dict() for rec in run()]
+    yield run()
 
 
 def cmd_symbolic(args) -> int:

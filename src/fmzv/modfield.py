@@ -6,8 +6,9 @@ harmonic sums, Bernoulli values and identity sweeps do their own
 (factorials, inverse powers, ...) so sweeps over many primes amortize
 table construction; the tables are built at most once per context under
 a lock and are read-only afterwards.  ``inverses(p)`` is the table of
-all inverses mod p, built in O(p) by a recurrence; ``inverses(p, n)``
-builds only its prefix l < n.
+all inverses mod p, built in O(p) by a recurrence (the harmonic layer's
+rows read it); ``inverses(p, n)`` builds only its prefix l < n, which
+only the tests ask for.
 """
 
 from __future__ import annotations

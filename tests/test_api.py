@@ -1,14 +1,17 @@
 """The public surface: the package's star import and the README example."""
 
 import ast
+import json
 import pickle
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fmzv
-from fmzv.records import VerificationRecord, comparison_record
+from fmzv.records import VerificationRecord, comparison_record, json_line
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -69,3 +72,36 @@ def test_record_value_contract():
         "VerificationRecord(check='zsweep', p=5, k=3, s=None, index=None, lhs='0', "
         "rhs='0', passed=True, skipped=False, reason=None, "
         "extra=(('zero', True), ('cross', 'ok')))")
+
+
+# text that needs escaping: quotes, backslashes, control characters,
+# DEL and non-ASCII (two-byte, three-byte and astral)
+_TEXT = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\u20ac\U0001f600a')
+                | st.characters(), max_size=12)
+_INT = st.integers() | st.integers(min_value=-(1 << 200), max_value=1 << 200)
+_BOOL = st.booleans()
+# extra keys that repeat or collide with a field's key, are new, or are
+# not a str
+_KEY = st.sampled_from(["zero", "cross", "n", "pass", "k", "reason"]) | _TEXT | st.integers(-2, 2)
+# fields of their annotated types, and now and then of another JSON type
+_RECORDS = st.builds(
+    VerificationRecord,
+    check=_TEXT | _INT,
+    p=st.none() | _INT | _BOOL,
+    k=st.none() | _INT | _BOOL,
+    s=st.none() | _INT | _BOOL,
+    index=st.none() | _TEXT | _INT,
+    lhs=st.none() | _TEXT | _INT,
+    rhs=st.none() | _TEXT | _INT,
+    passed=_BOOL | st.integers(0, 1),
+    skipped=_BOOL | st.integers(0, 1),
+    reason=st.none() | _TEXT | _INT,
+    extra=st.lists(st.tuples(_KEY, st.none() | _BOOL | _INT | _TEXT),
+                   max_size=4).map(tuple),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_RECORDS)
+def test_json_line_is_the_json_of_the_record_dict(rec):
+    assert json_line(rec) == json.dumps(rec.to_json_dict(), separators=(",", ":")) + "\n"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 import oracles
@@ -117,6 +119,18 @@ def test_alternating_power_sum_matches_term_by_term_oracle():
         ctx = prime_ctx(p)
         for k in range(1, 14):
             assert alternating_power_sum(k, ctx) == oracles.alternating_power_sum(k, p), (k, p)
+
+
+def test_alternating_power_sum_builds_no_table():
+    # the half sum is one running fraction: a few ints, no list over l
+    ctx = PrimeCtx(10007)
+    tracemalloc.start()
+    try:
+        alternating_power_sum(3, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024, peak
 
 
 def test_alternating_split_identity():

@@ -177,7 +177,7 @@ def test_exit_code_on_failure(tmp_path, capsys, monkeypatch):
         p, _tasks = args
         rec = VerificationRecord(check="ao", p=p, k=2, s=1,
                                  lhs="1", rhs="2", passed=False)
-        return [rec.to_json_dict()]
+        return [rec]
 
     monkeypatch.setattr(cli_mod, "_verify_worker", fake_worker)
     code, out, _ = run_cli(["verify", "ao", "--kmax", "2", "--primes", "5..5",
@@ -652,6 +652,48 @@ def test_phi0_golden_sha256(capsys):
     assert code == 0 and err == "symbolic phi0: 200 records, 0 failed\n"
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "e38745ca826aa09894b8a89a4fba214dec9a60d87b051a9dfc239223b661a99b")
+
+
+class _NoDict(Exception):
+    pass
+
+
+def _no_dict(self):
+    raise _NoDict(self)
+
+
+# Commands whose JSONL bytes are pinned above: the family and index checks
+# (skipped records and the index field), zsweep (skipped, degenerate and
+# zero rows) and a symbolic suite (int and str extras).
+JSONL_PINS = {
+    "verify-family": (["verify", "ao,lm,lemma,heightsum", "--kmax", "12", "--primes",
+                       "5..200", "--jobs", "1"], VERIFY_FAMILY_SHA256["jsonl"]),
+    "verify-index": (["verify", "antipode,reversal", "--wmax", "6", "--primes", "11..61",
+                      "--jobs", "1"], VERIFY_INDEX_SHA256["jsonl"]),
+    "zsweep": (["zsweep", "--k", "11", "--primes", "5..700"], ZSWEEP_SHA256[11, "jsonl"]),
+    "symbolic": (["symbolic", "hypcong", "--prime", "61", "--seed", "7"],
+                 HYPCONG_SHA256["--prime", "61", "--seed", "7"]),
+}
+
+
+@pytest.mark.parametrize("name", JSONL_PINS)
+def test_jsonl_lines_are_written_without_the_record_dict(capsys, monkeypatch, name):
+    # every JSONL line comes from the record's fields (records.json_line):
+    # with to_json_dict made to raise, each command writes its pinned bytes
+    monkeypatch.setattr(VerificationRecord, "to_json_dict", _no_dict)
+    argv, digest = JSONL_PINS[name]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_csv_rows_are_written_from_the_record_dict(capsys, monkeypatch):
+    monkeypatch.setattr(VerificationRecord, "to_json_dict", _no_dict)
+    with pytest.raises(_NoDict):
+        main(["verify", "ao", "--kmax", "3", "--primes", "5..13", "--jobs", "1",
+              "--format", "csv"])
+    with pytest.raises(_NoDict):
+        main(["zsweep", "--k", "3", "--primes", "5..13", "--format", "csv"])
 
 
 MISMATCHED_RESUMES = [
