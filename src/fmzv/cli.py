@@ -4,7 +4,7 @@ Four subcommands:
 
 * ``compute``: one truncated harmonic sum mod one prime.
 * ``verify``: identity sweeps over a prime range (the checks of
-  ``verify.CHECKS``), JSONL or CSV records, prime-sharded parallelism,
+  ``verify.CHECKS``), JSONL or CSV records, parallel over blocks of primes,
   resumable via the output file itself.
 * ``zsweep``: the zeta-residue hunt with the two-method cross-check.
 * ``symbolic``: exact-arithmetic suites (gauss, anl, phi0, hypcong).
@@ -35,6 +35,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import itertools
 import json
 import os
 import sys
@@ -52,6 +53,8 @@ from .symbolic import (
 )
 from .verify import (
     CHECK_NAMES,
+    CHECKS,
+    build_family_tables,
     check_tasks,
     evaluate_tasks_for_prime,
     require_tasks,
@@ -63,6 +66,9 @@ from .verify import record_sort_key  # noqa: F401
 VERIFY_COLUMNS = ("check", "k", "s", "index", "p", "lhs", "rhs", "pass", "skipped", "reason")
 ZSWEEP_COLUMNS = ("check", "k", "p", "lhs", "rhs", "pass", "skipped", "reason", "zero", "cross")
 EXIT_STDOUT_CLOSED = 141  # 128 + SIGPIPE, as a shell reports a killed writer
+# The largest product, in bits, of the primes of one block of a family
+# sweep: the block's family DP runs modulo that product.
+BLOCK_BITS = 192
 
 
 def _fail(message: str) -> int:
@@ -280,9 +286,31 @@ def _open_sweep(args, columns, keys):
 # verify
 
 
-def _verify_worker(args):
-    p, tasks = args
-    return evaluate_tasks_for_prime(p, tasks)
+def _blocks(primes: list[int], size: int) -> list[tuple[int, ...]]:
+    """``primes`` cut into runs of consecutive primes, each of at most
+    ``size`` primes whose product has at most BLOCK_BITS bits."""
+    blocks, block, product = [], [], 1
+    for p in primes:
+        product *= p
+        if block and (len(block) == size or product.bit_length() > BLOCK_BITS):
+            blocks.append(tuple(block))
+            block, product = [], p
+        block.append(p)
+    return blocks + [tuple(block)] if block else blocks
+
+
+def _verify_worker(shard):
+    """The records of a shard (primes, tasks), one batch per prime, computed
+    as they are read; the shard's family tables are built first, in one DP
+    pass."""
+    primes, tasks = shard
+    build_family_tables(primes, tasks)
+    return (evaluate_tasks_for_prime(p, tasks) for p in primes)
+
+
+def _pool_worker(shard):
+    # a pool hands its results back pickled, which a generator cannot be
+    return list(_verify_worker(shard))
 
 
 def cmd_verify(args) -> int:
@@ -299,7 +327,14 @@ def cmd_verify(args) -> int:
         primes, handle, kept = _open_sweep(args, VERIFY_COLUMNS, keys)
     except (ValueError, OSError) as err:
         return _fail(str(err))
-    shard_args = [(p, tasks) for p in primes]
+    # a family sweep runs its DP once per block of primes, with at most
+    # ceil(len(primes) / jobs) primes a block so that every worker gets one;
+    # other sweeps have nothing to share between primes
+    if any(CHECKS[c].grid.family for c in checks):
+        blocks = _blocks(primes, -(-len(primes) // jobs))
+    else:
+        blocks = [(p,) for p in primes]
+    shard_args = [(block, tasks) for block in blocks]
     with contextlib.ExitStack() as stack:
         shards = map(_verify_worker, shard_args)
         if jobs > 1 and len(shard_args) > 1:
@@ -307,8 +342,9 @@ def cmd_verify(args) -> int:
             # command starts up without it
             import multiprocessing
             pool = stack.enter_context(multiprocessing.Pool(processes=jobs))
-            shards = pool.imap(_verify_worker, shard_args)
-        tally = _emit(shards, handle, args.format, VERIFY_COLUMNS, kept)
+            shards = pool.imap(_pool_worker, shard_args)
+        tally = _emit(itertools.chain.from_iterable(shards), handle, args.format,
+                      VERIFY_COLUMNS, kept)
     print(f"verify: {tally['records']} records, {tally['failed']} failed, "
           f"{tally['skipped']} skipped", file=sys.stderr)
     return 1 if tally["failed"] else 0

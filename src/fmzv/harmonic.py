@@ -18,11 +18,22 @@ carries them as one running tail per height,
 and costs O(p * k * h) from m^(-1) and m^(-2) alone, read once per m for
 all three tables.  The star tables read the values already updated at m,
 the strict table those from before m (see ``_family_tables``).
+
+One pass serves a block of primes at once (``family_tables``): it runs
+modulo the product M of the block's primes, one Chinese remainder lane
+per prime q, over m from the top prime down.  Its step m^(-1) is m^(-1)
+mod q in the lane of each q > m and 0 in the lane of each q <= m, and a
+zero step leaves its lane as it was, so each lane sums over its own
+m < q alone; each table cell is reduced mod q at the end.  A block then
+costs the top prime's m-steps on ints of a few machine words, not the
+sum of its primes' steps.  ``family_table`` is the block of one.
 Enumerating the family index by index is the independent oracle of the
 tests, not a production path.
 """
 
 from __future__ import annotations
+
+from math import prod
 
 from .indices import Index
 # Unused here: perfbench/tracing.py patches these names on this module.
@@ -87,22 +98,29 @@ def _require_prime_above(k: int, ctx: PrimeCtx) -> None:
         raise ValueError(f"prime {ctx.p} too small: need p > {k + 1} for weight {k}")
 
 
-def _family_tables(k_max: int, ctx: PrimeCtx) -> list[list[list[int]]]:
-    """[alternating strict, star, star with free first part], each as T[w][h].
+def _family_tables(k_max: int, primes: list[int]) -> list[list[list[list[int]]]]:
+    """Each prime's [alternating strict, star, star with free first part],
+    each as T[w][h], in the order of ``primes``.
 
-    All three come from one pass over m = p-1 .. 1 of the (weight,
-    height) DP.  T[w][h] holds the contribution of all partial indices of
-    weight w and height h whose parts sit at positions > m; T[0][0] = 1 is
-    the empty index.  A part e placed at m multiplies by sign * m^(-e) and
-    moves (w, h) to (w + e, h + [e >= 2]); the first part placed is k1,
-    which must be >= 2 in the first two tables.  The parts e >= 2 at m add
-    up to the running tail
+    All three tables of every prime come from one pass over m = top-1 .. 1
+    of the (weight, height) DP, top the largest prime, run modulo the
+    product M of the primes: each prime q is a lane of the Chinese
+    remainder theorem.  T[w][h] holds the contribution of all partial
+    indices of weight w and height h whose parts sit at positions > m;
+    T[0][0] = 1 is the empty index.  A part e placed at m multiplies by
+    sign * m^(-e) and moves (w, h) to (w + e, h + [e >= 2]); the first
+    part placed is k1, which must be >= 2 in the first two tables.  The
+    parts e >= 2 at m add up to the running tail
 
         G[w][h] = sum over e >= 2 of sign * m^(-e) * T[w-e][h-1]
                 = sign * m^(-2) * T[w-2][h-1] + m^(-1) * G[w-1][h],
 
-    so each cell costs O(1) per m, O(p * k * h) for the three tables, and
-    the pass reads m^(-1) and m^(-2) once per m.  Each height is one
+    so each cell costs O(1) per m, O(top * k * h) for the three tables of
+    the block, and the pass reads its two step values once per m: a, which
+    is m^(-1) mod q in the lane of each prime q > m and 0 in the lane of
+    each q <= m, and b = a^2.  A zero step adds no part, so it leaves its
+    lane as it was: each lane sums over its own m < q alone, and reducing
+    every cell mod q at the end gives q's tables.  Each height is one
     column, swept upward in w with G carried along it; each table's plan
     lists its columns, the column below each and the first weight each
     can reach, in the order they are swept.
@@ -114,9 +132,10 @@ def _family_tables(k_max: int, ctx: PrimeCtx) -> list[list[list[int]]]:
     heights go downward, so height h-1 is not yet updated when height h
     reads it, and T[w-1][h] is kept from before its update.
     """
-    p = ctx.p
+    modulus = prod(primes)
+    lanes = sorted(primes)  # a lane leaves `lanes` as m falls below its prime
+    low = modulus  # the product of the primes <= m
     h_max = k_max // 2
-    inv1, inv2 = _inverse_power_rows(ctx, 2)[1:3]
     width = k_max + 1
     zero = [0] * width
 
@@ -131,37 +150,74 @@ def _family_tables(k_max: int, ctx: PrimeCtx) -> list[list[list[int]]]:
     alt, star, free = columns(), columns(), columns()
     alt_plan = plan(alt, range(h_max, 0, -1))
     star_plan = plan(star, range(1, h_max + 1)) + plan(free, range(h_max + 1))
-    for m in range(p - 1, 0, -1):
-        a, b = inv1[m], inv2[m]
-        na, nb = p - a, p - b  # -m^(-1), -m^(-2)
+    for m in range(lanes[-1] - 1, 0, -1):
+        while lanes and lanes[-1] > m:
+            low //= lanes.pop()
+        # a = m^(-1) mod every prime > m and 0 mod every other, by the CRT
+        a = low * pow(low * m, -1, modulus // low)
+        b = a * a % modulus
+        na, nb = modulus - a, modulus - b  # -m^(-1), -m^(-2)
         for col, below, start in alt_plan:
             # prev is T[w-1][h] from before m, which a part 1 extends; g is G[w][h]
             prev, g = col[start - 1], 0
             for w in range(start, width):
-                g = (nb * below[w - 2] + a * g) % p
+                g = (nb * below[w - 2] + a * g) % modulus
                 old = col[w]
-                col[w] = (old + na * prev + g) % p
+                col[w] = (old + na * prev + g) % modulus
                 prev = old
         for col, below, start in star_plan:
             # as above, but prev is T[w-1][h] already updated at m
             prev, g = col[start - 1], 0
             for w in range(start, width):
-                g = (b * below[w - 2] + a * g) % p
-                prev = col[w] = (col[w] + a * prev + g) % p
-    return [[list(row) for row in zip(*cols)] for cols in (alt, star, free)]
+                g = (b * below[w - 2] + a * g) % modulus
+                prev = col[w] = (col[w] + a * prev + g) % modulus
+    tables = [list(zip(*cols)) for cols in (alt, star, free)]
+    return [[[[cell % q for cell in row] for row in table] for table in tables]
+            for q in primes]
+
+
+def _table_weight(ctx: PrimeCtx) -> int:
+    """The weight of the family tables on ``ctx``, -1 when it has none."""
+    tables = ctx._memo.get("family_table")
+    return len(tables[0]) - 1 if tables else -1
+
+
+def family_tables(k: int, ctxs: list[PrimeCtx]) -> list[list[list[list[int]]]]:
+    """Each context's family tables (see ``family_table``), of weight >= k.
+
+    Every context whose tables are missing or below weight k gets them
+    from one ``_family_tables`` pass over the block of their primes, run
+    when the first of them is built; each context then stores its own.
+    """
+    short = [ctx for ctx in ctxs if _table_weight(ctx) < k]
+    built = {}
+
+    def build(ctx):
+        if not built:
+            built.update(zip(short, _family_tables(k, [c.p for c in short])))
+        return built[ctx]
+
+    out = []
+    for ctx in ctxs:
+        tables = ctx.memo("family_table", lambda ctx=ctx: build(ctx))
+        if len(tables[0]) <= k:
+            with ctx._lock:
+                if len(tables[0]) <= k:
+                    tables[:] = build(ctx)
+        out.append(tables)
+    return out
 
 
 def family_table(k: int, ctx: PrimeCtx) -> list[list[list[int]]]:
     """[alternating strict, star, star with free first part], each as T[w][h].
 
     The tables live on the context and grow on demand like the inverse
-    power rows: a table of weight >= k answers any query for k.
+    power rows: a table of weight >= k answers any query for k.  They come
+    from the block of one, ``[ctx.p]``, of ``_family_tables``.
     """
-    tables = ctx.memo("family_table", lambda: _family_tables(k, ctx))
+    tables = ctx.memo("family_table", lambda: _family_tables(k, [ctx.p])[0])
     if len(tables[0]) <= k:
-        with ctx._lock:
-            if len(tables[0]) <= k:
-                tables[:] = _family_tables(k, ctx)
+        tables = family_tables(k, [ctx])[0]
     return tables
 
 

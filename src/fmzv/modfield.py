@@ -7,8 +7,7 @@ harmonic sums, Bernoulli values and identity sweeps do their own
 table construction; the tables are built at most once per context under
 a lock and are read-only afterwards.  ``inverses(p)`` is the table of
 all inverses mod p, built in O(p) by a recurrence (the harmonic layer's
-rows read it); ``inverses(p, n)`` builds only its prefix l < n, which
-only the tests ask for.
+rows read it).
 """
 
 from __future__ import annotations
@@ -129,16 +128,14 @@ def prime_ctx(p: int) -> PrimeCtx:
     return PrimeCtx(p)
 
 
-def inverses(p: int, n: int | None = None) -> list[int]:
-    """inv[l] = l^(-1) mod p for 1 <= l < n (default p), dummy zero at l = 0.
+def inverses(p: int) -> list[int]:
+    """inv[l] = l^(-1) mod p for 1 <= l < p, dummy zero at l = 0.
 
-    O(n) without any exponentiation: p = (p // l) * l + p % l gives
-    l^(-1) = -(p // l) * (p % l)^(-1), and p % l < l is already known,
-    so a prefix is exact on its own.
+    O(p) without any exponentiation: p = (p // l) * l + p % l gives
+    l^(-1) = -(p // l) * (p % l)^(-1), and p % l < l is already known.
     """
-    n = p if n is None else n
-    inv = [0, 1] + [0] * (n - 2)
-    for l in range(2, n):
+    inv = [0, 1] + [0] * (p - 2)
+    for l in range(2, p):
         inv[l] = -(p // l) * inv[p % l] % p
     return inv
 

@@ -37,6 +37,7 @@ from .harmonic import (
     family_sum_star,
     family_sum_star_unrestricted,
     family_table,
+    family_tables,
     mhs_star,
     mhs_strict,
 )
@@ -230,6 +231,19 @@ def require_tasks(checks: list[str], tasks: list[tuple], *, k_max: int, w_max: i
         flags = " ".join(f"--{flag} {value}" for flag, value in sizes.items()
                          if flag in named and value is not None)
         raise ValueError(f"no tasks for {','.join(checks)} with {flags}")
+
+
+def build_family_tables(primes: list[int], tasks: list[tuple]) -> None:
+    """Build the family tables of a block of primes in one DP pass.
+
+    The primes that have a family task past its guard get their tables
+    at the largest weight of the family tasks, so that each prime's
+    ``evaluate_tasks_for_prime`` finds them built.
+    """
+    family_k = [k for check, k, *_ in tasks if CHECKS[check].grid.family]
+    if family_k:
+        least = min(family_k)
+        family_tables(max(family_k), [prime_ctx(p) for p in primes if p > least + 1])
 
 
 def evaluate_tasks_for_prime(p: int, tasks: list[tuple]) -> list[VerificationRecord]:

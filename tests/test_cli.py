@@ -7,7 +7,9 @@ import sys
 import pytest
 
 import fmzv
+from fmzv import cli
 from fmzv.cli import main
+from fmzv.modfield import primes_in_range
 from fmzv.records import VerificationRecord
 
 
@@ -173,11 +175,10 @@ def test_exit_code_on_failure(tmp_path, capsys, monkeypatch):
     # force one failing record through the driver to pin the exit contract
     import fmzv.cli as cli_mod
 
-    def fake_worker(args):
-        p, _tasks = args
-        rec = VerificationRecord(check="ao", p=p, k=2, s=1,
-                                 lhs="1", rhs="2", passed=False)
-        return [rec]
+    def fake_worker(shard):
+        primes, _tasks = shard
+        return [[VerificationRecord(check="ao", p=p, k=2, s=1, lhs="1", rhs="2",
+                                    passed=False)] for p in primes]
 
     monkeypatch.setattr(cli_mod, "_verify_worker", fake_worker)
     code, out, _ = run_cli(["verify", "ao", "--kmax", "2", "--primes", "5..5",
@@ -386,6 +387,32 @@ def test_resume_after_torn_tail(tmp_path, capsys, argv, fmt):
         assert run_cli(base + ["--primes", "5..29", "--out", str(out),
                                "--resume"], capsys)[0] == 0, cut
         assert out.read_bytes() == oneshot.read_bytes(), cut
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_resume_torn_inside_the_second_block(tmp_path, capsys, fmt):
+    # a family sweep computes its primes block by block; a file cut inside
+    # its second block, on a line end or inside a line, resumes to the
+    # bytes of a run that was never cut
+    primes = primes_in_range(5, 400)
+    blocks = cli._blocks(primes, len(primes))
+    assert len(blocks) >= 3
+    base = ["verify", "ao,heightsum", "--kmax", "3", "--primes", "5..400",
+            "--jobs", "1", "--format", fmt]
+    oneshot = tmp_path / f"oneshot.{fmt}"
+    assert run_cli(base + ["--out", str(oneshot)], capsys)[0] == 0
+    whole = oneshot.read_bytes()
+    lines = whole.splitlines(keepends=True)
+    head = 1 if fmt == "csv" else 0
+    per_prime = (len(lines) - head) // len(primes)
+    # two records into the middle prime of the second block
+    kept = head + (len(blocks[0]) + len(blocks[1]) // 2) * per_prime + 2
+    done = len(b"".join(lines[:kept]))
+    for cut in (done, done + 4):
+        out = tmp_path / f"cut{cut}.{fmt}"
+        out.write_bytes(whole[:cut])
+        assert run_cli(base + ["--out", str(out), "--resume"], capsys)[0] == 0, cut
+        assert out.read_bytes() == whole, cut
 
 
 def test_resume_refuses_another_runs_file(tmp_path, capsys):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import oracles
-from fmzv import harmonic
+from fmzv import cli, harmonic
 from fmzv.errors import InfeasibleFamilyError
 from fmzv.indices import Index
 from fmzv.modfield import PrimeCtx, prime_ctx, primes_in_range
@@ -179,9 +179,10 @@ def test_evaluate_tasks_for_prime_skips_without_ctx():
 
 
 def test_family_table_built_once_per_prime(monkeypatch):
-    # the family checks of a prime share one table at their largest weight,
-    # so it is neither rebuilt nor grown while the prime's tasks run
-    memo_builds, sweeps = {}, {}
+    # a block of primes runs one DP pass, and each prime stores its tables
+    # once, at the largest weight of the family checks, so that they are
+    # neither rebuilt nor grown while the prime's tasks run
+    memo_builds, passes = {}, []
     memo = PrimeCtx.memo
     family_tables = harmonic._family_tables
 
@@ -191,20 +192,27 @@ def test_family_table_built_once_per_prime(monkeypatch):
             return build()
         return memo(ctx, key, counted if key == "family_table" else build)
 
-    def counting_tables(k, ctx):
-        sweeps[ctx.p] = sweeps.get(ctx.p, 0) + 1
-        return family_tables(k, ctx)
+    def counting_tables(k, primes):
+        passes.append(tuple(primes))
+        return family_tables(k, primes)
 
     monkeypatch.setattr(PrimeCtx, "memo", counting_memo)
     monkeypatch.setattr(harmonic, "_family_tables", counting_tables)
-    primes = primes_in_range(5, 61)
+    primes = primes_in_range(5, 200)
     for checks in (["ao", "lm", "lemma", "heightsum"], ["heightsum"]):
-        memo_builds.clear()
-        sweeps.clear()
-        prime_ctx.cache_clear()  # contexts of earlier runs hold built tables
-        records = sweep(checks, primes, k_max=10)
-        assert records and all(r.passed for r in records)
-        assert memo_builds == sweeps == {p: 1 for p in primes}, checks
+        tasks = sorted(task for check in checks for task in check_tasks(check, k_max=10))
+        for jobs in (1, 4):
+            memo_builds.clear()
+            passes.clear()
+            prime_ctx.cache_clear()  # contexts of earlier runs hold built tables
+            blocks = cli._blocks(primes, -(-len(primes) // jobs))
+            assert len(blocks) >= max(jobs, 2)
+            records = [rec for block in blocks
+                       for batch in cli._verify_worker((block, tasks)) for rec in batch]
+            assert records == sweep(checks, primes, k_max=10)
+            assert all(r.passed for r in records)
+            assert passes == blocks, (checks, jobs)
+            assert memo_builds == {p: 1 for p in primes}, (checks, jobs)
 
 
 def test_verify_range_sorted_and_green():
