@@ -7,19 +7,18 @@ Two flavors live here:
   two-variable coefficient grid.  No rounding anywhere; all rational
   functions are kept reduced with a monic denominator, by a gcd or, for
   a quotient of known linear factors, by cancelling the common roots
-  (``RatFunc.from_roots``).
-* list-based polynomials over Z/pZ (``fp_*`` helpers and ``FpRatFunc``)
-  for congruence checks sampled in prime fields.
-
-Polynomial gcd over Q clears denominators and runs a subresultant
-pseudo-remainder sequence on primitive integer polynomials, which keeps
-intermediate coefficients tame without ever leaving exact arithmetic.
+  (``RatFunc.from_roots``).  The gcd is Euclid's algorithm on ``Poly``
+  division, the one polynomial division here over Q; the monic gcd is
+  unique, so a reduced ``RatFunc`` does not depend on the route.
+* list-based polynomials over Z/pZ (``fp_*`` helpers and ``FpRatFunc``).
+  No command reaches them: the hypcong suite reads each side pointwise.
+  They are the tests' reference for that suite, and
+  ``perfbench/tracing.py`` patches their names.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
 
 _ZERO = Fraction(0)
 _NEG_INF = float("-inf")
@@ -165,80 +164,11 @@ class Poly:
 Z = Poly((0, 1))
 
 
-def _int_content(cs: list[int]) -> int:
-    g = 0
-    for c in cs:
-        g = int_gcd(g, abs(c))
-        if g == 1:
-            break
-    return g or 1
-
-
-def _to_primitive_int(poly: Poly) -> list[int]:
-    """Clear denominators and divide out the content; leading coeff > 0."""
-    if poly.is_zero:
-        return []
-    lcm = 1
-    for c in poly.coeffs:
-        lcm = lcm * c.denominator // int_gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in poly.coeffs]
-    content = _int_content(ints)
-    ints = [c // content for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
-
-
-def _int_prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b over Z.
-
-    The full power of lc(b) is applied even when cancellation skips
-    degrees; subresultant divisions rely on it.
-    """
-    rem = list(a)
-    db = len(b) - 1
-    lead_b = b[-1]
-    e = len(a) - 1 - db + 1
-    while len(rem) - 1 >= db and rem:
-        shift = len(rem) - 1 - db
-        lead_r = rem[-1]
-        rem = [c * lead_b for c in rem]
-        for j in range(db + 1):
-            rem[shift + j] -= lead_r * b[j]
-        while rem and rem[-1] == 0:
-            rem.pop()
-        e -= 1
-    if e > 0:
-        scale = lead_b**e
-        rem = [c * scale for c in rem]
-    return rem
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over Q via a subresultant PRS on primitive integer parts."""
-    if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
-    A = _to_primitive_int(a)
-    B = _to_primitive_int(b)
-    if len(A) < len(B):
-        A, B = B, A
-    g = h = 1
-    while True:
-        d = len(A) - len(B)
-        R = _int_prem(A, B)
-        if not R:
-            break
-        if len(R) == 1:
-            return Poly((1,))  # nonzero constant remainder: coprime
-        divisor = g * h**d
-        A, B = B, [c // divisor for c in R]
-        g = abs(A[-1])
-        h = g if d == 1 else (g**d // h ** (d - 1) if d > 1 else h)
-    content = _int_content(B)
-    prim = [c // content for c in B]
-    return Poly(prim).monic()
+    """Monic gcd over Q by Euclid's algorithm on ``Poly`` division."""
+    while not b.is_zero:
+        a, b = b, divmod(a, b)[1]
+    return a.monic()
 
 
 def _series_div(num, den, order: int) -> list[Fraction]:

@@ -68,13 +68,14 @@ class Lcg:
 
 
 def pochhammer_poly(shift: int, scale: int, n: int) -> Poly:
-    """(scale*z + shift)(scale*z + shift + 1)...(n factors) as a Poly."""
+    """(scale*z + shift)(scale*z + shift + 1)...(n factors) as a Poly,
+    expanded on ints."""
     if n < 0:
         raise ValueError("pochhammer length must be >= 0")
-    out = Poly((1,))
+    out = [1]
     for i in range(n):
-        out = out * Poly((shift + i, scale))
-    return out
+        out = [(shift + i) * lo + scale * hi for lo, hi in zip(out + [0], [0] + out)]
+    return Poly(out)
 
 
 def pole_weight(n: int, l: int) -> RatFunc:

@@ -36,7 +36,6 @@ from .harmonic import (
     family_sum_alt_strict,
     family_sum_star,
     family_sum_star_unrestricted,
-    family_table,
     family_tables,
     mhs_star,
     mhs_strict,
@@ -251,13 +250,10 @@ def evaluate_tasks_for_prime(p: int, tasks: list[tuple]) -> list[VerificationRec
     when needed.
 
     The family checks of this prime share one family table, built up
-    front at the largest weight they ask for.
+    front by ``build_family_tables`` as the block of one.
     """
+    build_family_tables([p], tasks)
     ctx = None
-    family_k = [k for check, k, *_ in tasks if CHECKS[check].grid.family and p > k + 1]
-    if family_k:
-        ctx = prime_ctx(p)
-        family_table(max(family_k), ctx)
     out = []
     for check, *params in tasks:
         grid, verify = CHECKS[check]

@@ -681,6 +681,16 @@ def test_phi0_golden_sha256(capsys):
         "e38745ca826aa09894b8a89a4fba214dec9a60d87b051a9dfc239223b661a99b")
 
 
+def test_anl_golden_sha256(capsys):
+    # the anl suite of the benchmark, byte for byte: the hash was written
+    # when the product form was reduced by a subresultant PRS, so it checks
+    # that Euclid's gcd gives the same reduced weights
+    code, out, err = run_cli(["symbolic", "anl", "--nmax", "8"], capsys)
+    assert code == 0 and err == "symbolic anl: 36 records, 0 failed\n"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "38c3f4287760d29c9610c9c5c5ca382413d765b2c18f0e586dc45f8e3d0414d0")
+
+
 class _NoDict(Exception):
     pass
 

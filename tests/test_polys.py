@@ -65,7 +65,8 @@ def test_poly_divmod_property(a, b):
 
 
 def _euclid_gcd(a, b):
-    # independent route: plain monic Euclid over Q
+    # poly_gcd's own route, written out: it pins the monic normal form and
+    # the zero cases; test_poly_gcd_of_known_factors is the independent check
     while not b.is_zero:
         a, b = b, divmod(a, b)[1]
     return a.monic() if not a.is_zero else a
@@ -83,6 +84,30 @@ def test_poly_gcd_divides_common_multiple(a, b, c)  :
     g = poly_gcd(a * c, b * c)
     assert divmod(a * c, g)[1].is_zero and divmod(b * c, g)[1].is_zero
     assert g.degree >= c.degree  # c divides both arguments
+
+
+def _roots_product(roots):
+    out = Poly((1,))
+    for r in roots:
+        out = out * (Z - r)
+    return out
+
+
+# distinct values (1/1 and 2/2 are one root), split into the disjoint root
+# lists A, B and C of test_poly_gcd_of_known_factors
+roots_st = st.lists(frac_st, max_size=9, unique=True).flatmap(
+    lambda rs: st.tuples(st.just(rs), st.integers(0, len(rs)), st.integers(0, len(rs))))
+unit_st = frac_st.filter(lambda c: c != 0)
+
+
+@given(roots_st, unit_st, unit_st)
+@settings(max_examples=150, deadline=None)
+def test_poly_gcd_of_known_factors(split, k1, k2):
+    # gcd(k1 prod A prod C, k2 prod B prod C) = prod C, monic by construction
+    rs, i, j = split
+    i, j = sorted((i, j))
+    a, b, c = (_roots_product(part) for part in (rs[:i], rs[i:j], rs[j:]))
+    assert poly_gcd(a * c * k1, b * c * k2) == c
 
 
 def test_ratfunc_normalization():

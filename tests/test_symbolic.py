@@ -40,6 +40,17 @@ def test_pochhammer_poly_examples():
         pochhammer_poly(0, 1, -1)
 
 
+def test_pochhammer_poly_matches_poly_factors():
+    # the int expansion against the product of its Poly factors, scale 0
+    # (a constant product) included
+    for shift in range(-8, 9):
+        for scale in range(-3, 4):
+            want = Poly((1,))
+            for n in range(9):
+                assert pochhammer_poly(shift, scale, n) == want, (shift, scale, n)
+                want = want * Poly((shift + n, scale))
+
+
 def test_pole_weight_examples():
     assert pole_weight(1, 1) == RatFunc(Poly((-1,)), 2 * Z)
     # cancellation of the z factor: -1/(2(2z+1))
