@@ -17,7 +17,7 @@ carries them as one running tail per height,
 
 and costs O(p * k * h) from m^(-1) and m^(-2) alone, read once per m for
 all three tables.  The star tables read the values already updated at m,
-the strict table those from before m (see ``_family_tables``).
+the strict table those from before m (see ``family_pass``).
 
 One pass serves a block of primes at once (``family_tables``): it runs
 modulo the product M of the block's primes, one Chinese remainder lane
@@ -27,6 +27,10 @@ zero step leaves its lane as it was, so each lane sums over its own
 m < q alone; each table cell is reduced mod q at the end.  A block then
 costs the top prime's m-steps on ints of a few machine words, not the
 sum of its primes' steps.  ``family_table`` is the block of one.
+
+The same pass (``family_pass``), on the steps lcm(1..n)/m and under a
+modulus no cell reaches, gives the exact family sums that phi0 checks
+against Aoki and Ohno's generating series (``symbolic``).
 Enumerating the family index by index is the independent oracle of the
 tests, not a production path.
 """
@@ -98,29 +102,26 @@ def _require_prime_above(k: int, ctx: PrimeCtx) -> None:
         raise ValueError(f"prime {ctx.p} too small: need p > {k + 1} for weight {k}")
 
 
-def _family_tables(k_max: int, primes: list[int]) -> list[list[list[list[int]]]]:
-    """Each prime's [alternating strict, star, star with free first part],
-    each as T[w][h], in the order of ``primes``.
+def family_pass(k_max: int, steps, modulus: int) -> list[list[list[int]]]:
+    """[alternating strict, star, star with free first part], each as
+    columns cols[h][w] = T[w][h], from one pass of the (weight, height) DP.
 
-    All three tables of every prime come from one pass over m = top-1 .. 1
-    of the (weight, height) DP, top the largest prime, run modulo the
-    product M of the primes: each prime q is a lane of the Chinese
-    remainder theorem.  T[w][h] holds the contribution of all partial
-    indices of weight w and height h whose parts sit at positions > m;
-    T[0][0] = 1 is the empty index.  A part e placed at m multiplies by
-    sign * m^(-e) and moves (w, h) to (w + e, h + [e >= 2]); the first
-    part placed is k1, which must be >= 2 in the first two tables.  The
-    parts e >= 2 at m add up to the running tail
+    ``steps`` gives one pair (a, b) per position m, from the top m down,
+    with a standing for m^(-1) and b for a^2 mod ``modulus``, which every
+    cell is kept under.  T[w][h] holds the contribution of all
+    partial indices of weight w and height h whose parts sit at the
+    positions already passed; T[0][0] = 1 is the empty index.  A part e
+    placed at m multiplies by sign * a^e and moves (w, h) to
+    (w + e, h + [e >= 2]); the first part placed is k1, which must be
+    >= 2 in the first two tables.  The parts e >= 2 at m add up to the
+    running tail
 
-        G[w][h] = sum over e >= 2 of sign * m^(-e) * T[w-e][h-1]
-                = sign * m^(-2) * T[w-2][h-1] + m^(-1) * G[w-1][h],
+        G[w][h] = sum over e >= 2 of sign * a^e * T[w-e][h-1]
+                = sign * b * T[w-2][h-1] + a * G[w-1][h],
 
-    so each cell costs O(1) per m, O(top * k * h) for the three tables of
-    the block, and the pass reads its two step values once per m: a, which
-    is m^(-1) mod q in the lane of each prime q > m and 0 in the lane of
-    each q <= m, and b = a^2.  A zero step adds no part, so it leaves its
-    lane as it was: each lane sums over its own m < q alone, and reducing
-    every cell mod q at the end gives q's tables.  Each height is one
+    so each cell costs O(1) per m, O(k * h) per step for the three tables,
+    and the pass reads its two step values once per m.  A zero step adds
+    no part, so it leaves the tables as they were.  Each height is one
     column, swept upward in w with G carried along it; each table's plan
     lists its columns, the column below each and the first weight each
     can reach, in the order they are swept.
@@ -132,9 +133,6 @@ def _family_tables(k_max: int, primes: list[int]) -> list[list[list[list[int]]]]
     heights go downward, so height h-1 is not yet updated when height h
     reads it, and T[w-1][h] is kept from before its update.
     """
-    modulus = prod(primes)
-    lanes = sorted(primes)  # a lane leaves `lanes` as m falls below its prime
-    low = modulus  # the product of the primes <= m
     h_max = k_max // 2
     width = k_max + 1
     zero = [0] * width
@@ -150,12 +148,7 @@ def _family_tables(k_max: int, primes: list[int]) -> list[list[list[list[int]]]]
     alt, star, free = columns(), columns(), columns()
     alt_plan = plan(alt, range(h_max, 0, -1))
     star_plan = plan(star, range(1, h_max + 1)) + plan(free, range(h_max + 1))
-    for m in range(lanes[-1] - 1, 0, -1):
-        while lanes and lanes[-1] > m:
-            low //= lanes.pop()
-        # a = m^(-1) mod every prime > m and 0 mod every other, by the CRT
-        a = low * pow(low * m, -1, modulus // low)
-        b = a * a % modulus
+    for a, b in steps:
         na, nb = modulus - a, modulus - b  # -m^(-1), -m^(-2)
         for col, below, start in alt_plan:
             # prev is T[w-1][h] from before m, which a part 1 extends; g is G[w][h]
@@ -171,7 +164,28 @@ def _family_tables(k_max: int, primes: list[int]) -> list[list[list[list[int]]]]
             for w in range(start, width):
                 g = (b * below[w - 2] + a * g) % modulus
                 prev = col[w] = (col[w] + a * prev + g) % modulus
-    tables = [list(zip(*cols)) for cols in (alt, star, free)]
+    return [alt, star, free]
+
+
+def _family_tables(k_max: int, primes: list[int]) -> list[list[list[list[int]]]]:
+    """Each prime's [alternating strict, star, star with free first part],
+    each as T[w][h], in the order of ``primes``: one ``family_pass`` over
+    m = top-1 .. 1, top the largest prime, modulo the product of the
+    primes, each prime a Chinese remainder lane (see the module docstring).
+    """
+    modulus = prod(primes)
+
+    def steps():
+        lanes = sorted(primes)  # a lane leaves `lanes` as m falls below its prime
+        low = modulus  # the product of the primes <= m
+        for m in range(lanes[-1] - 1, 0, -1):
+            while lanes and lanes[-1] > m:
+                low //= lanes.pop()
+            # a = m^(-1) mod every prime > m and 0 mod every other, by the CRT
+            a = low * pow(low * m, -1, modulus // low)
+            yield a, a * a % modulus
+
+    tables = [list(zip(*cols)) for cols in family_pass(k_max, steps(), modulus)]
     return [[[[cell % q for cell in row] for row in table] for table in tables]
             for q in primes]
 

@@ -12,13 +12,14 @@ expands the t^n coefficient as a double power series on ints
 (``gf_coeff_series``: W's Laurent series in z once per l, then one
 division by the linear factor z - l per power of x, and each z -> -z
 pair as twice its even part), and checks the expansion
-coefficient-by-coefficient against the polylog family sums, which one
-star (weight, height) DP per n gives for every (k, s) at once
-(``polylog_family_coeff``, from ``gf_coefficient_check``).  It also
-certifies the terminating evaluation of the Gauss series at 1 and,
-over Z/pZ, the truncation congruences that connect the finite sums to
-that evaluation, at sampled points, each side from its order and
-leading coefficient there (``hypergeom_congruence_check``).
+coefficient-by-coefficient against the polylog family sums
+(``polylog_family_coeff``, from ``gf_coefficient_check``).  Those sums
+come, for every (k, s) at once, from harmonic's (weight, height) pass,
+the one every family sweep reads, run on exact ints.  It also certifies
+the terminating evaluation of the Gauss series at 1 and, over Z/pZ, the
+truncation congruences that connect the finite sums to that evaluation,
+at sampled points, each side from its order and leading coefficient
+there (``hypergeom_congruence_check``).
 
 All arithmetic is exact, and the rational suites run on ints with one
 Fraction per reported value; re-running any check yields bit-identical
@@ -29,10 +30,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from math import comb, factorial, lcm, prod
 
 from .errors import AllSamplesSkippedError, DegenerateParametersError, PoleCancellationError
+from .harmonic import family_pass
 from .indices import Index
 # Unused here: perfbench/tracing.py patches this name on this module.
 from .indices import iter_admissible_indices  # noqa: F401
@@ -222,52 +223,21 @@ def polylog_star_coeff(ix: Index, n: int) -> Fraction:
     return Fraction(q[-1] ** parts[0] * suffix[-1], big ** sum(parts))
 
 
-class _StarTails:
-    """Star tail sums below n on ints, grown one weight at a time.
-
-    rows[w][h][m-1] is T_m[w][h]: over the tails (k_2, ..., k_r) of
-    weight w and height h (the number of parts >= 2) and the chains
-    m >= m_2 >= ... >= m_r >= 1, the sum of prod q_(m_j)^(k_j), where
-    q_m = big/m and big = lcm(1..n), so each tail product is scaled by
-    big^w.  Placing the largest position m_2 = m first gives the star
-    step
-
-        T_m[w][h] = T_(m-1)[w][h] + sum over e >= 1 of q_m^e T_m[w-e][h-[e>=2]],
-
-    whose reads see values already updated at m, since several parts may
-    share it.  A row of weight w reads only lighter rows, so the table is
-    built row by row, each row over every m as a running sum, and a
-    larger weight extends it without a rebuild.
-    """
-
-    def __init__(self, n: int):
-        self.big = lcm(*range(1, n + 1))
-        self.pows = [[1] for _ in range(n)]  # pows[m-1][e] = q_m^e
-        self.rows = [[[1] * n]]  # weight 0: the empty tail alone
-
-    def grow(self, w_max: int) -> None:
-        rows, pows = self.rows, self.pows
-        for w in range(len(rows), w_max + 1):
-            for m, pw in enumerate(pows, 1):
-                pw.append(pw[-1] * (self.big // m))
-            row = []
-            for h in range(w // 2 + 1):
-                # T_m[w-e][h'] is zero unless 2h' <= w - e
-                if 2 * h <= w - 1:
-                    inc = [pw[1] * t for pw, t in zip(pows, rows[w - 1][h])]
-                else:
-                    inc = [0] * len(pows)
-                if h:
-                    for e in range(2, w - 2 * h + 3):
-                        src = rows[w - e][h - 1]
-                        inc = [a + pw[e] * t for a, pw, t in zip(inc, pows, src)]
-                row.append(list(accumulate(inc)))
-            rows.append(row)
-
-
 @lru_cache(maxsize=64)
-def _star_tails(n: int) -> _StarTails:
-    return _StarTails(n)
+def _free_star_table(n: int, weight: int) -> list[list[int]]:
+    """free[h][w] for w <= weight: L^w times the star sum over the indices
+    of weight w and height h and the chains n >= m_1 >= ... >= m_r >= 1,
+    with L = lcm(1..n).
+
+    It is harmonic's ``family_pass`` run on exact ints, with the steps L/m
+    and (L/m)^2 for m = n .. 1 and a modulus no star cell reaches: there
+    are 2^(w-1) indices of weight w, each with at most n^w chains, and
+    each term is at most L^w, so no cell exceeds (2nL)^w.  The
+    alternating table comes out as residues, which nothing reads.
+    """
+    big = lcm(*range(1, n + 1))
+    steps = ((big // m, (big // m) ** 2) for m in range(n, 0, -1))
+    return family_pass(weight, steps, (2 * n * big) ** weight + 1)[2]
 
 
 def polylog_family_coeff(n: int, k: int, s: int) -> Fraction:
@@ -275,18 +245,19 @@ def polylog_family_coeff(n: int, k: int, s: int) -> Fraction:
 
     The sum of ``polylog_star_coeff`` over every index of weight k and
     height s with k_1 >= 2: the first part k_1 sits at m = n, and the
-    tail after it has weight k - k_1 and height s - 1, so the family sum
-    is sum over k_1 of q_n^(k_1) T_n[k-k_1][s-1] / big^k, with T the
-    cached ``_StarTails`` of n.
+    tail after it has weight k - k_1 and height s - 1 with a free first
+    part, so the family sum is sum over k_1 of q_n^(k_1) free[s-1][k-k_1]
+    / L^k, with q_n = L/n and free the table of ``_free_star_table``.
     """
-    if n < 1 or s < 1:
-        raise ValueError(f"need n >= 1 and s >= 1, got n={n}, s={s}")
-    tails = _star_tails(n)
-    tails.grow(k - 2)
-    q = tails.big // n
-    num = sum(q ** k1 * tails.rows[k - k1][s - 1][-1]
-              for k1 in range(2, k - 2 * s + 3))
-    return Fraction(num, tails.big ** k)
+    if n < 1 or k < 0 or s < 1:
+        raise ValueError(f"need n >= 1, k >= 0 and s >= 1, got n={n}, k={k}, s={s}")
+    if 2 * s > k:
+        return _ZERO
+    big = lcm(*range(1, n + 1))
+    free = _free_star_table(n, k - 2)[s - 1]
+    q = big // n
+    num = sum(q ** k1 * free[k - k1] for k1 in range(2, k - 2 * s + 3))
+    return Fraction(num, big ** k)
 
 
 def gf_coefficient_check(n: int, k: int, s: int) -> VerificationRecord:

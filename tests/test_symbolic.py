@@ -7,6 +7,7 @@ import pytest
 import fmzv.symbolic
 import oracles
 from fmzv.errors import AllSamplesSkippedError, DegenerateParametersError, PoleCancellationError
+from fmzv.harmonic import family_sum_star
 from fmzv.indices import Index, iter_admissible_indices, iter_indices_of_weight
 from fmzv.modfield import prime_ctx
 from fmzv.polys import FpRatFunc, Poly, RatFunc, Z
@@ -212,6 +213,26 @@ def test_polylog_family_coeff_matches_per_index_sums(n):
             want = sum((polylog_star_coeff(ix, n) for ix in iter_admissible_indices(k, s)),
                        F(0))
             assert polylog_family_coeff(n, k, s) == want, (n, k, s)
+
+
+def test_polylog_family_coeff_empty_families_and_bad_input():
+    for k in (0, 1, 3):
+        assert polylog_family_coeff(3, k, 2) == 0  # 2s > k
+    for n, k, s in ((0, 2, 1), (1, -1, 1), (1, 2, 0)):
+        with pytest.raises(ValueError):
+            polylog_family_coeff(n, k, s)
+
+
+@pytest.mark.parametrize("p", [11, 13, 17, 19, 23])
+def test_polylog_family_sums_reduce_to_the_sweep_star_sums(p):
+    # the finite star sum mod p is the sum over n < p of the coefficients
+    # of t^n: the paper's route, on Q, meets the sweep engine, on F_p
+    ctx = prime_ctx(p)
+    for k in range(1, p - 1):
+        for s in range(1, k // 2 + 1):
+            total = sum((polylog_family_coeff(n, k, s) for n in range(1, p)), F(0))
+            got = total.numerator * pow(total.denominator, -1, p) % p
+            assert got == family_sum_star(k, s, ctx), (p, k, s)
 
 
 def test_phi0_reads_one_grid_per_order():
