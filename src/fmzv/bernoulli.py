@@ -2,42 +2,54 @@
 
 Every value is an int in [0, p).
 
-Two independent routes are kept deliberately separate.  Both run over
-l <= h = (p-1)/2 only, because l and p - l pair up:
+Three independent routes are kept deliberately separate:
 
-* the power sum sum(l^n, l < p) = p * B_n mod p^2, one O(p) sum per
-  value (the route every check reads).  For even n, (p-l)^n = l^n -
-  n*p*l^(n-1) mod p^2, so the sum is 2*sum(l^n) - n*p*sum(l^(n-1))
-  over l <= h, the second sum needed only mod p.  l -> l^(n-1) mod p^2
-  is completely multiplicative, so ``pow`` runs only at prime l and a
-  composite takes the product of two earlier terms, split at its
-  smallest prime factor.  That factor comes from one sieve shared by
-  all primes, grown on demand;
+* the sieve route, the power sum sum(l^n, l < p) = p * B_n mod p^2, one
+  O(p) sum per value and prime, for any even n (``bernoulli_mod``, and
+  ``zeta_residue``, which ``verify``'s family checks read).  For even
+  n, (p-l)^n = l^n - n*p*l^(n-1) mod p^2, so the sum is 2*sum(l^n) -
+  n*p*sum(l^(n-1)) over l <= h = (p-1)/2, the second sum needed only
+  mod p.  l -> l^(n-1) mod p^2 is completely multiplicative, so ``pow``
+  runs only at prime l and a composite takes the product of two earlier
+  terms, split at its smallest prime factor.  That factor comes from one
+  sieve shared by all primes, grown on demand;
+* Glaisher's route, sum(l^(-(k-1)), l < p) = (k-1)/k * p * B_(p-k)
+  mod p^2 for odd k and p >= k+2, which the zeta hunt reads for its
+  residues (``_glaisher_residues``).  Its steps l^(k-1) do not depend
+  on p, so one pass over l serves a whole block of primes, modulo the
+  product of their squares;
 * the alternating inverse power sum, which a classical congruence ties
-  to 2*(1 - 2^(1-k)) * B_(p-k)/k whenever 2^(k-1) is not 1 mod p.  As
-  (p-l)^(-k) = (-1)^k * l^(-k) mod p and l, p - l have opposite parity,
-  the sum is 2*sum((-1)^(l-1) * l^(-k), l <= h) for odd k and 0 for
-  even k.  It keeps that sum as one running fraction N/D mod p, with
-  D the product of the l^k, and inverts D once at the end, so it holds
-  no table at all.
+  to 2*(1 - 2^(1-k)) * B_(p-k)/k whenever 2^(k-1) is not 1 mod p, the
+  hunt's cross-check (``_alternating_sums``; ``alternating_power_sum``
+  is its block of one).  As (p-l)^(-k) = (-1)^k * l^(-k) mod p and l,
+  p - l have opposite parity, the sum is 2*sum((-1)^(l-1) * l^(-k),
+  l <= h) for odd k and 0 for even k, one pass over l <= h modulo the
+  product of a block's primes.
 
-The two routes share no arithmetic: one works mod p^2 from the sieve,
-the other mod p with one Fermat inverse.
+The routes share no arithmetic: the sieve works mod p^2 prime by prime,
+Glaisher's route mod a block's product of p^2 over the full range
+l < p, the alternating route mod a block's product of p over signed
+terms at l <= h.  Both passes keep their sum as one running fraction
+N/D, each prime a Chinese remainder lane that reads N/D where its range
+ends and then leaves the modulus, so neither holds a table.
 
 The classical recurrence sum(C(m+1, j) * B_j, j <= m) = 0 is kept only
-as a test oracle.  ``check_euler_congruence`` confronts the two routes;
-``zeta_sweep_row`` runs the confrontation at one prime of a hunt for
-zero residues of B_(p-k)/k.  Both report VerificationRecords; a sweep
-row carries the residue as lhs and ``zero``/``cross`` extras.
+as a test oracle.  ``check_euler_congruence`` confronts the sieve with
+the alternating route; ``zeta_sweep_rows`` confronts Glaisher's route
+with it at a block of primes of a hunt for zero residues of B_(p-k)/k.
+Both report VerificationRecords; a sweep row carries the residue as lhs
+and ``zero``/``cross`` extras.
 """
 
 from __future__ import annotations
 
-from math import isqrt
+from math import isqrt, prod
 from operator import mul
 
 from .errors import VonStaudtPoleError
-from .modfield import PrimeCtx, prime_ctx
+from .modfield import PrimeCtx
+# Unused here: perfbench/tracing.py patches this name on this module.
+from .modfield import prime_ctx  # noqa: F401
 from .records import VerificationRecord, comparison_record, skipped_record
 
 # _spf[l] is the smallest prime factor of l, for 2 <= l < len(_spf).  One
@@ -107,36 +119,87 @@ def bernoulli_mod(n: int, ctx: PrimeCtx) -> int:
     return ctx.memo(("bernoulli_even", n), lambda: _power_sum_mod_p2(n, p) // p)
 
 
+def _alternating_sums(k: int, primes) -> list[int]:
+    """2*sum((-1)^(l-1) * l^(-k), l <= (p-1)/2) mod p at each of the
+    ascending odd primes of a block, for odd k.
+
+    The half sum is one running fraction N/D with D the product of the
+    l^k, taken two terms a step, modulo M, the product of the block's
+    primes: each prime p is a Chinese remainder lane that reads N/D mod p
+    when l reaches (p-1)/2, and then leaves M.  A step is l^k reduced mod
+    M, so a large k costs a few products mod M a step.  Nothing p-sized
+    is built.
+    """
+    mod = prod(primes)
+    num, den, start = 0, 1, 1  # start: the odd l of the next step
+    sums = []
+    for p in primes:
+        h = (p - 1) // 2
+        # two terms a step, odd l and even l + 1:
+        # N/D + 1/t - 1/u = (N*t*u + D*(u - t)) / (D*t*u)
+        for l in range(start, h, 2):
+            t, u = pow(l, k, mod), pow(l + 1, k, mod)
+            tu = t * u
+            num = (num * tu + den * (u - t)) % mod
+            den = den * tu % mod
+        start = h + 1 - h % 2
+        if h % 2:  # h is odd, and its term is left over: N/D + 1/t
+            t = pow(h, k, p)
+            sums.append(2 * (num * t + den) * pow(den * t, -1, p) % p)
+        else:
+            sums.append(2 * num * pow(den, -1, p) % p)
+        mod //= p
+        num, den = num % mod, den % mod
+    return sums
+
+
 def alternating_power_sum(k: int, ctx: PrimeCtx) -> int:
     """Sum of (-1)^(l-1) * l^(-k) over l = 1..p-1, mod p.
 
     (p-l)^(-k) = (-1)^k * l^(-k) mod p, and l, p - l have opposite
     parity, so the terms at l and p - l are equal for odd k and cancel
     for even k: the sum is 2*sum((-1)^(l-1) * l^(-k), l <= (p-1)/2) for
-    odd k and 0 for even k.  That half sum is kept as one fraction N/D:
-    with t = l^k mod p, N <- N*t +- D and D <- D*t, and D (a product of
-    units) is inverted once at the end.  Nothing p-sized is built.
+    odd k and 0 for even k.  The half sum is the block of one of
+    ``_alternating_sums``.
     """
     if k < 1:
         raise ValueError(f"exponent must be >= 1, got {k}")
     if k % 2 == 0:
         return 0
-    p = ctx.p
-    h = (p - 1) // 2
-    num, den = 0, 1
-    # two terms a step, odd l and even l + 1:
-    # N/D + 1/t - 1/u = (N*t*u + D*(u - t)) / (D*t*u)
-    for l in range(1, h, 2):
-        t = pow(l, k, p)
-        u = pow(l + 1, k, p)
-        tu = t * u
-        num = (num * tu + den * (u - t)) % p
-        den = den * tu % p
-    if h % 2:  # h is odd, and its term is left over
-        t = pow(h, k, p)
-        num = (num * t + den) % p
-        den = den * t % p
-    return 2 * num * pow(den, p - 2, p) % p
+    return _alternating_sums(k, (ctx.p,))[0]
+
+
+def _glaisher_residues(k: int, primes) -> list[int]:
+    """B_(p-k)/k mod p at each of the ascending primes p >= k+2 of a
+    block, for odd k >= 3, by Glaisher's congruence
+
+        sum(l^(-(k-1)), l < p) = (k-1)/k * p * B_(p-k)  (mod p^2)
+
+    (J. W. L. Glaisher, 1900).  Its steps t = l^(k-1) do not depend on p,
+    so the sum is one running fraction N/D, N <- N*t + D and D <- D*t,
+    modulo M, the product of the p^2.  Each prime reads H = N/D mod p^2,
+    a multiple of p, when l reaches p-1, takes (H/p) / (k-1) mod p and
+    leaves M.  A step is l^(k-1) reduced mod M.
+    """
+    e = k - 1
+    mod = prod(p * p for p in primes)
+    num, den, start = 0, 1, 1
+    residues = []
+    for p in primes:
+        # two terms a step, odd l and even l + 1, so that the steps end at
+        # the even p-1: N/D + 1/t + 1/u = (N*t*u + D*(t + u)) / (D*t*u)
+        for l in range(start, p, 2):
+            t, u = pow(l, e, mod), pow(l + 1, e, mod)
+            tu = t * u
+            num = (num * tu + den * (t + u)) % mod
+            den = den * tu % mod
+        start = p
+        p2 = p * p
+        total = num * pow(den, -1, p2) % p2
+        residues.append(total // p * pow(e, -1, p) % p)
+        mod //= p2
+        num, den = num % mod, den % mod
+    return residues
 
 
 def zeta_residue(k: int, ctx: PrimeCtx) -> int:
@@ -165,26 +228,43 @@ def check_euler_congruence(k: int, ctx: PrimeCtx) -> VerificationRecord:
     return comparison_record("euler", str(lhs), str(rhs), p=p, k=k)
 
 
-def zeta_sweep_row(k: int, p: int) -> VerificationRecord:
-    """One prime of the zeta-residue hunt, as a "zsweep" record.
+def zeta_sweep_rows(k: int, primes) -> list[VerificationRecord]:
+    """The zeta-residue hunt at a block of ascending primes, one "zsweep"
+    record a prime.
 
-    ``lhs`` is the residue B_(p-k)/k and ``rhs`` the alternating route's
-    value of it ("" when that route cannot divide).  The extras say
-    whether the residue is zero and how the cross-check went: "ok",
-    "fail" or "degenerate".
+    ``lhs`` is the residue B_(p-k)/k (``_glaisher_residues``) and ``rhs``
+    the alternating route's value of it (``_alternating_sums``), "" when
+    that route cannot divide.  The extras say whether the residue is zero
+    and how the cross-check went: "ok", "fail" or "degenerate".  Each
+    route runs one pass over l for the whole block; for even k both
+    values are 0 and neither runs.  Primes p <= k+1 get skipped records.
     """
-    if p <= k + 1:
-        return skipped_record("zsweep", f"p <= {k + 1}", p=p, k=k)
-    ctx = prime_ctx(p)
-    res = zeta_residue(k, ctx)
-    factor = _alternating_factor(k, p)
-    if factor == 0:
-        return VerificationRecord(
-            check="zsweep", p=p, k=k, lhs=str(res), rhs="", passed=True,
-            reason="2^(k-1) = 1 mod p: alternating route cannot divide",
-            extra=(("zero", res == 0), ("cross", "degenerate")),
-        )
-    derived = alternating_power_sum(k, ctx) * pow(factor, p - 2, p) % p
-    cross = "ok" if derived == res else "fail"
-    return comparison_record("zsweep", str(res), str(derived), p=p, k=k,
-                             extra=(("zero", res == 0), ("cross", cross)))
+    if k < 2:
+        raise ValueError(f"need k >= 2, got {k}")
+    live = [p for p in primes if p > k + 1]
+    if k % 2:
+        values = zip(_glaisher_residues(k, live), _alternating_sums(k, live))
+    else:
+        values = [(0, 0)] * len(live)
+    rows = [skipped_record("zsweep", f"p <= {k + 1}", p=p, k=k)
+            for p in primes if p <= k + 1]
+    for p, (res, alt) in zip(live, values):
+        factor = _alternating_factor(k, p)
+        if factor == 0:
+            rows.append(VerificationRecord(
+                check="zsweep", p=p, k=k, lhs=str(res), rhs="", passed=True,
+                reason="2^(k-1) = 1 mod p: alternating route cannot divide",
+                extra=(("zero", res == 0), ("cross", "degenerate")),
+            ))
+            continue
+        derived = alt * pow(factor, p - 2, p) % p
+        cross = "ok" if derived == res else "fail"
+        rows.append(comparison_record("zsweep", str(res), str(derived), p=p, k=k,
+                                      extra=(("zero", res == 0), ("cross", cross))))
+    return rows
+
+
+def zeta_sweep_row(k: int, p: int) -> VerificationRecord:
+    """One prime of the zeta-residue hunt: the block of one of
+    ``zeta_sweep_rows``."""
+    return zeta_sweep_rows(k, (p,))[0]

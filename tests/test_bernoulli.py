@@ -3,13 +3,14 @@ import tracemalloc
 import pytest
 
 import oracles
-from fmzv import bernoulli
+from fmzv import bernoulli, cli
 from fmzv.bernoulli import (
     alternating_power_sum,
     bernoulli_mod,
     check_euler_congruence,
     zeta_residue,
     zeta_sweep_row,
+    zeta_sweep_rows,
 )
 from fmzv.errors import VonStaudtPoleError
 from fmzv.modfield import PrimeCtx, binom_mod, prime_ctx, primes_in_range
@@ -196,3 +197,67 @@ def test_zeta_sweep_even_k_all_zero():
     assert rows and all(row.lhs == "0" and dict(row.extra)["zero"] for row in rows)
     with pytest.raises(ValueError):
         zeta_sweep_row(1, 7)
+
+
+@pytest.mark.parametrize("k", [3, 5, 7, 9, 11, 13, 21])
+def test_blocked_passes_match_oracles_that_share_no_code_with_them(k):
+    # every prime from k+2 to 2000, cut into the hunt's blocks: each
+    # Glaisher residue is the sieve's zeta_residue, each alternating value
+    # the term-by-term sum, and each block's rows are its primes' own rows
+    primes = primes_in_range(k + 2, 2000)
+    blocks = cli._blocks(primes, len(primes), cli.ZETA_BLOCK_BITS)
+    assert len(blocks) >= 2 and min(map(len, blocks)) > 1
+    assert blocks[0][0] == primes[0]  # k+2 where it is prime
+    for block in blocks:
+        residues = bernoulli._glaisher_residues(k, block)
+        sums = bernoulli._alternating_sums(k, block)
+        assert len(residues) == len(sums) == len(block)
+        for p, res, alt in zip(block, residues, sums):
+            assert res == zeta_residue(k, PrimeCtx(p)), (k, p)
+            assert alt == oracles.alternating_power_sum(k, p), (k, p)
+        assert zeta_sweep_rows(k, block) == [zeta_sweep_row(k, p) for p in block], k
+
+
+def test_a_block_with_a_degenerate_prime():
+    # 2^10 = 1 mod 31: at k = 11 the row at 31 has no alternating value,
+    # and the primes of its block around it are read as before
+    primes = primes_in_range(2, 2000)
+    block = next(b for b in cli._blocks(primes, len(primes), cli.ZETA_BLOCK_BITS)
+                 if 31 in b)
+    assert block[0] < 13 < 31 < block[-1]
+    rows = zeta_sweep_rows(11, block)
+    assert rows == [zeta_sweep_row(11, p) for p in block]
+    by_p = {row.p: row for row in rows}
+    assert all(by_p[p].skipped for p in block if p <= 12)
+    assert by_p[31].rhs == "" and dict(by_p[31].extra)["cross"] == "degenerate"
+    assert by_p[31].lhs == str(zeta_residue(11, PrimeCtx(31)))
+    live = [row for row in rows if not row.skipped and row.p != 31]
+    assert live and all(dict(row.extra)["cross"] == "ok" for row in live)
+
+
+def test_the_wolstenholme_prime_inside_a_block():
+    # 16843 | B_16840: its residue is 0 read from the middle of a block
+    primes = primes_in_range(16000, 18000)
+    block = next(b for b in cli._blocks(primes, len(primes), cli.ZETA_BLOCK_BITS)
+                 if 16843 in b)
+    assert block[0] < 16843 < block[-1]
+    residues = bernoulli._glaisher_residues(3, block)
+    sums = bernoulli._alternating_sums(3, block)
+    i = block.index(16843)
+    assert residues[i] == zeta_residue(3, PrimeCtx(16843)) == 0
+    assert sums[i] == oracles.alternating_power_sum(3, 16843) == 0
+    rows = zeta_sweep_rows(3, block)
+    assert [row.p for row in rows if dict(row.extra)["zero"]] == [16843]
+    assert all(dict(row.extra)["cross"] == "ok" for row in rows)
+
+
+def test_even_k_rows_need_no_pass(monkeypatch):
+    # both values are 0 at even k: the rows come with neither pass run
+    def no_pass(*args):
+        raise AssertionError("a pass ran at even k")
+
+    monkeypatch.setattr(bernoulli, "_glaisher_residues", no_pass)
+    monkeypatch.setattr(bernoulli, "_alternating_sums", no_pass)
+    rows = zeta_sweep_rows(4, primes_in_range(2, 100))
+    assert [row.p for row in rows if row.skipped] == [2, 3, 5]
+    assert all(row.lhs == "0" for row in rows if not row.skipped)

@@ -395,7 +395,7 @@ def test_resume_torn_inside_the_second_block(tmp_path, capsys, fmt):
     # its second block, on a line end or inside a line, resumes to the
     # bytes of a run that was never cut
     primes = primes_in_range(5, 400)
-    blocks = cli._blocks(primes, len(primes))
+    blocks = cli._blocks(primes, len(primes), cli.BLOCK_BITS)
     assert len(blocks) >= 3
     base = ["verify", "ao,heightsum", "--kmax", "3", "--primes", "5..400",
             "--jobs", "1", "--format", fmt]
@@ -408,6 +408,30 @@ def test_resume_torn_inside_the_second_block(tmp_path, capsys, fmt):
     # two records into the middle prime of the second block
     kept = head + (len(blocks[0]) + len(blocks[1]) // 2) * per_prime + 2
     done = len(b"".join(lines[:kept]))
+    for cut in (done, done + 4):
+        out = tmp_path / f"cut{cut}.{fmt}"
+        out.write_bytes(whole[:cut])
+        assert run_cli(base + ["--out", str(out), "--resume"], capsys)[0] == 0, cut
+        assert out.read_bytes() == whole, cut
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_zsweep_resume_torn_inside_the_second_block(tmp_path, capsys, fmt):
+    # the hunt computes its rows block by block but writes them prime by
+    # prime; a file cut inside its second block, on a line end or inside a
+    # line, resumes to the bytes of a run that was never cut
+    primes = primes_in_range(5, 5000)
+    blocks = cli._blocks(primes, len(primes), cli.ZETA_BLOCK_BITS)
+    assert len(blocks) >= 3
+    base = ["zsweep", "--k", "3", "--primes", "5..5000", "--format", fmt]
+    oneshot = tmp_path / f"oneshot.{fmt}"
+    assert run_cli(base + ["--out", str(oneshot)], capsys)[0] == 0
+    whole = oneshot.read_bytes()
+    lines = whole.splitlines(keepends=True)
+    head = 1 if fmt == "csv" else 0
+    assert len(lines) == head + len(primes)
+    # the middle prime of the second block
+    done = len(b"".join(lines[:head + len(blocks[0]) + len(blocks[1]) // 2]))
     for cut in (done, done + 4):
         out = tmp_path / f"cut{cut}.{fmt}"
         out.write_bytes(whole[:cut])
@@ -493,7 +517,7 @@ def test_unopenable_out_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, mi
     def no_work(*args, **kwargs):
         raise AssertionError("work started before --out was opened")
 
-    for name in ("_verify_worker", "zeta_sweep_row", "run_anl_suite", "run_hypcong_suite"):
+    for name in ("_verify_worker", "zeta_sweep_rows", "run_anl_suite", "run_hypcong_suite"):
         monkeypatch.setattr(cli_mod, name, no_work)
     out_path = tmp_path / "no" / "such" / "x.jsonl" if missing else tmp_path
     code, out, err = run_cli(argv + ["--out", str(out_path)], capsys)
@@ -591,6 +615,26 @@ def test_zsweep_golden_sha256(capsys, k, fmt):
                             "--format", fmt], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ZSWEEP_SHA256[k, fmt]
+
+
+# sha256 of the stdout of zsweep at a large --k in each format, written when
+# each prime read its residue from the power-sum sieve and its own
+# alternating sum: the blocked passes take each step l^k mod the block's
+# modulus, so a large k costs a few products a step
+ZSWEEP_LARGE_K_SHA256 = {
+    ("101", "2..1500", "jsonl"): "d1d8c70ddc9f4cc9484995d8e32afbb64be6e49e749e7252a390a45b2af298de",
+    ("101", "2..1500", "csv"): "5aed475878ff1be67cc1eeef1e31ca3476a68bb116281e151e7b260f700a20da",
+    ("1001", "1000..1400", "jsonl"): "2ababec6ff7560946c60a98ae6c84507ca9fa16271752769d71a4ff91588009b",
+    ("1001", "1000..1400", "csv"): "6bf79dd96debfa6eed8fc22d4d5c9f7c5a1efc579c949f16f02f3dfa06cf9f3b",
+}
+
+
+@pytest.mark.parametrize("k, primes, fmt", ZSWEEP_LARGE_K_SHA256)
+def test_zsweep_large_k_golden_sha256(capsys, k, primes, fmt):
+    code, out, _ = run_cli(["zsweep", "--k", k, "--primes", primes, "--format", fmt],
+                           capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ZSWEEP_LARGE_K_SHA256[k, primes, fmt]
 
 
 # sha256 of the stdout of `verify ao,lm,lemma,heightsum --kmax 12 --primes

@@ -205,7 +205,7 @@ def test_family_table_built_once_per_prime(monkeypatch):
             memo_builds.clear()
             passes.clear()
             prime_ctx.cache_clear()  # contexts of earlier runs hold built tables
-            blocks = cli._blocks(primes, -(-len(primes) // jobs))
+            blocks = cli._blocks(primes, -(-len(primes) // jobs), cli.BLOCK_BITS)
             assert len(blocks) >= max(jobs, 2)
             records = [rec for block in blocks
                        for batch in cli._verify_worker((block, tasks)) for rec in batch]
