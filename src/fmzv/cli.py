@@ -149,7 +149,9 @@ def _count(tally, flags) -> None:
 def _flags(rec) -> tuple:
     """A record's four flags, as ``_count`` takes them; zero and cross are
     extras of zsweep rows only."""
-    extra = dict(rec.extra) if rec.extra else {}
+    if not rec.extra:
+        return rec.passed, rec.skipped, False, None
+    extra = dict(rec.extra)
     return rec.passed, rec.skipped, extra.get("zero", False), extra.get("cross")
 
 
@@ -312,8 +314,8 @@ def _verify_worker(shard):
     as they are read; the shard's family tables are built first, in one DP
     pass."""
     primes, tasks = shard
-    build_family_tables(primes, tasks)
-    return (evaluate_tasks_for_prime(p, tasks) for p in primes)
+    k_max = build_family_tables(primes, tasks)
+    return (evaluate_tasks_for_prime(p, tasks, k_max) for p in primes)
 
 
 def _pool_worker(shard):

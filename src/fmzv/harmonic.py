@@ -10,14 +10,10 @@ height.  They come from one engine: a (weight, height) dynamic program
 that fills its three tables (alternating strict, star, and star with a
 free first part) up to a weight in a single pass over m, kept on the
 ``PrimeCtx``.  The parts e >= 2 placed at one m sum to the geometric tail
-y * (x/m)^2 / (1 - x/m) of Aoki and Ohno's generating series, so the DP
-carries them as one running tail per height,
-
-    G[w][h] = sign * m^(-2) * T[w-2][h-1] + m^(-1) * G[w-1][h],
-
-and costs O(p * k * h) from m^(-1) and m^(-2) alone, read once per m for
-all three tables.  The star tables read the values already updated at m,
-the strict table those from before m (see ``family_pass``).
+y * (x/m)^2 / (1 - x/m) of Aoki and Ohno's generating series; multiplied
+through by (1 - x/m)^2, each cell of a step costs two products and one
+reduction, from m^(-1) and m^(-2) alone (see ``family_pass``), and the
+pass O(p * k * h).
 
 One pass serves a block of primes at once (``family_tables``): it runs
 modulo the product M of the block's primes, one Chinese remainder lane
@@ -113,25 +109,22 @@ def family_pass(k_max: int, steps, modulus: int) -> list[list[list[int]]]:
     positions already passed; T[0][0] = 1 is the empty index.  A part e
     placed at m multiplies by sign * a^e and moves (w, h) to
     (w + e, h + [e >= 2]); the first part placed is k1, which must be
-    >= 2 in the first two tables.  The parts e >= 2 at m add up to the
-    running tail
+    >= 2 in the first two tables.
 
-        G[w][h] = sum over e >= 2 of sign * a^e * T[w-e][h-1]
-                = sign * b * T[w-2][h-1] + a * G[w-1][h],
+    In the series sum over w of T[w][h] X^w, the parts e >= 2 at m add
+    sign * b X^2 / (1 - aX) times the column below, B.  Multiplied through
+    by (1 - aX)^2, the step from T to T' is a recurrence in w,
 
-    so each cell costs O(1) per m, O(k * h) per step for the three tables,
-    and the pass reads its two step values once per m.  A zero step adds
-    no part, so it leaves the tables as they were.  Each height is one
-    column, swept upward in w with G carried along it; each table's plan
-    lists its columns, the column below each and the first weight each
-    can reach, in the order they are swept.
+        star:   T'[w] = T[w] + a (2 T'[w-1] - T[w-1]) + b (B'[w-2] - T'[w-2])
+        strict: T'[w] = T[w] + a (T'[w-1] - 2 T[w-1]) + b (T[w-2] - B[w-2])
 
-    The star tables (sign +1) let several parts share m, so their heights
-    go upward and every read sees the values already updated at m.  The
-    strict table (sign -1, which folds in (-1)^depth) allows at most one
-    part per m, so every read must see the values from before m: its
-    heights go downward, so height h-1 is not yet updated when height h
-    reads it, and T[w-1][h] is kept from before its update.
+    with 0 read at w - 2 < 0: two products and one reduction a cell.  A
+    zero step leaves the tables as they were.  The star tables (sign +1)
+    let parts share m: their heights go upward, so B' is already updated
+    at m.  The strict table (sign -1, which folds in (-1)^depth) allows
+    one part per m: its heights go downward, so B is from before m.  A
+    plan lists the columns, each with the column below and the first
+    weight it can reach, in the order they are swept.
     """
     h_max = k_max // 2
     width = k_max + 1
@@ -149,21 +142,24 @@ def family_pass(k_max: int, steps, modulus: int) -> list[list[list[int]]]:
     alt_plan = plan(alt, range(h_max, 0, -1))
     star_plan = plan(star, range(1, h_max + 1)) + plan(free, range(h_max + 1))
     for a, b in steps:
-        na, nb = modulus - a, modulus - b  # -m^(-1), -m^(-2)
         for col, below, start in alt_plan:
-            # prev is T[w-1][h] from before m, which a part 1 extends; g is G[w][h]
-            prev, g = col[start - 1], 0
+            # old1, old2 are T[w-1], T[w-2] from before m, new1 is T'[w-1]
+            old2, old1 = col[start - 2], col[start - 1]
+            new1 = old1
             for w in range(start, width):
-                g = (nb * below[w - 2] + a * g) % modulus
                 old = col[w]
-                col[w] = (old + na * prev + g) % modulus
-                prev = old
+                new1 = col[w] = (old + a * (new1 - 2 * old1)
+                                 + b * (old2 - below[w - 2])) % modulus
+                old2, old1 = old1, old
         for col, below, start in star_plan:
-            # as above, but prev is T[w-1][h] already updated at m
-            prev, g = col[start - 1], 0
+            # new1, new2 are T'[w-1], T'[w-2], old1 is T[w-1] from before m
+            old1 = new1 = col[start - 1]
+            new2 = col[start - 2] if start > 1 else 0
             for w in range(start, width):
-                g = (b * below[w - 2] + a * g) % modulus
-                prev = col[w] = (col[w] + a * prev + g) % modulus
+                old = col[w]
+                new = col[w] = (old + a * (2 * new1 - old1)
+                                + b * (below[w - 2] - new2)) % modulus
+                new2, new1, old1 = new1, new, old
     return [alt, star, free]
 
 

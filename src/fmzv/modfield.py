@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import threading
 from functools import lru_cache
+from itertools import compress
+from math import isqrt
 
 # Primes are capped so that a value mod p fits in a machine word.  All
 # arithmetic is on Python ints, so products stay exact whatever their size.
@@ -50,9 +52,21 @@ def is_prime(n: int) -> bool:
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """All primes in the inclusive range [lo, hi]."""
+    """All primes in the inclusive range [lo, hi], by a sieve of the window:
+    the multiples of each prime q <= min(isqrt(hi), 2^16, hi - lo + 1) are
+    struck from q^2 on, and survivors are confirmed by ``is_prime`` when
+    that bound is below isqrt(hi).  O((hi - lo) + 2^16) at any height."""
     lo = max(lo, 2)
-    return [n for n in range(lo, hi + 1) if is_prime(n)]
+    if hi < lo:
+        return []
+    root = isqrt(hi)
+    bound = min(root, 1 << 16, hi - lo + 1)  # past the width, q strikes <= 1 number
+    window = bytearray([1]) * (hi - lo + 1)
+    for q in primes_in_range(2, bound):
+        first = max(q * q, -(-lo // q) * q) - lo
+        window[first::q] = bytes(len(range(first, len(window), q)))
+    primes = list(compress(range(lo, hi + 1), window))
+    return primes if bound == root else [n for n in primes if is_prime(n)]
 
 
 class PrimeCtx:

@@ -19,8 +19,11 @@ reproduce it, and sweeps keep going past failures.
 ``CHECKS`` is the one registry of the checks: each name maps to the
 ``Grid`` it is swept over (family (k, s), height (k, s >= 0) or index),
 which fixes its tasks, its guard and its record fields, and to its
-``verify_*`` function.  Sweeps, resumes and the CLI read it and name no
-check themselves.
+``verify_*`` function.  A family check also maps (k, s) and its prime's
+row (``_Row``) to the text of its two sides; every family record of a
+prime comes from one row, and its ``verify_*`` is the row's block of one.
+Sweeps, resumes and the CLI read the registry and name no check
+themselves.
 
 A task is ``(check, k, s)`` or ``(check, parts)``, and one prime's records
 follow its tasks: sorted, the tasks give the order of ``record_sort_key``.
@@ -28,30 +31,40 @@ follow its tasks: sorted, the tasks give the order of ``record_sort_key``.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Callable, NamedTuple
 
 from .bernoulli import zeta_residue
 from .errors import InfeasibleFamilyError
-from .harmonic import (
-    family_sum_alt_strict,
-    family_sum_star,
-    family_sum_star_unrestricted,
-    family_tables,
-    mhs_star,
-    mhs_strict,
-)
+from .harmonic import family_table, family_tables, mhs_star, mhs_strict
 from .indices import Index, iter_indices_of_weight
-# Unused here: perfbench/tracing.py patches this name on this module.
+from .modfield import PrimeCtx, prime_ctx
+# Unused here: perfbench/tracing.py patches these names on this module.
+from .harmonic import family_sum_star, family_sum_alt_strict  # noqa: F401
+from .harmonic import family_sum_star_unrestricted  # noqa: F401
 from .indices import iter_all_indices  # noqa: F401
-from .modfield import PrimeCtx, binom_mod, prime_ctx
+from .modfield import binom_mod  # noqa: F401
 from .records import VerificationRecord, comparison_record, skipped_record
 
 
-def _shared_rhs(k: int, s: int, ctx: PrimeCtx) -> int:
-    p = ctx.p
-    binom = binom_mod(k - 1, 2 * s - 1, ctx)
-    half_factor = (1 - pow(pow(2, k - 1, p), p - 2, p)) % p
-    return 2 * binom % p * half_factor % p * zeta_residue(k, ctx) % p
+class _Row(dict):
+    """One prime's family row: its three tables, read once, and the text of
+    the right side 2 * C(k-1, 2s-1) * (1 - 2^(1-k)) * B_(p-k)/k that ao and
+    lm share, an entry per (k, s) computed when first read from the half
+    factor (1 - 2^(1-k)) * B_(p-k)/k of its k, computed once per k.  The
+    binomial is exact (``math.comb``), so the row reads no table of size p."""
+
+    def __init__(self, k_max: int, ctx: PrimeCtx):
+        self.p, self.ctx, self.half = ctx.p, ctx, {}
+        self.alt, self.star, self.free = family_table(k_max, ctx)
+
+    def __missing__(self, key):
+        k, s = key
+        p, half = self.p, self.half
+        if k not in half:
+            half[k] = (1 - pow(2, 1 - k, p)) * zeta_residue(k, self.ctx) % p
+        text = self[key] = str(2 * comb(k - 1, 2 * s - 1) * half[k] % p)
+        return text
 
 
 def _index_text(parts: tuple[int, ...]) -> str:
@@ -68,33 +81,19 @@ def _family_guards(k: int, s: int) -> None:
 def verify_ao(k: int, s: int, ctx: PrimeCtx) -> VerificationRecord:
     """Star family sum vs the shared binomial-Bernoulli right side."""
     _family_guards(k, s)
-    if ctx.p <= k + 1:
-        return skipped_record("ao", f"p <= {k + 1}", p=ctx.p, k=k, s=s)
-    lhs = family_sum_star(k, s, ctx)
-    rhs = _shared_rhs(k, s, ctx)
-    return comparison_record("ao", str(lhs), str(rhs), p=ctx.p, k=k, s=s)
+    return evaluate_tasks_for_prime(ctx.p, [("ao", k, s)], k, ctx)[0]
 
 
 def verify_lm(k: int, s: int, ctx: PrimeCtx) -> VerificationRecord:
     """Depth-alternating strict family sum vs the same right side."""
     _family_guards(k, s)
-    if ctx.p <= k + 1:
-        return skipped_record("lm", f"p <= {k + 1}", p=ctx.p, k=k, s=s)
-    lhs = family_sum_alt_strict(k, s, ctx)
-    rhs = _shared_rhs(k, s, ctx)
-    return comparison_record("lm", str(lhs), str(rhs), p=ctx.p, k=k, s=s)
+    return evaluate_tasks_for_prime(ctx.p, [("lm", k, s)], k, ctx)[0]
 
 
 def verify_lemma(k: int, s: int, ctx: PrimeCtx) -> VerificationRecord:
     """Sign relation: star family sum = (-1)^(k-1) * alternating strict sum."""
     _family_guards(k, s)
-    if ctx.p <= k + 1:
-        return skipped_record("lemma", f"p <= {k + 1}", p=ctx.p, k=k, s=s)
-    p = ctx.p
-    lhs = family_sum_star(k, s, ctx)
-    sign = 1 if (k - 1) % 2 == 0 else -1
-    rhs = sign * family_sum_alt_strict(k, s, ctx) % p
-    return comparison_record("lemma", str(lhs), str(rhs), p=ctx.p, k=k, s=s)
+    return evaluate_tasks_for_prime(ctx.p, [("lemma", k, s)], k, ctx)[0]
 
 
 def verify_antipode(ix: Index | tuple[int, ...], ctx: PrimeCtx) -> VerificationRecord:
@@ -136,10 +135,7 @@ def verify_height_sum(k: int, s: int, ctx: PrimeCtx) -> VerificationRecord:
         raise ValueError("(k, s) = (0, 0) is excluded: its value is 1, not 0")
     if k == 0 or k < 2 * s:
         raise InfeasibleFamilyError(f"no indices of weight {k} and height {s}")
-    if ctx.p <= k + 1:
-        return skipped_record("heightsum", f"p <= {k + 1}", p=ctx.p, k=k, s=s)
-    lhs = family_sum_star_unrestricted(k, s, ctx)
-    return comparison_record("heightsum", str(lhs), "0", p=ctx.p, k=k, s=s)
+    return evaluate_tasks_for_prime(ctx.p, [("heightsum", k, s)], k, ctx)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -189,17 +185,24 @@ INDEX = Grid(_index_params, sum, lambda parts: {"index": _index_text(parts)}, ("
 
 
 class Check(NamedTuple):
+    """A grid and a function; a family check's ``sides`` maps (k, s, row)
+    to the text of its two sides, and its function is the block of one."""
+
     grid: Grid
     verify: Callable[..., VerificationRecord]
+    sides: Callable[[int, int, _Row], tuple[str, str]] | None = None
 
 
 CHECKS = {
-    "ao": Check(FAMILY, verify_ao),
-    "lm": Check(FAMILY, verify_lm),
-    "lemma": Check(FAMILY, verify_lemma),
+    "ao": Check(FAMILY, verify_ao, lambda k, s, row: (str(row.star[k][s]), row[k, s])),
+    "lm": Check(FAMILY, verify_lm, lambda k, s, row: (str(row.alt[k][s]), row[k, s])),
+    # star = (-1)^(k-1) * alternating strict
+    "lemma": Check(FAMILY, verify_lemma, lambda k, s, row: (
+        str(row.star[k][s]), str(row.alt[k][s] if k % 2 else -row.alt[k][s] % row.p))),
     "antipode": Check(INDEX, verify_antipode),
     "reversal": Check(INDEX, verify_reversal),
-    "heightsum": Check(HEIGHT, verify_height_sum),
+    "heightsum": Check(HEIGHT, verify_height_sum,
+                       lambda k, s, row: (str(row.free[k][s]), "0")),
 }
 CHECK_NAMES = tuple(CHECKS)
 
@@ -232,8 +235,9 @@ def require_tasks(checks: list[str], tasks: list[tuple], *, k_max: int, w_max: i
         raise ValueError(f"no tasks for {','.join(checks)} with {flags}")
 
 
-def build_family_tables(primes: list[int], tasks: list[tuple]) -> None:
-    """Build the family tables of a block of primes in one DP pass.
+def build_family_tables(primes: list[int], tasks: list[tuple]) -> int | None:
+    """Build the family tables of a block of primes in one DP pass; return
+    their weight, None when no task is a family task.
 
     The primes that have a family task past its guard get their tables
     at the largest weight of the family tasks, so that each prime's
@@ -243,27 +247,37 @@ def build_family_tables(primes: list[int], tasks: list[tuple]) -> None:
     if family_k:
         least = min(family_k)
         family_tables(max(family_k), [prime_ctx(p) for p in primes if p > least + 1])
+        return max(family_k)
+    return None
 
 
-def evaluate_tasks_for_prime(p: int, tasks: list[tuple]) -> list[VerificationRecord]:
+def evaluate_tasks_for_prime(p: int, tasks: list[tuple], k_max: int | None = None,
+                             ctx: PrimeCtx | None = None) -> list[VerificationRecord]:
     """All records for one prime, in task order; builds the context only
-    when needed.
+    when needed (``prime_ctx(p)``, unless ``ctx`` is given).
 
-    The family checks of this prime share one family table, built up
-    front by ``build_family_tables`` as the block of one.
+    The family checks of this prime read one ``_Row``, whose tables have
+    the weight ``k_max`` that ``build_family_tables`` returned for the
+    block of ``p``.  Without it, the tables are built as the block of one.
     """
-    build_family_tables([p], tasks)
-    ctx = None
+    row = None
     out = []
     for check, *params in tasks:
-        grid, verify = CHECKS[check]
+        grid, verify, sides = CHECKS[check]
         guard = grid.weight(*params) + 1
         if p <= guard:
             out.append(skipped_record(check, f"p <= {guard}", p=p, **grid.fields(*params)))
             continue
         if ctx is None:
             ctx = prime_ctx(p)
-        out.append(verify(*params, ctx))
+        if sides is None:
+            out.append(verify(*params, ctx))
+            continue
+        if row is None:
+            row = _Row(build_family_tables([p], tasks) if k_max is None else k_max, ctx)
+        k, s = params
+        lhs, rhs = sides(k, s, row)
+        out.append(VerificationRecord(check, p, k, s, None, lhs, rhs, lhs == rhs))
     return out
 
 

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: direct chain enumeration for
 harmonic sums, bitmask composition generation, the textbook rational
-Bernoulli recurrence and its O(p^2) table mod p.  None of it shares
+Bernoulli recurrence and its O(p^2) table mod p, and the family DP in
+its older running-tail form.  None of it shares
 code with the package paths it checks; the hypcong reference builds its
 sides as whole polynomials over Z/pZ with ``fmzv.polys``, which the
 pointwise evaluator it checks does not use, and shares only the seeded
@@ -106,6 +107,47 @@ def family_sums(k, p):
             out[s][0] += (-1) ** len(parts) * naive_mhs(parts, p, star=False)
             out[s][1] += star
     return {s: tuple(v % p for v in sums) for s, sums in out.items()}
+
+
+def family_pass_with_tail(k_max, steps, modulus):
+    """The (weight, height) family DP with the parts e >= 2 at each m
+    carried as a running tail per height, three products and two
+    reductions per cell: the pass ``fmzv.harmonic.family_pass`` ran before
+    it multiplied through by (1 - aX)^2.  Same steps, modulus and output.
+
+    The tail G[w][h] = sign * b * T[w-2][h-1] + a * G[w-1][h] sums the
+    parts e >= 2 placed at m.  The star tables sweep their heights upward
+    and read the values already updated at m; the strict table (sign -1)
+    sweeps them downward and reads the values from before m.
+    """
+    h_max = k_max // 2
+    width = k_max + 1
+    zero = [0] * width
+
+    def columns():
+        return [[1] + [0] * k_max] + [[0] * width for _ in range(h_max)]
+
+    def plan(cols, heights):
+        return [(cols[h], cols[h - 1] if h else zero, 2 * h or 1) for h in heights]
+
+    alt, star, free = columns(), columns(), columns()
+    alt_plan = plan(alt, range(h_max, 0, -1))
+    star_plan = plan(star, range(1, h_max + 1)) + plan(free, range(h_max + 1))
+    for a, b in steps:
+        na, nb = modulus - a, modulus - b
+        for col, below, start in alt_plan:
+            prev, g = col[start - 1], 0
+            for w in range(start, width):
+                g = (nb * below[w - 2] + a * g) % modulus
+                old = col[w]
+                col[w] = (old + na * prev + g) % modulus
+                prev = old
+        for col, below, start in star_plan:
+            prev, g = col[start - 1], 0
+            for w in range(start, width):
+                g = (b * below[w - 2] + a * g) % modulus
+                prev = col[w] = (col[w] + a * prev + g) % modulus
+    return [alt, star, free]
 
 
 def power_sum(k, p):

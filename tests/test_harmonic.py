@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 import oracles
 from fmzv import harmonic
 from fmzv.harmonic import (
     _family_tables,
+    family_pass,
     family_sum_alt_strict,
     family_sum_star,
     family_sum_star_unrestricted,
@@ -239,3 +242,27 @@ def test_family_sums_dp_small_prime_guard():
     assert family_sum_star(3, 1, ctx) == 3
     assert family_sum_alt_strict(2, 1, ctx) == 0
     assert family_sum_star(2, 1, ctx) == 0
+
+
+def _random_steps(rng, modulus, count):
+    # a = 0 is a lane below its prime; b = a^2 mod the modulus, as the
+    # sweeps and phi0 give it
+    steps = []
+    for _ in range(count):
+        a = rng.randrange(modulus) if rng.random() < 0.8 else 0
+        steps.append((a, a * a % modulus))
+    return steps
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_family_pass_equals_the_running_tail_pass(seed):
+    # multiplying through by (1 - aX)^2 drops the tail and changes no cell,
+    # up to height 8, as the CI pin to weight 16
+    rng = random.Random(seed)
+    for k_max in (0, 1, 2, 3, 5, 8, 11, 16):
+        modulus = rng.choice([rng.randrange(2, 100), rng.getrandbits(64) | 1,
+                              rng.getrandbits(200) + 2])
+        steps = _random_steps(rng, modulus, rng.randrange(1, 30))
+        assert (family_pass(k_max, steps, modulus)
+                == oracles.family_pass_with_tail(k_max, steps, modulus)), (k_max, modulus)
+

@@ -70,3 +70,26 @@ def test_binom_pascal_rule():
             for k in range(n + 1):
                 lhs = (binom_mod(n, k, ctx) + binom_mod(n, k - 1, ctx)) % p
                 assert lhs == binom_mod(n + 1, k, ctx)
+
+
+def _filtered(lo, hi):
+    return [n for n in range(max(lo, 2), hi + 1) if is_prime(n)]
+
+
+def test_primes_in_range_equals_the_is_prime_filter():
+    for lo in range(1, 7):
+        for hi in range(lo - 1, 400):
+            assert primes_in_range(lo, hi) == _filtered(lo, hi), (lo, hi)
+    assert primes_in_range(10, 9) == primes_in_range(100, 3) == []
+    # windows whose strike bound is isqrt(hi) or, with each survivor
+    # confirmed, the width, around 2^16 and 2^32 and far above
+    for lo, hi in [(10**6, 10**6 + 2000), (2**16 - 40, 2**16 + 40),
+                   (2**32 - 300, 2**32 + 300), (2**32 - 1, 2**32 + 1),
+                   (10**18, 10**18 + 300), (2124679, 2124679), (2124678, 2124680)]:
+        for a in range(lo, hi + 1, max(1, (hi - lo) // 6)):
+            assert primes_in_range(a, hi) == _filtered(a, hi), (a, hi)
+            assert primes_in_range(lo, a) == _filtered(lo, a), (lo, a)
+    # a bound of 2^16: above 2^32 and wider than 2^16
+    lo = 2**40
+    assert primes_in_range(lo, lo + 70000) == _filtered(lo, lo + 70000)
+

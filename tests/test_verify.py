@@ -1,4 +1,7 @@
 import random
+from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 import pytest
 
@@ -6,6 +9,7 @@ import oracles
 from fmzv import cli, harmonic
 from fmzv.errors import InfeasibleFamilyError
 from fmzv.indices import Index
+from fmzv.records import VerificationRecord
 from fmzv.modfield import PrimeCtx, prime_ctx, primes_in_range
 from fmzv.verify import (
     check_tasks,
@@ -234,3 +238,57 @@ def test_verify_range_antipode_small():
     records = sweep(["antipode", "reversal"], primes_in_range(11, 31), w_max=5)
     assert all(r.passed for r in records)
     assert all(r.index is not None for r in records)
+
+
+FAMILY_CHECKS = ["ao", "heightsum", "lemma", "lm"]
+PUBLIC = {"ao": verify_ao, "lm": verify_lm, "lemma": verify_lemma,
+          "heightsum": verify_height_sum}
+
+
+def _sweep_records(checks, primes, k_max):
+    """The records of ``fmzv verify`` over ``primes``: one DP pass per
+    block, each prime's records from its row."""
+    tasks = sorted(task for check in checks for task in check_tasks(check, k_max=k_max))
+    blocks = cli._blocks(primes, len(primes), cli.BLOCK_BITS)
+    return [rec for block in blocks for batch in cli._verify_worker((block, tasks))
+            for rec in batch]
+
+
+@lru_cache(maxsize=None)
+def _oracle_sums(k, p):
+    return oracles.family_sums(k, p)
+
+
+def _oracle_record(check, k, s, p):
+    """The record of a family check, from the enumerated family sums and
+    the rational Bernoulli numbers alone."""
+    if p <= k + 1:
+        return VerificationRecord(check, p, k, s, passed=True, skipped=True,
+                                  reason=f"p <= {k + 1}")
+    alt, star, free = _oracle_sums(k, p)[s]
+    shared = oracles.frac_mod(2 * comb(k - 1, 2 * s - 1) * (1 - Fraction(1, 2 ** (k - 1)))
+                              * oracles.frac_bernoulli(p - k) / k, p) if s else None
+    lhs, rhs = {"ao": (star, shared), "lm": (alt, shared),
+                "lemma": (star, (-1) ** (k - 1) * alt % p), "heightsum": (free, 0)}[check]
+    return VerificationRecord(check, p, k, s, lhs=str(lhs), rhs=str(rhs), passed=lhs == rhs)
+
+
+def test_sweep_family_records_match_the_oracles():
+    # every family record for p in 2..60 and k <= 8, skipped rows included
+    primes = primes_in_range(2, 60)
+    prime_ctx.cache_clear()  # contexts of earlier tests hold built tables
+    records = _sweep_records(FAMILY_CHECKS, primes, 8)
+    tasks = sorted(t for c in FAMILY_CHECKS for t in check_tasks(c, k_max=8))
+    want = [_oracle_record(check, k, s, p) for p in primes for check, k, s in tasks]
+    assert records == want
+    assert any(r.skipped for r in records) and all(r.passed for r in records)
+
+
+def test_public_family_checks_equal_the_sweep():
+    # verify_ao and the rest are each the row's block of one; on a shared
+    # context, on a fresh one, and in any order they give the sweep's record
+    primes = primes_in_range(3, 60)
+    for rec in _sweep_records(FAMILY_CHECKS, primes, 8):
+        verify = PUBLIC[rec.check]
+        assert verify(rec.k, rec.s, prime_ctx(rec.p)) == rec, rec
+        assert verify(rec.k, rec.s, PrimeCtx(rec.p)) == rec, rec
