@@ -40,6 +40,7 @@ import itertools
 import json
 import os
 import sys
+from math import ceil, log2
 
 from .bernoulli import zeta_sweep_rows
 from .indices import Index
@@ -68,8 +69,8 @@ from .verify import record_sort_key  # noqa: F401
 VERIFY_COLUMNS = ("check", "k", "s", "index", "p", "lhs", "rhs", "pass", "skipped", "reason")
 ZSWEEP_COLUMNS = ("check", "k", "p", "lhs", "rhs", "pass", "skipped", "reason", "zero", "cross")
 EXIT_STDOUT_CLOSED = 141  # 128 + SIGPIPE, as a shell reports a killed writer
-# The largest product, in bits, of the primes of one block of a family
-# sweep: the block's family DP runs modulo that product.
+# The bits, give or take a prime, of the product of the primes of one block
+# of a family sweep (see ``_blocks``): its family DP runs modulo that product.
 BLOCK_BITS = 192
 # The same for the zeta hunt, whose two passes over l run modulo that
 # product and its square.  Up to this width a step costs little more than
@@ -293,16 +294,24 @@ def _open_sweep(args, columns, keys):
 
 
 def _blocks(primes: list[int], size: int, bits: int) -> list[tuple[int, ...]]:
-    """``primes`` cut into runs of consecutive primes, each of at most
-    ``size`` primes whose product has at most ``bits`` bits."""
-    blocks, block, product = [], [], 1
-    for p in primes:
-        product *= p
-        if block and (len(block) == size or product.bit_length() > bits):
-            blocks.append(tuple(block))
-            block, product = [], p
-        block.append(p)
-    return blocks + [tuple(block)] if block else blocks
+    """``primes`` cut into n nonempty runs of consecutive primes, n the
+    larger of the least numbers of runs of ``size`` primes and of ``bits``
+    bits that hold them.  A run ends where the running sum of log2 p, with
+    half of the prime at the cut, passes the next multiple of total / n, so
+    the runs' bits are about equal and no short tail pays a whole pass."""
+    if not primes:
+        return []
+    logs = [log2(p) for p in primes]
+    total = sum(logs)
+    n = min(len(primes), max(-(-len(primes) // size), ceil(total / bits)))
+    blocks, start, run = [], 0, 0.0
+    for i, bits_p in enumerate(logs):
+        cut = len(blocks) + 1
+        if i > start and (run + bits_p / 2 > cut * total / n or len(primes) - i == n - cut):
+            blocks.append(tuple(primes[start:i]))
+            start = i
+        run += bits_p
+    return blocks + [tuple(primes[start:])]
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +346,9 @@ def cmd_verify(args) -> int:
         primes, handle, kept = _open_sweep(args, VERIFY_COLUMNS, keys)
     except (ValueError, OSError) as err:
         return _fail(str(err))
-    # a family sweep runs its DP once per block of primes, with at most
-    # ceil(len(primes) / jobs) primes a block so that every worker gets one;
-    # other sweeps have nothing to share between primes
+    # a family sweep runs its DP once per block of primes, in at least as
+    # many blocks as runs of ceil(len(primes) / jobs) primes, so that every
+    # worker gets one; other sweeps have nothing to share between primes
     if any(CHECKS[c].grid.family for c in checks):
         blocks = _blocks(primes, -(-len(primes) // jobs), BLOCK_BITS)
     else:

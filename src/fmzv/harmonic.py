@@ -219,16 +219,9 @@ def family_tables(k: int, ctxs: list[PrimeCtx]) -> list[list[list[list[int]]]]:
 
 
 def family_table(k: int, ctx: PrimeCtx) -> list[list[list[int]]]:
-    """[alternating strict, star, star with free first part], each as T[w][h].
-
-    The tables live on the context and grow on demand like the inverse
-    power rows: a table of weight >= k answers any query for k.  They come
-    from the block of one, ``[ctx.p]``, of ``_family_tables``.
-    """
-    tables = ctx.memo("family_table", lambda: _family_tables(k, [ctx.p])[0])
-    if len(tables[0]) <= k:
-        tables = family_tables(k, [ctx])[0]
-    return tables
+    """[alternating strict, star, star with free first part], each as T[w][h],
+    of weight >= k: the block of one of ``family_tables``, kept on ``ctx``."""
+    return family_tables(k, [ctx])[0]
 
 
 def family_sum_star(k: int, s: int, ctx: PrimeCtx) -> int:

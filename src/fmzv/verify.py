@@ -19,11 +19,11 @@ reproduce it, and sweeps keep going past failures.
 ``CHECKS`` is the one registry of the checks: each name maps to the
 ``Grid`` it is swept over (family (k, s), height (k, s >= 0) or index),
 which fixes its tasks, its guard and its record fields, and to its
-``verify_*`` function.  A family check also maps (k, s) and its prime's
-row (``_Row``) to the text of its two sides; every family record of a
-prime comes from one row, and its ``verify_*`` is the row's block of one.
-Sweeps, resumes and the CLI read the registry and name no check
-themselves.
+``sides``, which maps the task's parameters and its prime's row
+(``_Row``) to the text of the check's two sides.  Every record of a
+prime comes from one row, in ``evaluate_tasks_for_prime``, and each
+``verify_*`` is that function's block of one.  Sweeps, resumes and the
+CLI read the registry and name no check themselves.
 
 A task is ``(check, k, s)`` or ``(check, parts)``, and one prime's records
 follow its tasks: sorted, the tasks give the order of ``record_sort_key``.
@@ -36,27 +36,31 @@ from typing import Callable, NamedTuple
 
 from .bernoulli import zeta_residue
 from .errors import InfeasibleFamilyError
-from .harmonic import family_table, family_tables, mhs_star, mhs_strict
+from .harmonic import family_tables, mhs_star, mhs_strict
 from .indices import Index, iter_indices_of_weight
 from .modfield import PrimeCtx, prime_ctx
+from .records import VerificationRecord, skipped_record
 # Unused here: perfbench/tracing.py patches these names on this module.
 from .harmonic import family_sum_star, family_sum_alt_strict  # noqa: F401
 from .harmonic import family_sum_star_unrestricted  # noqa: F401
 from .indices import iter_all_indices  # noqa: F401
 from .modfield import binom_mod  # noqa: F401
-from .records import VerificationRecord, comparison_record, skipped_record
+from .records import comparison_record  # noqa: F401
 
 
 class _Row(dict):
-    """One prime's family row: its three tables, read once, and the text of
-    the right side 2 * C(k-1, 2s-1) * (1 - 2^(1-k)) * B_(p-k)/k that ao and
-    lm share, an entry per (k, s) computed when first read from the half
-    factor (1 - 2^(1-k)) * B_(p-k)/k of its k, computed once per k.  The
+    """What one prime's checks read: its ``ctx``, which the index checks
+    pass to ``mhs_strict`` and ``mhs_star`` (the row keeps no value of
+    theirs), its three family tables of weight ``k_max`` when that is not
+    None, and the text of the right side 2 * C(k-1, 2s-1) * (1 - 2^(1-k)) *
+    B_(p-k)/k that ao and lm share, an entry per (k, s) computed when first
+    read from the half factor (1 - 2^(1-k)) * B_(p-k)/k, once per k.  The
     binomial is exact (``math.comb``), so the row reads no table of size p."""
 
-    def __init__(self, k_max: int, ctx: PrimeCtx):
+    def __init__(self, k_max: int | None, ctx: PrimeCtx):
         self.p, self.ctx, self.half = ctx.p, ctx, {}
-        self.alt, self.star, self.free = family_table(k_max, ctx)
+        if k_max is not None:
+            self.alt, self.star, self.free = family_tables(k_max, [ctx])[0]
 
     def __missing__(self, key):
         k, s = key
@@ -65,10 +69,6 @@ class _Row(dict):
             half[k] = (1 - pow(2, 1 - k, p)) * zeta_residue(k, self.ctx) % p
         text = self[key] = str(2 * comb(k - 1, 2 * s - 1) * half[k] % p)
         return text
-
-
-def _index_text(parts: tuple[int, ...]) -> str:
-    return ",".join(map(str, parts))  # as str(Index(parts))
 
 
 def _family_guards(k: int, s: int) -> None:
@@ -105,26 +105,12 @@ def verify_antipode(ix: Index | tuple[int, ...], ctx: PrimeCtx) -> VerificationR
     parts = tuple(ix)
     if not parts:
         raise ValueError("antipode check needs depth >= 1")
-    guard = sum(parts) + 1
-    if ctx.p <= guard:
-        return skipped_record("antipode", f"p <= {guard}", p=ctx.p, index=_index_text(parts))
-    p, total = ctx.p, 0
-    for i in range(len(parts) + 1):
-        sign = -1 if i % 2 else 1
-        total = (total + sign * mhs_strict(parts[:i][::-1], ctx) * mhs_star(parts[i:], ctx)) % p
-    return comparison_record("antipode", str(total), "0", p=ctx.p, index=_index_text(parts))
+    return evaluate_tasks_for_prime(ctx.p, [("antipode", parts)], None, ctx)[0]
 
 
 def verify_reversal(ix: Index | tuple[int, ...], ctx: PrimeCtx) -> VerificationRecord:
     """Strict sum of the reversed index vs (-1)^weight times the original."""
-    parts = tuple(ix)
-    weight = sum(parts)
-    if ctx.p <= weight + 1:
-        return skipped_record("reversal", f"p <= {weight + 1}", p=ctx.p, index=_index_text(parts))
-    lhs = mhs_strict(parts[::-1], ctx)
-    sign = 1 if weight % 2 == 0 else -1
-    rhs = sign * mhs_strict(parts, ctx) % ctx.p
-    return comparison_record("reversal", str(lhs), str(rhs), p=ctx.p, index=_index_text(parts))
+    return evaluate_tasks_for_prime(ctx.p, [("reversal", tuple(ix))], None, ctx)[0]
 
 
 def verify_height_sum(k: int, s: int, ctx: PrimeCtx) -> VerificationRecord:
@@ -163,46 +149,57 @@ class Grid(NamedTuple):
     """A parameter grid that checks are swept over.
 
     ``params(k_max, w_max, s_max)`` lists the grid's parameter tuples,
-    (k, s) or (parts,), in sweep order; the check's verify function takes
-    one such tuple before the prime context.  The other callables take
-    one too: ``weight`` gives its weight (primes up to weight + 1 are
-    skipped), and ``fields`` the k and s, or the index, that its record
-    carries.  ``flags`` names the options that size the grid, and
-    ``family`` says whether its checks read the family table.
+    (k, s) or (parts,), in sweep order.  ``key`` takes one such tuple and
+    gives (weight, k, s, index): its weight (primes up to weight + 1 are
+    skipped) and the k, s and index its record carries, None where the
+    grid has none.  ``flags`` names the options that size the grid, and
+    ``family`` says whether its checks read the family tables.
     """
 
     params: Callable[[int, int, int | None], list[tuple]]
-    weight: Callable[..., int]
-    fields: Callable[..., dict]
+    key: Callable[..., tuple[int, int | None, int | None, str | None]]
     flags: tuple[str, ...]
     family: bool
 
 
-FAMILY = Grid(_family_params, lambda k, s: k, lambda k, s: {"k": k, "s": s},
-              ("kmax", "smax"), True)
+FAMILY = Grid(_family_params, lambda k, s: (k, k, s, None), ("kmax", "smax"), True)
 HEIGHT = FAMILY._replace(params=_height_params)
-INDEX = Grid(_index_params, sum, lambda parts: {"index": _index_text(parts)}, ("wmax",), False)
+# the index text is str(Index(parts))
+INDEX = Grid(_index_params, lambda parts: (sum(parts), None, None, ",".join(map(str, parts))),
+             ("wmax",), False)
+
+
+def _antipode_sides(parts: tuple[int, ...], row: _Row) -> tuple[str, str]:
+    p, ctx, total = row.p, row.ctx, 0
+    for i in range(len(parts) + 1):
+        sign = -1 if i % 2 else 1
+        total = (total + sign * mhs_strict(parts[:i][::-1], ctx) * mhs_star(parts[i:], ctx)) % p
+    return str(total), "0"
+
+
+def _reversal_sides(parts: tuple[int, ...], row: _Row) -> tuple[str, str]:
+    lhs = mhs_strict(parts[::-1], row.ctx)
+    value = mhs_strict(parts, row.ctx)
+    return str(lhs), str(value if sum(parts) % 2 == 0 else -value % row.p)
 
 
 class Check(NamedTuple):
-    """A grid and a function; a family check's ``sides`` maps (k, s, row)
-    to the text of its two sides, and its function is the block of one."""
+    """A grid and the check's ``sides``: a task's parameters and its
+    prime's row to the text of the check's two sides."""
 
     grid: Grid
-    verify: Callable[..., VerificationRecord]
-    sides: Callable[[int, int, _Row], tuple[str, str]] | None = None
+    sides: Callable[..., tuple[str, str]]
 
 
 CHECKS = {
-    "ao": Check(FAMILY, verify_ao, lambda k, s, row: (str(row.star[k][s]), row[k, s])),
-    "lm": Check(FAMILY, verify_lm, lambda k, s, row: (str(row.alt[k][s]), row[k, s])),
+    "ao": Check(FAMILY, lambda k, s, row: (str(row.star[k][s]), row[k, s])),
+    "lm": Check(FAMILY, lambda k, s, row: (str(row.alt[k][s]), row[k, s])),
     # star = (-1)^(k-1) * alternating strict
-    "lemma": Check(FAMILY, verify_lemma, lambda k, s, row: (
+    "lemma": Check(FAMILY, lambda k, s, row: (
         str(row.star[k][s]), str(row.alt[k][s] if k % 2 else -row.alt[k][s] % row.p))),
-    "antipode": Check(INDEX, verify_antipode),
-    "reversal": Check(INDEX, verify_reversal),
-    "heightsum": Check(HEIGHT, verify_height_sum,
-                       lambda k, s, row: (str(row.free[k][s]), "0")),
+    "antipode": Check(INDEX, _antipode_sides),
+    "reversal": Check(INDEX, _reversal_sides),
+    "heightsum": Check(HEIGHT, lambda k, s, row: (str(row.free[k][s]), "0")),
 }
 CHECK_NAMES = tuple(CHECKS)
 
@@ -244,48 +241,45 @@ def build_family_tables(primes: list[int], tasks: list[tuple]) -> int | None:
     ``evaluate_tasks_for_prime`` finds them built.
     """
     family_k = [k for check, k, *_ in tasks if CHECKS[check].grid.family]
-    if family_k:
-        least = min(family_k)
-        family_tables(max(family_k), [prime_ctx(p) for p in primes if p > least + 1])
-        return max(family_k)
-    return None
+    if not family_k:
+        return None
+    family_tables(max(family_k), [prime_ctx(p) for p in primes if p > min(family_k) + 1])
+    return max(family_k)
 
 
 def evaluate_tasks_for_prime(p: int, tasks: list[tuple], k_max: int | None = None,
                              ctx: PrimeCtx | None = None) -> list[VerificationRecord]:
-    """All records for one prime, in task order; builds the context only
-    when needed (``prime_ctx(p)``, unless ``ctx`` is given).
-
-    The family checks of this prime read one ``_Row``, whose tables have
-    the weight ``k_max`` that ``build_family_tables`` returned for the
-    block of ``p``.  Without it, the tables are built as the block of one.
-    """
+    """All records for one prime, in task order: the one place a check's
+    record is built.  A task at or below its guard (weight + 1) is skipped;
+    the rest read the sides of their check off one ``_Row``, built on ``ctx``
+    (``prime_ctx(p)`` when not given) at the first of them.  Its family
+    tables have the weight ``k_max`` that ``build_family_tables`` returned
+    for the block of ``p``, or, without it, the largest k of the tasks."""
     row = None
     out = []
     for check, *params in tasks:
-        grid, verify, sides = CHECKS[check]
-        guard = grid.weight(*params) + 1
-        if p <= guard:
-            out.append(skipped_record(check, f"p <= {guard}", p=p, **grid.fields(*params)))
-            continue
-        if ctx is None:
-            ctx = prime_ctx(p)
-        if sides is None:
-            out.append(verify(*params, ctx))
+        grid, sides = CHECKS[check]
+        weight, k, s, index = grid.key(*params)
+        if p <= weight + 1:
+            out.append(skipped_record(check, f"p <= {weight + 1}", p=p, k=k, s=s, index=index))
             continue
         if row is None:
-            row = _Row(build_family_tables([p], tasks) if k_max is None else k_max, ctx)
-        k, s = params
-        lhs, rhs = sides(k, s, row)
-        out.append(VerificationRecord(check, p, k, s, None, lhs, rhs, lhs == rhs))
+            # an empty block builds nothing: it gives the weight of the row's tables
+            row = _Row(build_family_tables([], tasks) if k_max is None else k_max,
+                       prime_ctx(p) if ctx is None else ctx)
+        lhs, rhs = sides(*params, row)
+        out.append(VerificationRecord(check, p, k, s, index, lhs, rhs, lhs == rhs))
     return out
 
 
 def task_record_keys(tasks: list[tuple]) -> list[dict]:
     """The check, k, s and index of the records one prime's tasks yield,
     in sorted task order (the order ``record_sort_key`` puts them in)."""
-    return [{"check": check, "k": None, "s": None, "index": None,
-             **CHECKS[check].grid.fields(*params)} for check, *params in sorted(tasks)]
+    out = []
+    for check, *params in sorted(tasks):
+        _, k, s, index = CHECKS[check].grid.key(*params)
+        out.append({"check": check, "k": k, "s": s, "index": index})
+    return out
 
 
 def record_sort_key(rec: VerificationRecord):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -413,6 +414,36 @@ def test_resume_torn_inside_the_second_block(tmp_path, capsys, fmt):
         out.write_bytes(whole[:cut])
         assert run_cli(base + ["--out", str(out), "--resume"], capsys)[0] == 0, cut
         assert out.read_bytes() == whole, cut
+
+
+BLOCK_CUTS = [((5, 151), 1, 192), ((5, 400), 1, 192), ((5, 200), 4, 192),
+              ((2000, 2300), 1, 192), ((2, 120), 2, 192), ((5, 2500), 1, 2048),
+              ((16000, 18000), 1, 2048), ((5, 17000), 1, 2048), ((100, 110), 1, 16)]
+
+
+@pytest.mark.parametrize("bounds, jobs, bits", BLOCK_CUTS)
+def test_blocks_are_cut_evenly_by_bits(bounds, jobs, bits):
+    # n runs, n the larger of the runs of ceil(len / jobs) primes and of
+    # `bits` bits that could hold them; each run within log2 of its largest
+    # prime of total / n, so that no short tail pays a whole pass (5..151
+    # was cut into 5..149, 188 bits, and 151 alone)
+    primes = primes_in_range(*bounds)
+    size = -(-len(primes) // jobs)
+    total = sum(map(math.log2, primes))
+    n = max(-(-len(primes) // size), math.ceil(total / bits))
+    assert jobs <= n < len(primes)
+    blocks = cli._blocks(primes, size, bits)
+    assert [p for block in blocks for p in block] == primes
+    assert len(blocks) == n and all(blocks)
+    for block in blocks:
+        assert abs(sum(map(math.log2, block)) - total / n) <= math.log2(block[-1]), block
+
+
+def test_blocks_of_one_and_of_none():
+    primes = primes_in_range(2, 30)
+    assert cli._blocks(primes, 1, 192) == [(p,) for p in primes]
+    assert cli._blocks([5, 7, 1009, 1013], 1, 16) == [(5,), (7,), (1009,), (1013,)]
+    assert cli._blocks([], 1, 192) == []
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])

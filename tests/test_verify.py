@@ -245,10 +245,10 @@ PUBLIC = {"ao": verify_ao, "lm": verify_lm, "lemma": verify_lemma,
           "heightsum": verify_height_sum}
 
 
-def _sweep_records(checks, primes, k_max):
+def _sweep_records(checks, primes, **grid):
     """The records of ``fmzv verify`` over ``primes``: one DP pass per
     block, each prime's records from its row."""
-    tasks = sorted(task for check in checks for task in check_tasks(check, k_max=k_max))
+    tasks = sorted(task for check in checks for task in check_tasks(check, **grid))
     blocks = cli._blocks(primes, len(primes), cli.BLOCK_BITS)
     return [rec for block in blocks for batch in cli._verify_worker((block, tasks))
             for rec in batch]
@@ -277,7 +277,7 @@ def test_sweep_family_records_match_the_oracles():
     # every family record for p in 2..60 and k <= 8, skipped rows included
     primes = primes_in_range(2, 60)
     prime_ctx.cache_clear()  # contexts of earlier tests hold built tables
-    records = _sweep_records(FAMILY_CHECKS, primes, 8)
+    records = _sweep_records(FAMILY_CHECKS, primes, k_max=8)
     tasks = sorted(t for c in FAMILY_CHECKS for t in check_tasks(c, k_max=8))
     want = [_oracle_record(check, k, s, p) for p in primes for check, k, s in tasks]
     assert records == want
@@ -288,7 +288,51 @@ def test_public_family_checks_equal_the_sweep():
     # verify_ao and the rest are each the row's block of one; on a shared
     # context, on a fresh one, and in any order they give the sweep's record
     primes = primes_in_range(3, 60)
-    for rec in _sweep_records(FAMILY_CHECKS, primes, 8):
+    for rec in _sweep_records(FAMILY_CHECKS, primes, k_max=8):
         verify = PUBLIC[rec.check]
         assert verify(rec.k, rec.s, prime_ctx(rec.p)) == rec, rec
         assert verify(rec.k, rec.s, PrimeCtx(rec.p)) == rec, rec
+
+
+INDEX_CHECKS = ["antipode", "reversal"]
+PUBLIC_INDEX = {"antipode": verify_antipode, "reversal": verify_reversal}
+INDEX_PRIMES = primes_in_range(2, 29)
+
+
+@lru_cache(maxsize=None)
+def _brute(parts, p, star):
+    return (oracles.brute_mhs_star if star else oracles.brute_mhs_strict)(parts, p)
+
+
+def _oracle_index_record(check, parts, p):
+    """The record of an index check, from the sums by raw enumeration."""
+    index, weight = ",".join(map(str, parts)), sum(parts)
+    if p <= weight + 1:
+        return VerificationRecord(check, p, index=index, passed=True, skipped=True,
+                                  reason=f"p <= {weight + 1}")
+    if check == "antipode":
+        lhs = sum((-1) ** i * _brute(parts[:i][::-1], p, False) * _brute(parts[i:], p, True)
+                  for i in range(len(parts) + 1)) % p
+        rhs = 0
+    else:
+        lhs, rhs = _brute(parts[::-1], p, False), (-1) ** weight * _brute(parts, p, False) % p
+    return VerificationRecord(check, p, index=index, lhs=str(lhs), rhs=str(rhs),
+                              passed=lhs == rhs)
+
+
+def test_sweep_index_records_match_the_oracles():
+    # every index record for p in 2..29 and weight <= 5, skipped rows included
+    records = _sweep_records(INDEX_CHECKS, INDEX_PRIMES, w_max=5)
+    tasks = sorted(t for c in INDEX_CHECKS for t in check_tasks(c, w_max=5))
+    want = [_oracle_index_record(check, parts, p) for p in INDEX_PRIMES for check, parts in tasks]
+    assert records == want
+    assert any(r.skipped for r in records) and all(r.passed for r in records)
+
+
+def test_public_index_checks_equal_the_sweep():
+    # verify_antipode and verify_reversal are the sweep's block of one, on a
+    # shared context and on a fresh one
+    for rec in _sweep_records(INDEX_CHECKS, INDEX_PRIMES[1:], w_max=5):
+        verify, parts = PUBLIC_INDEX[rec.check], tuple(Index.parse(rec.index))
+        assert verify(parts, prime_ctx(rec.p)) == rec, rec
+        assert verify(parts, PrimeCtx(rec.p)) == rec, rec
