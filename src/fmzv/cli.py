@@ -321,10 +321,10 @@ def _blocks(primes: list[int], size: int, bits: int) -> list[tuple[int, ...]]:
 def _verify_worker(shard):
     """The records of a shard (primes, tasks), one batch per prime, computed
     as they are read; the shard's family tables are built first, in one DP
-    pass."""
+    pass, and each prime is handed its own."""
     primes, tasks = shard
-    k_max = build_family_tables(primes, tasks)
-    return (evaluate_tasks_for_prime(p, tasks, k_max) for p in primes)
+    tables = build_family_tables(primes, tasks)
+    return (evaluate_tasks_for_prime(p, tasks, tables.get(p)) for p in primes)
 
 
 def _pool_worker(shard):
@@ -358,9 +358,10 @@ def cmd_verify(args) -> int:
         shards = map(_verify_worker, shard_args)
         if jobs > 1 and len(shard_args) > 1:
             # imported here, the only place a pool starts: every other
-            # command starts up without it
+            # command starts up without it; a worker past the shard count
+            # would start and never get a shard
             import multiprocessing
-            pool = stack.enter_context(multiprocessing.Pool(processes=jobs))
+            pool = stack.enter_context(multiprocessing.Pool(processes=min(jobs, len(shard_args))))
             shards = pool.imap(_pool_worker, shard_args)
         tally = _emit(itertools.chain.from_iterable(shards), handle, args.format,
                       VERIFY_COLUMNS, kept)

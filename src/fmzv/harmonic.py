@@ -8,12 +8,11 @@ with precomputed inverse power tables, giving O(p * depth) per index.
 Family sums aggregate these values over every index of fixed weight and
 height.  They come from one engine: a (weight, height) dynamic program
 that fills its three tables (alternating strict, star, and star with a
-free first part) up to a weight in a single pass over m, kept on the
-``PrimeCtx``.  The parts e >= 2 placed at one m sum to the geometric tail
-y * (x/m)^2 / (1 - x/m) of Aoki and Ohno's generating series; multiplied
-through by (1 - x/m)^2, each cell of a step costs two products and one
-reduction, from m^(-1) and m^(-2) alone (see ``family_pass``), and the
-pass O(p * k * h).
+free first part) up to a weight in a single pass over m.  The parts
+e >= 2 placed at one m sum to the geometric tail y * (x/m)^2 / (1 - x/m)
+of Aoki and Ohno's generating series; multiplied through by (1 - x/m)^2,
+each cell of a step costs two products and one reduction, from m^(-1)
+and m^(-2) alone (see ``family_pass``), and the pass O(p * k * h).
 
 One pass serves a block of primes at once (``family_tables``): it runs
 modulo the product M of the block's primes, one Chinese remainder lane
@@ -22,7 +21,9 @@ mod q in the lane of each q > m and 0 in the lane of each q <= m, and a
 zero step leaves its lane as it was, so each lane sums over its own
 m < q alone; each table cell is reduced mod q at the end.  A block then
 costs the top prime's m-steps on ints of a few machine words, not the
-sum of its primes' steps.  ``family_table`` is the block of one.
+sum of its primes' steps.  A sweep hands each prime its lane (see
+``verify.build_family_tables``); ``family_table``, the block of one kept
+on a ``PrimeCtx``, serves the ``family_sum_*`` calls on that context.
 
 The same pass (``family_pass``), on the steps lcm(1..n)/m and under a
 modulus no cell reaches, gives the exact family sums that phi0 checks
@@ -163,7 +164,7 @@ def family_pass(k_max: int, steps, modulus: int) -> list[list[list[int]]]:
     return [alt, star, free]
 
 
-def _family_tables(k_max: int, primes: list[int]) -> list[list[list[list[int]]]]:
+def family_tables(k_max: int, primes: list[int]) -> list[list[list[list[int]]]]:
     """Each prime's [alternating strict, star, star with free first part],
     each as T[w][h], in the order of ``primes``: one ``family_pass`` over
     m = top-1 .. 1, top the largest prime, modulo the product of the
@@ -186,42 +187,16 @@ def _family_tables(k_max: int, primes: list[int]) -> list[list[list[list[int]]]]
             for q in primes]
 
 
-def _table_weight(ctx: PrimeCtx) -> int:
-    """The weight of the family tables on ``ctx``, -1 when it has none."""
-    tables = ctx._memo.get("family_table")
-    return len(tables[0]) - 1 if tables else -1
-
-
-def family_tables(k: int, ctxs: list[PrimeCtx]) -> list[list[list[list[int]]]]:
-    """Each context's family tables (see ``family_table``), of weight >= k.
-
-    Every context whose tables are missing or below weight k gets them
-    from one ``_family_tables`` pass over the block of their primes, run
-    when the first of them is built; each context then stores its own.
-    """
-    short = [ctx for ctx in ctxs if _table_weight(ctx) < k]
-    built = {}
-
-    def build(ctx):
-        if not built:
-            built.update(zip(short, _family_tables(k, [c.p for c in short])))
-        return built[ctx]
-
-    out = []
-    for ctx in ctxs:
-        tables = ctx.memo("family_table", lambda ctx=ctx: build(ctx))
-        if len(tables[0]) <= k:
-            with ctx._lock:
-                if len(tables[0]) <= k:
-                    tables[:] = build(ctx)
-        out.append(tables)
-    return out
-
-
 def family_table(k: int, ctx: PrimeCtx) -> list[list[list[int]]]:
     """[alternating strict, star, star with free first part], each as T[w][h],
-    of weight >= k: the block of one of ``family_tables``, kept on ``ctx``."""
-    return family_tables(k, [ctx])[0]
+    of weight >= k: the block of one of ``family_tables``, kept on ``ctx``
+    and rebuilt there at weight k when it is short."""
+    tables = ctx.memo("family_table", lambda: family_tables(k, [ctx.p])[0])
+    if len(tables[0]) <= k:
+        with ctx._lock:
+            if len(tables[0]) <= k:
+                tables[:] = family_tables(k, [ctx.p])[0]
+    return tables
 
 
 def family_sum_star(k: int, s: int, ctx: PrimeCtx) -> int:

@@ -36,31 +36,31 @@ from typing import Callable, NamedTuple
 
 from .bernoulli import zeta_residue
 from .errors import InfeasibleFamilyError
-from .harmonic import family_tables, mhs_star, mhs_strict
+from .harmonic import family_table, family_tables, mhs_star, mhs_strict
 from .indices import Index, iter_indices_of_weight
-from .modfield import PrimeCtx, prime_ctx
+from .modfield import PrimeCtx
 from .records import VerificationRecord, skipped_record
 # Unused here: perfbench/tracing.py patches these names on this module.
 from .harmonic import family_sum_star, family_sum_alt_strict  # noqa: F401
 from .harmonic import family_sum_star_unrestricted  # noqa: F401
 from .indices import iter_all_indices  # noqa: F401
-from .modfield import binom_mod  # noqa: F401
+from .modfield import binom_mod, prime_ctx  # noqa: F401
 from .records import comparison_record  # noqa: F401
 
 
 class _Row(dict):
     """What one prime's checks read: its ``ctx``, which the index checks
     pass to ``mhs_strict`` and ``mhs_star`` (the row keeps no value of
-    theirs), its three family tables of weight ``k_max`` when that is not
-    None, and the text of the right side 2 * C(k-1, 2s-1) * (1 - 2^(1-k)) *
+    theirs), its three family tables as given, when they are not None,
+    and the text of the right side 2 * C(k-1, 2s-1) * (1 - 2^(1-k)) *
     B_(p-k)/k that ao and lm share, an entry per (k, s) computed when first
     read from the half factor (1 - 2^(1-k)) * B_(p-k)/k, once per k.  The
     binomial is exact (``math.comb``), so the row reads no table of size p."""
 
-    def __init__(self, k_max: int | None, ctx: PrimeCtx):
+    def __init__(self, tables: list | None, ctx: PrimeCtx):
         self.p, self.ctx, self.half = ctx.p, ctx, {}
-        if k_max is not None:
-            self.alt, self.star, self.free = family_tables(k_max, [ctx])[0]
+        if tables is not None:
+            self.alt, self.star, self.free = tables
 
     def __missing__(self, key):
         k, s = key
@@ -81,19 +81,19 @@ def _family_guards(k: int, s: int) -> None:
 def verify_ao(k: int, s: int, ctx: PrimeCtx) -> VerificationRecord:
     """Star family sum vs the shared binomial-Bernoulli right side."""
     _family_guards(k, s)
-    return evaluate_tasks_for_prime(ctx.p, [("ao", k, s)], k, ctx)[0]
+    return evaluate_tasks_for_prime(ctx.p, [("ao", k, s)], ctx=ctx)[0]
 
 
 def verify_lm(k: int, s: int, ctx: PrimeCtx) -> VerificationRecord:
     """Depth-alternating strict family sum vs the same right side."""
     _family_guards(k, s)
-    return evaluate_tasks_for_prime(ctx.p, [("lm", k, s)], k, ctx)[0]
+    return evaluate_tasks_for_prime(ctx.p, [("lm", k, s)], ctx=ctx)[0]
 
 
 def verify_lemma(k: int, s: int, ctx: PrimeCtx) -> VerificationRecord:
     """Sign relation: star family sum = (-1)^(k-1) * alternating strict sum."""
     _family_guards(k, s)
-    return evaluate_tasks_for_prime(ctx.p, [("lemma", k, s)], k, ctx)[0]
+    return evaluate_tasks_for_prime(ctx.p, [("lemma", k, s)], ctx=ctx)[0]
 
 
 def verify_antipode(ix: Index | tuple[int, ...], ctx: PrimeCtx) -> VerificationRecord:
@@ -105,12 +105,12 @@ def verify_antipode(ix: Index | tuple[int, ...], ctx: PrimeCtx) -> VerificationR
     parts = tuple(ix)
     if not parts:
         raise ValueError("antipode check needs depth >= 1")
-    return evaluate_tasks_for_prime(ctx.p, [("antipode", parts)], None, ctx)[0]
+    return evaluate_tasks_for_prime(ctx.p, [("antipode", parts)], ctx=ctx)[0]
 
 
 def verify_reversal(ix: Index | tuple[int, ...], ctx: PrimeCtx) -> VerificationRecord:
     """Strict sum of the reversed index vs (-1)^weight times the original."""
-    return evaluate_tasks_for_prime(ctx.p, [("reversal", tuple(ix))], None, ctx)[0]
+    return evaluate_tasks_for_prime(ctx.p, [("reversal", tuple(ix))], ctx=ctx)[0]
 
 
 def verify_height_sum(k: int, s: int, ctx: PrimeCtx) -> VerificationRecord:
@@ -121,7 +121,7 @@ def verify_height_sum(k: int, s: int, ctx: PrimeCtx) -> VerificationRecord:
         raise ValueError("(k, s) = (0, 0) is excluded: its value is 1, not 0")
     if k == 0 or k < 2 * s:
         raise InfeasibleFamilyError(f"no indices of weight {k} and height {s}")
-    return evaluate_tasks_for_prime(ctx.p, [("heightsum", k, s)], k, ctx)[0]
+    return evaluate_tasks_for_prime(ctx.p, [("heightsum", k, s)], ctx=ctx)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -232,29 +232,29 @@ def require_tasks(checks: list[str], tasks: list[tuple], *, k_max: int, w_max: i
         raise ValueError(f"no tasks for {','.join(checks)} with {flags}")
 
 
-def build_family_tables(primes: list[int], tasks: list[tuple]) -> int | None:
-    """Build the family tables of a block of primes in one DP pass; return
-    their weight, None when no task is a family task.
-
-    The primes that have a family task past its guard get their tables
-    at the largest weight of the family tasks, so that each prime's
-    ``evaluate_tasks_for_prime`` finds them built.
-    """
-    family_k = [k for check, k, *_ in tasks if CHECKS[check].grid.family]
-    if not family_k:
-        return None
-    family_tables(max(family_k), [prime_ctx(p) for p in primes if p > min(family_k) + 1])
-    return max(family_k)
+def _family_weight(tasks: list[tuple]) -> int | None:
+    """The largest k of the family tasks, None when there is none."""
+    return max((k for check, k, *_ in tasks if CHECKS[check].grid.family), default=None)
 
 
-def evaluate_tasks_for_prime(p: int, tasks: list[tuple], k_max: int | None = None,
+def build_family_tables(primes: list[int], tasks: list[tuple]) -> dict[int, list]:
+    """Each prime of a block to its family tables (see ``family_table``),
+    at the largest weight of the family tasks, from one ``family_tables``
+    pass; {} when no task is a family task.  Every prime gets a lane; the
+    lanes of primes at or below a task's guard are never read."""
+    k_max = _family_weight(tasks)
+    return {} if k_max is None else dict(zip(primes, family_tables(k_max, primes)))
+
+
+def evaluate_tasks_for_prime(p: int, tasks: list[tuple], tables: list | None = None,
                              ctx: PrimeCtx | None = None) -> list[VerificationRecord]:
     """All records for one prime, in task order: the one place a check's
     record is built.  A task at or below its guard (weight + 1) is skipped;
-    the rest read the sides of their check off one ``_Row``, built on ``ctx``
-    (``prime_ctx(p)`` when not given) at the first of them.  Its family
-    tables have the weight ``k_max`` that ``build_family_tables`` returned
-    for the block of ``p``, or, without it, the largest k of the tasks."""
+    the rest read the sides of their check off one ``_Row``, built at the
+    first of them on ``ctx``, or on a fresh ``PrimeCtx(p)`` when none is
+    given.  Its family tables are ``tables``, the prime's entry of
+    ``build_family_tables``, or, without them, ``family_table`` at the
+    largest k of the family tasks, kept on the context."""
     row = None
     out = []
     for check, *params in tasks:
@@ -264,9 +264,11 @@ def evaluate_tasks_for_prime(p: int, tasks: list[tuple], k_max: int | None = Non
             out.append(skipped_record(check, f"p <= {weight + 1}", p=p, k=k, s=s, index=index))
             continue
         if row is None:
-            # an empty block builds nothing: it gives the weight of the row's tables
-            row = _Row(build_family_tables([], tasks) if k_max is None else k_max,
-                       prime_ctx(p) if ctx is None else ctx)
+            ctx = PrimeCtx(p) if ctx is None else ctx
+            if tables is None:
+                k_max = _family_weight(tasks)
+                tables = None if k_max is None else family_table(k_max, ctx)
+            row = _Row(tables, ctx)
         lhs, rhs = sides(*params, row)
         out.append(VerificationRecord(check, p, k, s, index, lhs, rhs, lhs == rhs))
     return out

@@ -974,3 +974,38 @@ def test_cli_imports_only_the_standard_library(tmp_path):
     assert proc.stdout.count("\n") == 44  # one record per prime in 5..200
     jobs1 = outs[0].read_bytes()
     assert jobs1.count(b"\n") > 100 and outs[1].read_bytes() == jobs1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "ao,lm,lemma,heightsum", "--kmax", "10", "--primes", "5..151"],
+    ["verify", "antipode,reversal", "--wmax", "3", "--primes", "5..151"],
+])
+def test_verify_pool_is_capped_at_its_shards(argv, capsys, monkeypatch):
+    # --jobs 500 on the 34 primes of 5..151 asks for no more workers than
+    # there are shards; the fake pool starts no process and runs in order
+    import multiprocessing
+
+    seen = []
+
+    class Pool:
+        def __init__(self, processes):
+            self.processes = processes
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, shards):
+            shards = list(shards)
+            seen.append((self.processes, len(shards)))
+            return map(func, shards)
+
+    code, want, _ = run_cli(argv + ["--jobs", "1"], capsys)
+    assert code == 0 and not seen
+    monkeypatch.setattr(multiprocessing, "Pool", Pool)
+    code, out, _ = run_cli(argv + ["--jobs", "500"], capsys)
+    assert code == 0 and out == want
+    [(processes, shards)] = seen
+    assert processes <= shards == 34

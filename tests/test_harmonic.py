@@ -3,9 +3,7 @@ import random
 import pytest
 
 import oracles
-from fmzv import harmonic
 from fmzv.harmonic import (
-    _family_tables,
     family_pass,
     family_sum_alt_strict,
     family_sum_star,
@@ -169,13 +167,13 @@ def _assert_tables_match_enumeration(tables, k_max, p):
 
 @pytest.mark.parametrize("p", [11, 13, 17, 31, 37])
 def test_one_pass_tables_match_enumeration(p):
-    _assert_tables_match_enumeration(_family_tables(9, [p])[0], 9, p)
+    _assert_tables_match_enumeration(family_tables(9, [p])[0], 9, p)
 
 
 @pytest.mark.parametrize("k", [1, 3, 5, 9])
 def test_one_pass_tables_match_enumeration_at_the_boundary_prime(k):
     # p = k + 2, the least prime each weight is checked at
-    _assert_tables_match_enumeration(_family_tables(k, [k + 2])[0], k, k + 2)
+    _assert_tables_match_enumeration(family_tables(k, [k + 2])[0], k, k + 2)
 
 
 @pytest.mark.parametrize("p", [11, 17, 37])
@@ -183,7 +181,7 @@ def test_grown_family_table_equals_a_direct_build(p):
     for k, grown in ((2, 9), (3, 8), (8, 9)):
         ctx = PrimeCtx(p)
         family_table(k, ctx)
-        assert family_table(grown, ctx) == _family_tables(grown, [p])[0], (k, grown)
+        assert family_table(grown, ctx) == family_tables(grown, [p])[0], (k, grown)
 
 
 # Blocks that mix primes <= k + 1 = 10, the top prime and the primes
@@ -194,43 +192,11 @@ BLOCKS = [(3, 5, 7, 11, 13, 17, 31, 37), (37, 3, 29, 7), (5, 11), (13,)]
 
 @pytest.mark.parametrize("block", BLOCKS)
 def test_block_tables_equal_each_primes_own(block):
-    tables = _family_tables(9, list(block))
+    tables = family_tables(9, list(block))
     assert len(tables) == len(block)
     for q, lane in zip(block, tables):
-        assert lane == _family_tables(9, [q])[0], q
+        assert lane == family_tables(9, [q])[0], q
         _assert_tables_match_enumeration(lane, 9, q)
-
-
-def test_block_tables_grow_each_context():
-    # a block of fresh contexts and of contexts whose tables are short or
-    # already large enough: each ends with the tables of its own prime
-    ctxs = [PrimeCtx(q) for q in (3, 5, 11, 13, 31, 37)]
-    family_table(4, ctxs[2])
-    family_table(12, ctxs[3])
-    for k in (6, 9):
-        grown = family_tables(k, ctxs)
-        assert all(t is family_table(0, ctx) for t, ctx in zip(grown, ctxs))
-        for ctx, tables in zip(ctxs, grown):
-            weight = 12 if ctx.p == 13 else k
-            assert tables == _family_tables(weight, [ctx.p])[0], (k, ctx.p)
-    # a table grown from a block, then by its own context
-    assert family_table(11, ctxs[4]) == _family_tables(11, [31])[0]
-
-
-def test_block_tables_run_one_pass_for_the_short_contexts(monkeypatch):
-    passes = []
-    block_pass = harmonic._family_tables
-
-    def counting(k, primes):
-        passes.append((k, list(primes)))
-        return block_pass(k, primes)
-
-    monkeypatch.setattr(harmonic, "_family_tables", counting)
-    ctxs = [PrimeCtx(q) for q in (7, 11, 13)]
-    family_table(8, ctxs[1])
-    family_tables(5, ctxs)
-    family_tables(5, ctxs)
-    assert passes == [(8, [11]), (5, [7, 13])]
 
 
 def test_family_sums_dp_small_prime_guard():

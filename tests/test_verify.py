@@ -6,7 +6,8 @@ from math import comb
 import pytest
 
 import oracles
-from fmzv import cli, harmonic
+import fmzv.verify
+from fmzv import cli
 from fmzv.errors import InfeasibleFamilyError
 from fmzv.indices import Index
 from fmzv.records import VerificationRecord
@@ -183,40 +184,55 @@ def test_evaluate_tasks_for_prime_skips_without_ctx():
 
 
 def test_family_table_built_once_per_prime(monkeypatch):
-    # a block of primes runs one DP pass, and each prime stores its tables
-    # once, at the largest weight of the family checks, so that they are
-    # neither rebuilt nor grown while the prime's tasks run
-    memo_builds, passes = {}, []
+    # a block of primes runs one DP pass and hands each prime its lane,
+    # at the largest weight of the family checks, so that no prime builds
+    # or grows tables of its own while its tasks run
+    memo_builds, passes = [], []
     memo = PrimeCtx.memo
-    family_tables = harmonic._family_tables
+    block_pass = fmzv.verify.family_tables
 
     def counting_memo(ctx, key, build):
         def counted():
-            memo_builds[ctx.p] = memo_builds.get(ctx.p, 0) + 1
+            memo_builds.append(ctx.p)
             return build()
         return memo(ctx, key, counted if key == "family_table" else build)
 
     def counting_tables(k, primes):
         passes.append(tuple(primes))
-        return family_tables(k, primes)
+        return block_pass(k, primes)
 
     monkeypatch.setattr(PrimeCtx, "memo", counting_memo)
-    monkeypatch.setattr(harmonic, "_family_tables", counting_tables)
+    monkeypatch.setattr(fmzv.verify, "family_tables", counting_tables)
     primes = primes_in_range(5, 200)
     for checks in (["ao", "lm", "lemma", "heightsum"], ["heightsum"]):
         tasks = sorted(task for check in checks for task in check_tasks(check, k_max=10))
         for jobs in (1, 4):
             memo_builds.clear()
             passes.clear()
-            prime_ctx.cache_clear()  # contexts of earlier runs hold built tables
             blocks = cli._blocks(primes, -(-len(primes) // jobs), cli.BLOCK_BITS)
             assert len(blocks) >= max(jobs, 2)
             records = [rec for block in blocks
                        for batch in cli._verify_worker((block, tasks)) for rec in batch]
+            assert passes == blocks, (checks, jobs)
+            assert memo_builds == [], (checks, jobs)  # sweep() below builds its own
             assert records == sweep(checks, primes, k_max=10)
             assert all(r.passed for r in records)
-            assert passes == blocks, (checks, jobs)
-            assert memo_builds == {p: 1 for p in primes}, (checks, jobs)
+
+
+@pytest.mark.parametrize("checks", [["antipode", "reversal"], ["ao", "lm", "lemma", "heightsum"],
+                                    ["reversal", "heightsum", "antipode", "lm"]])
+def test_sweep_builds_no_shared_context(checks):
+    # each prime's context is its own and goes with it: a sweep over
+    # index, family or mixed blocks leaves the shared prime_ctx cache empty
+    primes = primes_in_range(2, 80)
+    tasks = sorted(task for check in checks for task in check_tasks(check, k_max=8, w_max=4))
+    prime_ctx.cache_clear()
+    for blocks in ([(p,) for p in primes], cli._blocks(primes, 4, cli.BLOCK_BITS)):
+        records = [rec for block in blocks
+                   for batch in cli._verify_worker((block, tasks)) for rec in batch]
+        assert len(records) == len(tasks) * len(primes)
+        assert all(r.passed for r in records)
+    assert prime_ctx.cache_info().misses == 0
 
 
 def test_verify_range_sorted_and_green():
@@ -276,7 +292,6 @@ def _oracle_record(check, k, s, p):
 def test_sweep_family_records_match_the_oracles():
     # every family record for p in 2..60 and k <= 8, skipped rows included
     primes = primes_in_range(2, 60)
-    prime_ctx.cache_clear()  # contexts of earlier tests hold built tables
     records = _sweep_records(FAMILY_CHECKS, primes, k_max=8)
     tasks = sorted(t for c in FAMILY_CHECKS for t in check_tasks(c, k_max=8))
     want = [_oracle_record(check, k, s, p) for p in primes for check, k, s in tasks]
