@@ -5,19 +5,22 @@ Every value is an int in [0, p).
 Three independent routes are kept deliberately separate:
 
 * the sieve route, the power sum sum(l^n, l < p) = p * B_n mod p^2, one
-  O(p) sum per value and prime, for any even n (``bernoulli_mod``, and
-  ``zeta_residue``, which ``verify``'s family checks read).  For even
-  n, (p-l)^n = l^n - n*p*l^(n-1) mod p^2, so the sum is 2*sum(l^n) -
-  n*p*sum(l^(n-1)) over l <= h = (p-1)/2, the second sum needed only
+  O(p) sum per value and prime, for any even n (``bernoulli_mod`` and
+  ``zeta_residue``).  It serves these public functions and the tests,
+  which confront it with the other two routes; no sweep reads it.  For
+  even n, (p-l)^n = l^n - n*p*l^(n-1) mod p^2, so the sum is 2*sum(l^n)
+  - n*p*sum(l^(n-1)) over l <= h = (p-1)/2, the second sum needed only
   mod p.  l -> l^(n-1) mod p^2 is completely multiplicative, so ``pow``
   runs only at prime l and a composite takes the product of two earlier
   terms, split at its smallest prime factor.  That factor comes from one
   sieve shared by all primes, grown on demand;
 * Glaisher's route, sum(l^(-(k-1)), l < p) = (k-1)/k * p * B_(p-k)
   mod p^2 for odd k and p >= k+2, which the zeta hunt reads for its
-  residues (``_glaisher_residues``).  Its steps l^(k-1) do not depend
-  on p, so one pass over l serves a whole block of primes, modulo the
-  product of their squares;
+  residues and ``verify`` for the right side of ao and lm
+  (``_glaisher_residues``).  Its steps l^(k-1) do not depend on p, so
+  one pass over l serves a whole block of primes, modulo the product of
+  their squares.  B_(p-k)/k is needed only for odd k and p > k + 1 (it
+  is 0 for even k), which is that route's domain;
 * the alternating inverse power sum, which a classical congruence ties
   to 2*(1 - 2^(1-k)) * B_(p-k)/k whenever 2^(k-1) is not 1 mod p, the
   hunt's cross-check (``_alternating_sums``; ``alternating_power_sum``

@@ -22,9 +22,12 @@ summary line and the exit code, so both describe the whole file.
 
 Exit codes: 0 all records passed or were skipped, 1 at least one record
 failed, 2 usage error (including a flag that leaves nothing to check),
-141 (128 + SIGPIPE) the reader of stdout went away before the records
-were all written (``fmzv zsweep ... | head -1``), a quiet stop with no
-traceback and no summary line.
+3 a ``verify`` pool lost a worker process (killed, say, for want of
+memory): the output holds whole primes only, one stderr line names the
+last of them, and ``--resume`` continues after it, 141 (128 + SIGPIPE)
+the reader of stdout went away before the records were all written
+(``fmzv zsweep ... | head -1``), a quiet stop with no traceback and no
+summary line.
 Output is deterministic: fixed seeds give byte-identical JSONL, and the
 record order does not depend on --jobs: ``verify`` sorts its task list
 once, and each prime's records follow it.
@@ -41,12 +44,13 @@ import json
 import os
 import sys
 from math import ceil, log2
+from operator import attrgetter, methodcaller
 
 from .bernoulli import zeta_sweep_rows
 from .indices import Index
 from .modfield import PrimeCtx, is_prime, primes_in_range
 from .harmonic import mhs_star, mhs_strict
-from .records import json_line
+from .records import VerificationRecord, json_line
 from .symbolic import (
     run_anl_suite,
     run_gauss_suite,
@@ -55,10 +59,10 @@ from .symbolic import (
 )
 from .verify import (
     CHECK_NAMES,
-    CHECKS,
-    build_family_tables,
+    block_rows,
     check_tasks,
     evaluate_tasks_for_prime,
+    plan_tasks,
     require_tasks,
     task_record_keys,
 )
@@ -68,6 +72,7 @@ from .verify import record_sort_key  # noqa: F401
 
 VERIFY_COLUMNS = ("check", "k", "s", "index", "p", "lhs", "rhs", "pass", "skipped", "reason")
 ZSWEEP_COLUMNS = ("check", "k", "p", "lhs", "rhs", "pass", "skipped", "reason", "zero", "cross")
+EXIT_WORKER_LOST = 3  # a verify pool lost a worker process (see above)
 EXIT_STDOUT_CLOSED = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 # The bits, give or take a prime, of the product of the primes of one block
 # of a family sweep (see ``_blocks``): its family DP runs modulo that product.
@@ -135,25 +140,21 @@ def _new_tally() -> dict:
     return dict.fromkeys(("records", "failed", "skipped", "zero", "degenerate"), 0)
 
 
-def _count(tally, flags) -> None:
-    """Add records to ``tally``, each given by its four flags (pass,
-    skipped, zero, cross): records, failed and skipped, and of zsweep rows
-    the zero residues and the degenerate cross-checks."""
-    for passed, skipped, zero, cross in flags:
-        tally["records"] += 1
-        tally["failed"] += not passed
-        tally["skipped"] += skipped
-        tally["zero"] += zero
-        tally["degenerate"] += cross == "degenerate"
+_passed, _skipped, _extra = attrgetter("passed"), attrgetter("skipped"), attrgetter("extra")
+_zero, _cross = methodcaller("get", "zero", False), methodcaller("get", "cross")
 
 
-def _flags(rec) -> tuple:
-    """A record's four flags, as ``_count`` takes them; zero and cross are
-    extras of zsweep rows only."""
-    if not rec.extra:
-        return rec.passed, rec.skipped, False, None
-    extra = dict(rec.extra)
-    return rec.passed, rec.skipped, extra.get("zero", False), extra.get("cross")
+def _count(tally, batch) -> None:
+    """Add a batch of records to ``tally``: records, failed and skipped,
+    and of zsweep rows (their extras) the zero residues and the degenerate
+    cross-checks.  Each is a C-level count over the batch, with no Python
+    call per record."""
+    extras = [dict(extra) for extra in map(_extra, batch) if extra]
+    tally["records"] += len(batch)
+    tally["failed"] += len(batch) - sum(map(_passed, batch))
+    tally["skipped"] += sum(map(_skipped, batch))
+    tally["zero"] += sum(map(_zero, extras))
+    tally["degenerate"] += list(map(_cross, extras)).count("degenerate")
 
 
 def _emit(batches, handle, fmt, columns, tally=None) -> dict:
@@ -184,7 +185,7 @@ def _emit(batches, handle, fmt, columns, tally=None) -> dict:
                     # field (``_csv_record`` reads a row back)
                     writer.writerow([str(v).lower() if isinstance(v, bool) else v
                                      for v in map(rec.to_json_dict().get, columns)])
-            _count(tally, map(_flags, batch))
+            _count(tally, batch)
             handle.flush()
     except BrokenPipeError:
         if handle is not sys.stdout:
@@ -241,7 +242,7 @@ def _resume_primes(path, fmt, columns, keys, primes) -> tuple[list[int], dict]:
         keep = len(lines[0]) + 1
         lines = lines[1:]
     pos = keep
-    pending = []  # the flags of the records of the prime being read
+    pending = []  # the records of the prime being read, as far as _count reads them
     for i, line in enumerate(lines):
         pos += len(line) + 1
         lineno = i + 1 + (fmt == "csv")
@@ -254,9 +255,10 @@ def _resume_primes(path, fmt, columns, keys, primes) -> tuple[list[int], dict]:
             else:
                 rec = json.loads(line)
             # the flags _count tallies; a non-object JSON line fails here too
-            flags = (rec["pass"], rec["skipped"], rec.get("zero", False), rec.get("cross"))
-            if not all(isinstance(flag, bool) for flag in flags[:3]):
+            passed, skipped, zero = rec["pass"], rec["skipped"], rec.get("zero", False)
+            if not all(isinstance(flag, bool) for flag in (passed, skipped, zero)):
                 raise ValueError
+            extra = tuple((key, rec[key]) for key in ("zero", "cross") if key in rec)
             int(rec["p"])
         except (ValueError, KeyError, IndexError, TypeError):
             raise ValueError(f"{path}: unreadable record {line[:60]!r}") from None
@@ -268,7 +270,8 @@ def _resume_primes(path, fmt, columns, keys, primes) -> tuple[list[int], dict]:
             named = " ".join(f"{field}={value}" for field, value in want.items()
                              if value is not None)
             raise ValueError(f"{path}: line {lineno} is not this run's {named}")
-        pending.append(flags)
+        pending.append(VerificationRecord(rec.get("check"), passed=passed, skipped=skipped,
+                                          extra=extra))
         if (i + 1) % per_prime == 0:
             keep = pos
             _count(tally, pending)
@@ -319,17 +322,29 @@ def _blocks(primes: list[int], size: int, bits: int) -> list[tuple[int, ...]]:
 
 
 def _verify_worker(shard):
-    """The records of a shard (primes, tasks), one batch per prime, computed
-    as they are read; the shard's family tables are built first, in one DP
-    pass, and each prime is handed its own."""
-    primes, tasks = shard
-    tables = build_family_tables(primes, tasks)
-    return (evaluate_tasks_for_prime(p, tasks, tables.get(p)) for p in primes)
+    """The records of a shard (primes, plan), one batch per prime, computed
+    as they are read, each from its prime's row of the block builder
+    (``block_rows``), whose passes over the block run at the first."""
+    primes, plan = shard
+    return (evaluate_tasks_for_prime(row.p, plan, row) for row in block_rows(primes, plan))
 
 
 def _pool_worker(shard):
     # a pool hands its results back pickled, which a generator cannot be
     return list(_verify_worker(shard))
+
+
+class _WorkerLost(Exception):
+    """A pool worker died, and the shards it held are lost."""
+
+
+def _pool_shards(results):
+    """A pool's shards of records, in order; a lost worker raises _WorkerLost."""
+    from concurrent.futures.process import BrokenProcessPool
+    try:
+        yield from results
+    except BrokenProcessPool:
+        raise _WorkerLost from None
 
 
 def cmd_verify(args) -> int:
@@ -346,25 +361,39 @@ def cmd_verify(args) -> int:
         primes, handle, kept = _open_sweep(args, VERIFY_COLUMNS, keys)
     except (ValueError, OSError) as err:
         return _fail(str(err))
-    # a family sweep runs its DP once per block of primes, in at least as
-    # many blocks as runs of ceil(len(primes) / jobs) primes, so that every
-    # worker gets one; other sweeps have nothing to share between primes
-    if any(CHECKS[c].grid.family for c in checks):
+    plan = plan_tasks(tasks)
+    # a sweep that reads a block pass runs it once per block of primes, in
+    # at least as many blocks as runs of ceil(len(primes) / jobs) primes, so
+    # that every worker gets one; other sweeps have nothing to share
+    # between primes
+    if plan.k_max is not None:
         blocks = _blocks(primes, -(-len(primes) // jobs), BLOCK_BITS)
     else:
         blocks = [(p,) for p in primes]
-    shard_args = [(block, tasks) for block in blocks]
-    with contextlib.ExitStack() as stack:
-        shards = map(_verify_worker, shard_args)
-        if jobs > 1 and len(shard_args) > 1:
-            # imported here, the only place a pool starts: every other
-            # command starts up without it; a worker past the shard count
-            # would start and never get a shard
-            import multiprocessing
-            pool = stack.enter_context(multiprocessing.Pool(processes=min(jobs, len(shard_args))))
-            shards = pool.imap(_pool_worker, shard_args)
-        tally = _emit(itertools.chain.from_iterable(shards), handle, args.format,
-                      VERIFY_COLUMNS, kept)
+    shard_args = [(block, plan) for block in blocks]
+    tally = _new_tally() if kept is None else kept
+    resumed = tally["records"]
+    try:
+        with contextlib.ExitStack() as stack:
+            shards = map(_verify_worker, shard_args)
+            if jobs > 1 and len(shard_args) > 1:
+                # imported here, the only place a pool starts: every other
+                # command starts up without it; a worker past the shard
+                # count would start and never get a shard
+                from concurrent.futures import ProcessPoolExecutor
+                pool = ProcessPoolExecutor(max_workers=min(jobs, len(shard_args)))
+                # a run that stops early (a closed stdout) drops the shards
+                # no worker has started
+                stack.callback(pool.shutdown, cancel_futures=True)
+                shards = _pool_shards(pool.map(_pool_worker, shard_args))
+            _emit(itertools.chain.from_iterable(shards), handle, args.format,
+                  VERIFY_COLUMNS, tally)
+    except _WorkerLost:
+        done = (tally["records"] - resumed) // len(tasks)
+        where = f"whole up to p = {primes[done - 1]}" if done else f"whole below p = {primes[0]}"
+        print(f"error: a worker process was lost; the records are {where}, and --resume "
+              f"continues after them", file=sys.stderr)
+        return EXIT_WORKER_LOST
     print(f"verify: {tally['records']} records, {tally['failed']} failed, "
           f"{tally['skipped']} skipped", file=sys.stderr)
     return 1 if tally["failed"] else 0

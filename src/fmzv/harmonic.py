@@ -21,9 +21,11 @@ mod q in the lane of each q > m and 0 in the lane of each q <= m, and a
 zero step leaves its lane as it was, so each lane sums over its own
 m < q alone; each table cell is reduced mod q at the end.  A block then
 costs the top prime's m-steps on ints of a few machine words, not the
-sum of its primes' steps.  A sweep hands each prime its lane (see
-``verify.build_family_tables``); ``family_table``, the block of one kept
-on a ``PrimeCtx``, serves the ``family_sum_*`` calls on that context.
+sum of its primes' steps.  The pass fills only the tables it is asked
+for, and each table reads only its own columns, so a sweep whose checks
+read one table pays for that one.  A sweep hands each prime its lane
+(see ``verify.block_rows``); ``family_table``, the block of one kept on
+a ``PrimeCtx``, serves the ``family_sum_*`` calls on that context.
 
 The same pass (``family_pass``), on the steps lcm(1..n)/m and under a
 modulus no cell reaches, gives the exact family sums that phi0 checks
@@ -99,9 +101,16 @@ def _require_prime_above(k: int, ctx: PrimeCtx) -> None:
         raise ValueError(f"prime {ctx.p} too small: need p > {k + 1} for weight {k}")
 
 
-def family_pass(k_max: int, steps, modulus: int) -> list[list[list[int]]]:
+# The names of the three family tables, in the order the passes return them.
+FAMILY_TABLES = ("alt", "star", "free")
+
+
+def family_pass(k_max: int, steps, modulus: int,
+                tables=FAMILY_TABLES) -> list[list[list[int]] | None]:
     """[alternating strict, star, star with free first part], each as
     columns cols[h][w] = T[w][h], from one pass of the (weight, height) DP.
+    Only the tables named in ``tables`` (see ``FAMILY_TABLES``) are filled;
+    the others come back as None, and their columns cost nothing.
 
     ``steps`` gives one pair (a, b) per position m, from the top m down,
     with a standing for m^(-1) and b for a^2 mod ``modulus``, which every
@@ -125,7 +134,8 @@ def family_pass(k_max: int, steps, modulus: int) -> list[list[list[int]]]:
     at m.  The strict table (sign -1, which folds in (-1)^depth) allows
     one part per m: its heights go downward, so B is from before m.  A
     plan lists the columns, each with the column below and the first
-    weight it can reach, in the order they are swept.
+    weight it can reach, in the order they are swept.  Each table reads
+    only its own columns, so leaving one out changes no other.
     """
     h_max = k_max // 2
     width = k_max + 1
@@ -139,9 +149,10 @@ def family_pass(k_max: int, steps, modulus: int) -> list[list[list[int]]]:
         # T[w][h] = 0 for w < 2h, and every part has weight >= 1
         return [(cols[h], cols[h - 1] if h else zero, 2 * h or 1) for h in heights]
 
-    alt, star, free = columns(), columns(), columns()
-    alt_plan = plan(alt, range(h_max, 0, -1))
-    star_plan = plan(star, range(1, h_max + 1)) + plan(free, range(h_max + 1))
+    alt, star, free = (columns() if name in tables else None for name in FAMILY_TABLES)
+    alt_plan = plan(alt, range(h_max, 0, -1)) if alt else []
+    star_plan = ((plan(star, range(1, h_max + 1)) if star else [])
+                 + (plan(free, range(h_max + 1)) if free else []))
     for a, b in steps:
         for col, below, start in alt_plan:
             # old1, old2 are T[w-1], T[w-2] from before m, new1 is T'[w-1]
@@ -164,11 +175,13 @@ def family_pass(k_max: int, steps, modulus: int) -> list[list[list[int]]]:
     return [alt, star, free]
 
 
-def family_tables(k_max: int, primes: list[int]) -> list[list[list[list[int]]]]:
+def family_tables(k_max: int, primes: list[int],
+                  tables=FAMILY_TABLES) -> list[list[list[list[int]] | None]]:
     """Each prime's [alternating strict, star, star with free first part],
     each as T[w][h], in the order of ``primes``: one ``family_pass`` over
     m = top-1 .. 1, top the largest prime, modulo the product of the
     primes, each prime a Chinese remainder lane (see the module docstring).
+    Only the ``tables`` named are filled; the others are None.
     """
     modulus = prod(primes)
 
@@ -182,9 +195,10 @@ def family_tables(k_max: int, primes: list[int]) -> list[list[list[list[int]]]]:
             a = low * pow(low * m, -1, modulus // low)
             yield a, a * a % modulus
 
-    tables = [list(zip(*cols)) for cols in family_pass(k_max, steps(), modulus)]
-    return [[[[cell % q for cell in row] for row in table] for table in tables]
-            for q in primes]
+    block = [None if cols is None else list(zip(*cols))
+             for cols in family_pass(k_max, steps(), modulus, tables)]
+    return [[None if table is None else [[cell % q for cell in row] for row in table]
+             for table in block] for q in primes]
 
 
 def family_table(k: int, ctx: PrimeCtx) -> list[list[list[int]]]:

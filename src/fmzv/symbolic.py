@@ -232,12 +232,12 @@ def _free_star_table(n: int, weight: int) -> list[list[int]]:
     It is harmonic's ``family_pass`` run on exact ints, with the steps L/m
     and (L/m)^2 for m = n .. 1 and a modulus no star cell reaches: there
     are 2^(w-1) indices of weight w, each with at most n^w chains, and
-    each term is at most L^w, so no cell exceeds (2nL)^w.  The
-    alternating table comes out as residues, which nothing reads.
+    each term is at most L^w, so no cell exceeds (2nL)^w.  Only the free
+    table is filled.
     """
     big = lcm(*range(1, n + 1))
     steps = ((big // m, (big // m) ** 2) for m in range(n, 0, -1))
-    return family_pass(weight, steps, (2 * n * big) ** weight + 1)[2]
+    return family_pass(weight, steps, (2 * n * big) ** weight + 1, ("free",))[2]
 
 
 def polylog_family_coeff(n: int, k: int, s: int) -> Fraction:

@@ -16,14 +16,26 @@ prime-indexed families are insensitive to finitely many primes.  A
 failing record carries both residues and every parameter needed to
 reproduce it, and sweeps keep going past failures.
 
-``CHECKS`` is the one registry of the checks: each name maps to the
-``Grid`` it is swept over (family (k, s), height (k, s >= 0) or index),
-which fixes its tasks, its guard and its record fields, and to its
-``sides``, which maps the task's parameters and its prime's row
-(``_Row``) to the text of the check's two sides.  Every record of a
-prime comes from one row, in ``evaluate_tasks_for_prime``, and each
-``verify_*`` is that function's block of one.  Sweeps, resumes and the
-CLI read the registry and name no check themselves.
+``CHECKS`` is the one registry of the checks.  Each name maps to a
+``Check``: the ``Grid`` it is swept over (family (k, s), height (k, s >=
+0) or index), which fixes its tasks, its guard and its record fields;
+its ``sides``, which maps the task's parameters and its prime's row
+(``_Row``) to the text of the check's two sides; and its ``reads``, what
+those sides read off the row: a family table ("alt", "star" or "free"),
+the residues B_(p-k)/k ("zeta") or the index sums ("index").
+
+A sweep resolves its tasks once (``plan_tasks``): each task's sides,
+guard and record key, and the union of what its checks read.  The block
+builder ``block_rows`` then runs only the passes that give those reads
+over a block of primes: one ``family_tables`` pass that fills only the
+tables some check reads, and one pass of Glaisher's congruence
+(``bernoulli._glaisher_residues``) per odd k of the tasks that read
+"zeta".  Each prime gets a row of plain values, and a context for its
+index sums, built when first read.  Every record of a prime comes from
+its row, in ``evaluate_tasks_for_prime``, and each ``verify_*`` is a
+block of one through the same builder, so no check reads the sieve
+route (``bernoulli.zeta_residue``).  Sweeps, resumes and the CLI read
+the registry and name no check themselves.
 
 A task is ``(check, k, s)`` or ``(check, parts)``, and one prime's records
 follow its tasks: sorted, the tasks give the order of ``record_sort_key``.
@@ -31,16 +43,18 @@ follow its tasks: sorted, the tasks give the order of ``record_sort_key``.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import comb
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
-from .bernoulli import zeta_residue
+from .bernoulli import _glaisher_residues
 from .errors import InfeasibleFamilyError
-from .harmonic import family_table, family_tables, mhs_star, mhs_strict
+from .harmonic import FAMILY_TABLES, family_tables, mhs_star, mhs_strict
 from .indices import Index, iter_indices_of_weight
 from .modfield import PrimeCtx
 from .records import VerificationRecord, skipped_record
 # Unused here: perfbench/tracing.py patches these names on this module.
+from .bernoulli import zeta_residue  # noqa: F401
 from .harmonic import family_sum_star, family_sum_alt_strict  # noqa: F401
 from .harmonic import family_sum_star_unrestricted  # noqa: F401
 from .indices import iter_all_indices  # noqa: F401
@@ -49,24 +63,34 @@ from .records import comparison_record  # noqa: F401
 
 
 class _Row(dict):
-    """What one prime's checks read: its ``ctx``, which the index checks
-    pass to ``mhs_strict`` and ``mhs_star`` (the row keeps no value of
-    theirs), its three family tables as given, when they are not None,
-    and the text of the right side 2 * C(k-1, 2s-1) * (1 - 2^(1-k)) *
-    B_(p-k)/k that ao and lm share, an entry per (k, s) computed when first
-    read from the half factor (1 - 2^(1-k)) * B_(p-k)/k, once per k.  The
-    binomial is exact (``math.comb``), so the row reads no table of size p."""
+    """What one prime's checks read, as plain values: its family tables
+    as given (``alt``, ``star`` and ``free``, None where no check reads
+    them), ``zeta``, its residues B_(p-k)/k from its block's Glaisher
+    passes, by odd k, and ``ctx``, the context the index checks pass to
+    ``mhs_strict`` and ``mhs_star``: the caller's, or a fresh one built
+    when first read (the row keeps no value of theirs).
 
-    def __init__(self, tables: list | None, ctx: PrimeCtx):
-        self.p, self.ctx, self.half = ctx.p, ctx, {}
-        if tables is not None:
-            self.alt, self.star, self.free = tables
+    As a dict, the row maps (k, s) to the text of the right side
+    2 * C(k-1, 2s-1) * (1 - 2^(1-k)) * B_(p-k)/k that ao and lm share,
+    computed when first read from the half factor (1 - 2^(1-k)) *
+    B_(p-k)/k, once per k; B_(p-k) is 0 for even k.  The binomial is
+    exact (``math.comb``), so the row reads no table of size p."""
+
+    def __init__(self, p: int, tables, zeta: dict[int, int], ctx: PrimeCtx | None = None):
+        self.p, self.zeta, self.half, self._ctx = p, zeta, {}, ctx
+        self.alt, self.star, self.free = tables
+
+    @property
+    def ctx(self) -> PrimeCtx:
+        if self._ctx is None:
+            self._ctx = PrimeCtx(self.p)
+        return self._ctx
 
     def __missing__(self, key):
         k, s = key
         p, half = self.p, self.half
         if k not in half:
-            half[k] = (1 - pow(2, 1 - k, p)) * zeta_residue(k, self.ctx) % p
+            half[k] = (1 - pow(2, 1 - k, p)) * self.zeta[k] % p if k % 2 else 0
         text = self[key] = str(2 * comb(k - 1, 2 * s - 1) * half[k] % p)
         return text
 
@@ -78,22 +102,30 @@ def _family_guards(k: int, s: int) -> None:
         raise InfeasibleFamilyError(f"no indices of weight {k} and height {s}")
 
 
+def _block_of_one(task: tuple, ctx: PrimeCtx) -> VerificationRecord:
+    """The record of one task at the prime of ``ctx``, from a block of one
+    of ``block_rows`` whose index sums run on ``ctx``."""
+    plan = plan_tasks([task])
+    [row] = block_rows((ctx.p,), plan, ctx)
+    return evaluate_tasks_for_prime(ctx.p, plan, row)[0]
+
+
 def verify_ao(k: int, s: int, ctx: PrimeCtx) -> VerificationRecord:
     """Star family sum vs the shared binomial-Bernoulli right side."""
     _family_guards(k, s)
-    return evaluate_tasks_for_prime(ctx.p, [("ao", k, s)], ctx=ctx)[0]
+    return _block_of_one(("ao", k, s), ctx)
 
 
 def verify_lm(k: int, s: int, ctx: PrimeCtx) -> VerificationRecord:
     """Depth-alternating strict family sum vs the same right side."""
     _family_guards(k, s)
-    return evaluate_tasks_for_prime(ctx.p, [("lm", k, s)], ctx=ctx)[0]
+    return _block_of_one(("lm", k, s), ctx)
 
 
 def verify_lemma(k: int, s: int, ctx: PrimeCtx) -> VerificationRecord:
     """Sign relation: star family sum = (-1)^(k-1) * alternating strict sum."""
     _family_guards(k, s)
-    return evaluate_tasks_for_prime(ctx.p, [("lemma", k, s)], ctx=ctx)[0]
+    return _block_of_one(("lemma", k, s), ctx)
 
 
 def verify_antipode(ix: Index | tuple[int, ...], ctx: PrimeCtx) -> VerificationRecord:
@@ -105,12 +137,12 @@ def verify_antipode(ix: Index | tuple[int, ...], ctx: PrimeCtx) -> VerificationR
     parts = tuple(ix)
     if not parts:
         raise ValueError("antipode check needs depth >= 1")
-    return evaluate_tasks_for_prime(ctx.p, [("antipode", parts)], ctx=ctx)[0]
+    return _block_of_one(("antipode", parts), ctx)
 
 
 def verify_reversal(ix: Index | tuple[int, ...], ctx: PrimeCtx) -> VerificationRecord:
     """Strict sum of the reversed index vs (-1)^weight times the original."""
-    return evaluate_tasks_for_prime(ctx.p, [("reversal", tuple(ix))], ctx=ctx)[0]
+    return _block_of_one(("reversal", tuple(ix)), ctx)
 
 
 def verify_height_sum(k: int, s: int, ctx: PrimeCtx) -> VerificationRecord:
@@ -121,7 +153,7 @@ def verify_height_sum(k: int, s: int, ctx: PrimeCtx) -> VerificationRecord:
         raise ValueError("(k, s) = (0, 0) is excluded: its value is 1, not 0")
     if k == 0 or k < 2 * s:
         raise InfeasibleFamilyError(f"no indices of weight {k} and height {s}")
-    return evaluate_tasks_for_prime(ctx.p, [("heightsum", k, s)], ctx=ctx)[0]
+    return _block_of_one(("heightsum", k, s), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -152,21 +184,37 @@ class Grid(NamedTuple):
     (k, s) or (parts,), in sweep order.  ``key`` takes one such tuple and
     gives (weight, k, s, index): its weight (primes up to weight + 1 are
     skipped) and the k, s and index its record carries, None where the
-    grid has none.  ``flags`` names the options that size the grid, and
-    ``family`` says whether its checks read the family tables.
+    grid has none.  ``flags`` names the options that size the grid.
     """
 
     params: Callable[[int, int, int | None], list[tuple]]
     key: Callable[..., tuple[int, int | None, int | None, str | None]]
     flags: tuple[str, ...]
-    family: bool
 
 
-FAMILY = Grid(_family_params, lambda k, s: (k, k, s, None), ("kmax", "smax"), True)
+FAMILY = Grid(_family_params, lambda k, s: (k, k, s, None), ("kmax", "smax"))
 HEIGHT = FAMILY._replace(params=_height_params)
 # the index text is str(Index(parts))
 INDEX = Grid(_index_params, lambda parts: (sum(parts), None, None, ",".join(map(str, parts))),
-             ("wmax",), False)
+             ("wmax",))
+
+
+def _ao_sides(k: int, s: int, row: _Row) -> tuple[str, str]:
+    return str(row.star[k][s]), row[k, s]
+
+
+def _lm_sides(k: int, s: int, row: _Row) -> tuple[str, str]:
+    return str(row.alt[k][s]), row[k, s]
+
+
+def _lemma_sides(k: int, s: int, row: _Row) -> tuple[str, str]:
+    # star = (-1)^(k-1) * alternating strict
+    alt = row.alt[k][s]
+    return str(row.star[k][s]), str(alt if k % 2 else -alt % row.p)
+
+
+def _heightsum_sides(k: int, s: int, row: _Row) -> tuple[str, str]:
+    return str(row.free[k][s]), "0"
 
 
 def _antipode_sides(parts: tuple[int, ...], row: _Row) -> tuple[str, str]:
@@ -178,30 +226,34 @@ def _antipode_sides(parts: tuple[int, ...], row: _Row) -> tuple[str, str]:
 
 
 def _reversal_sides(parts: tuple[int, ...], row: _Row) -> tuple[str, str]:
-    lhs = mhs_strict(parts[::-1], row.ctx)
-    value = mhs_strict(parts, row.ctx)
+    ctx = row.ctx
+    lhs = mhs_strict(parts[::-1], ctx)
+    value = mhs_strict(parts, ctx)
     return str(lhs), str(value if sum(parts) % 2 == 0 else -value % row.p)
 
 
 class Check(NamedTuple):
-    """A grid and the check's ``sides``: a task's parameters and its
-    prime's row to the text of the check's two sides."""
+    """A grid, the check's ``sides`` (a task's parameters and its prime's
+    row to the text of the check's two sides) and its ``reads``, the names
+    of what its sides read off the row: "alt", "star", "free" (the family
+    tables), "zeta" (B_(p-k)/k) or "index" (the index sums)."""
 
     grid: Grid
     sides: Callable[..., tuple[str, str]]
+    reads: tuple[str, ...]
 
 
 CHECKS = {
-    "ao": Check(FAMILY, lambda k, s, row: (str(row.star[k][s]), row[k, s])),
-    "lm": Check(FAMILY, lambda k, s, row: (str(row.alt[k][s]), row[k, s])),
-    # star = (-1)^(k-1) * alternating strict
-    "lemma": Check(FAMILY, lambda k, s, row: (
-        str(row.star[k][s]), str(row.alt[k][s] if k % 2 else -row.alt[k][s] % row.p))),
-    "antipode": Check(INDEX, _antipode_sides),
-    "reversal": Check(INDEX, _reversal_sides),
-    "heightsum": Check(HEIGHT, lambda k, s, row: (str(row.free[k][s]), "0")),
+    "ao": Check(FAMILY, _ao_sides, ("star", "zeta")),
+    "lm": Check(FAMILY, _lm_sides, ("alt", "zeta")),
+    "lemma": Check(FAMILY, _lemma_sides, ("alt", "star")),
+    "antipode": Check(INDEX, _antipode_sides, ("index",)),
+    "reversal": Check(INDEX, _reversal_sides, ("index",)),
+    "heightsum": Check(HEIGHT, _heightsum_sides, ("free",)),
 }
 CHECK_NAMES = tuple(CHECKS)
+# The reads that a pass over a block of primes gives.
+_BLOCK_READS = frozenset(FAMILY_TABLES) | {"zeta"}
 
 
 # ---------------------------------------------------------------------------
@@ -232,45 +284,77 @@ def require_tasks(checks: list[str], tasks: list[tuple], *, k_max: int, w_max: i
         raise ValueError(f"no tasks for {','.join(checks)} with {flags}")
 
 
-def _family_weight(tasks: list[tuple]) -> int | None:
-    """The largest k of the family tasks, None when there is none."""
-    return max((k for check, k, *_ in tasks if CHECKS[check].grid.family), default=None)
+class Plan(NamedTuple):
+    """A list of tasks, resolved once for a whole sweep.
+
+    ``tasks`` holds, in the given order, one tuple (check, sides, params,
+    guard, reason, k, s, index) per task: its check's name and sides, its
+    parameters, its guard weight + 1 (primes up to it are skipped, for
+    ``reason``) and its record's k, s and index.  ``reads`` is the union
+    of what the checks read, ``k_max`` the largest k of the tasks whose
+    check reads a block pass (None when none does), and ``zeta`` the odd
+    k of the tasks that read "zeta", ascending.
+    """
+
+    tasks: tuple[tuple, ...]
+    reads: frozenset[str]
+    k_max: int | None
+    zeta: tuple[int, ...]
 
 
-def build_family_tables(primes: list[int], tasks: list[tuple]) -> dict[int, list]:
-    """Each prime of a block to its family tables (see ``family_table``),
-    at the largest weight of the family tasks, from one ``family_tables``
-    pass; {} when no task is a family task.  Every prime gets a lane; the
-    lanes of primes at or below a task's guard are never read."""
-    k_max = _family_weight(tasks)
-    return {} if k_max is None else dict(zip(primes, family_tables(k_max, primes)))
-
-
-def evaluate_tasks_for_prime(p: int, tasks: list[tuple], tables: list | None = None,
-                             ctx: PrimeCtx | None = None) -> list[VerificationRecord]:
-    """All records for one prime, in task order: the one place a check's
-    record is built.  A task at or below its guard (weight + 1) is skipped;
-    the rest read the sides of their check off one ``_Row``, built at the
-    first of them on ``ctx``, or on a fresh ``PrimeCtx(p)`` when none is
-    given.  Its family tables are ``tables``, the prime's entry of
-    ``build_family_tables``, or, without them, ``family_table`` at the
-    largest k of the family tasks, kept on the context."""
-    row = None
-    out = []
+def plan_tasks(tasks: list[tuple]) -> Plan:
+    """The plan of ``tasks``: each task's check, guard and record key
+    looked up once, and what the block passes must give."""
+    resolved, reads, block_ks, zeta = [], set(), [], set()
     for check, *params in tasks:
-        grid, sides = CHECKS[check]
+        grid, sides, check_reads = CHECKS[check]
         weight, k, s, index = grid.key(*params)
-        if p <= weight + 1:
-            out.append(skipped_record(check, f"p <= {weight + 1}", p=p, k=k, s=s, index=index))
-            continue
-        if row is None:
-            ctx = PrimeCtx(p) if ctx is None else ctx
-            if tables is None:
-                k_max = _family_weight(tasks)
-                tables = None if k_max is None else family_table(k_max, ctx)
-            row = _Row(tables, ctx)
-        lhs, rhs = sides(*params, row)
-        out.append(VerificationRecord(check, p, k, s, index, lhs, rhs, lhs == rhs))
+        resolved.append((check, sides, tuple(params), weight + 1, f"p <= {weight + 1}",
+                         k, s, index))
+        reads.update(check_reads)
+        if not _BLOCK_READS.isdisjoint(check_reads):
+            block_ks.append(k)
+        if "zeta" in check_reads and k % 2:
+            zeta.add(k)
+    return Plan(tuple(resolved), frozenset(reads), max(block_ks, default=None),
+                tuple(sorted(zeta)))
+
+
+def block_rows(primes, plan: Plan, ctx: PrimeCtx | None = None) -> Iterator[_Row]:
+    """The block builder: the row of each of a block of ascending primes,
+    in order, from only the passes that ``plan`` reads.
+
+    One ``family_tables`` pass at ``plan.k_max`` fills the family tables
+    that some check reads, and one ``_glaisher_residues`` pass per k of
+    ``plan.zeta`` gives B_(p-k)/k at the block's primes p > k + 1, the
+    only primes a task of weight k is not skipped at.  Both run when the
+    first row is asked for.  The index sums of a row run on ``ctx``, for
+    a block of one, or on a fresh context built when first read, which
+    goes with its row.
+    """
+    tables = [name for name in FAMILY_TABLES if name in plan.reads]
+    lanes = family_tables(plan.k_max, primes, tables) if tables else repeat((None,) * 3)
+    zeta = {p: {} for p in primes}
+    for k in plan.zeta:
+        live = [p for p in primes if p > k + 1]
+        for p, residue in zip(live, _glaisher_residues(k, live)):
+            zeta[p][k] = residue
+    for p, lane in zip(primes, lanes):
+        yield _Row(p, lane, zeta[p], ctx)
+
+
+def evaluate_tasks_for_prime(p: int, plan: Plan, row: _Row) -> list[VerificationRecord]:
+    """All records for one prime, in the plan's task order: the one place
+    a check's record is built.  A task at or below its guard is skipped;
+    the rest read the sides of their check off the prime's row (see
+    ``block_rows``)."""
+    out = []
+    for check, sides, params, guard, reason, k, s, index in plan.tasks:
+        if p <= guard:
+            out.append(skipped_record(check, reason, p=p, k=k, s=s, index=index))
+        else:
+            lhs, rhs = sides(*params, row)
+            out.append(VerificationRecord(check, p, k, s, index, lhs, rhs, lhs == rhs))
     return out
 
 

@@ -982,30 +982,80 @@ def test_cli_imports_only_the_standard_library(tmp_path):
 ])
 def test_verify_pool_is_capped_at_its_shards(argv, capsys, monkeypatch):
     # --jobs 500 on the 34 primes of 5..151 asks for no more workers than
-    # there are shards; the fake pool starts no process and runs in order
-    import multiprocessing
+    # there are shards; the fake executor starts no process and runs in order
+    import concurrent.futures
 
     seen = []
 
-    class Pool:
-        def __init__(self, processes):
-            self.processes = processes
+    class ProcessPoolExecutor:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
 
-        def __enter__(self):
-            return self
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            pass
 
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, func, shards):
+        def map(self, func, shards):
             shards = list(shards)
-            seen.append((self.processes, len(shards)))
+            seen.append((self.max_workers, len(shards)))
             return map(func, shards)
 
     code, want, _ = run_cli(argv + ["--jobs", "1"], capsys)
     assert code == 0 and not seen
-    monkeypatch.setattr(multiprocessing, "Pool", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ProcessPoolExecutor)
     code, out, _ = run_cli(argv + ["--jobs", "500"], capsys)
     assert code == 0 and out == want
-    [(processes, shards)] = seen
-    assert processes <= shards == 34
+    [(max_workers, shards)] = seen
+    assert max_workers <= shards == 34
+
+
+KILLER = '''\
+import os
+import signal
+
+from fmzv import cli
+
+pool_worker = cli._pool_worker
+
+
+def kill_at_31(shard):
+    # the worker that draws the shard of 31 dies as an out-of-memory kill would
+    if 31 in shard[0]:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return pool_worker(shard)
+'''
+
+
+def test_verify_stops_when_a_pool_worker_is_lost(tmp_path, capsys):
+    # a worker killed on one shard breaks the pool of two: the run stops
+    # within the timeout, never hangs, with exit 3 and one stderr line that
+    # names the last whole prime; the file holds whole primes only, and
+    # --resume then writes the bytes of an uninterrupted run
+    (tmp_path / "killer.py").write_text(KILLER)
+    out = tmp_path / "v.jsonl"
+    argv = ["verify", "antipode", "--wmax", "3", "--primes", "5..61", "--out", str(out)]
+    code = ("import sys\n"
+            "import killer\n"
+            "from fmzv import cli\n"
+            "cli._pool_worker = killer.kill_at_31\n"
+            f"sys.exit(cli.main({argv + ['--jobs', '2']!r}))\n")
+    src = os.path.dirname(os.path.dirname(fmzv.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(tmp_path)]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == cli.EXIT_WORKER_LOST == 3, proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: a worker process was lost; the records are whole "), line
+    lines = out.read_text().splitlines()
+    per_prime = 7  # the indices of weight <= 3
+    assert len(lines) % per_prime == 0
+    primes = [json.loads(rec)["p"] for rec in lines]
+    if primes:
+        assert f"up to p = {primes[-1]}," in line and primes[-1] < 31
+        assert primes == [p for p in primes_in_range(5, primes[-1]) for _ in range(per_prime)]
+    else:
+        assert "below p = 5," in line
+    assert run_cli(argv + ["--jobs", "2", "--resume"], capsys)[0] == 0
+    whole = tmp_path / "whole.jsonl"
+    assert run_cli(["verify", "antipode", "--wmax", "3", "--primes", "5..61", "--jobs", "1",
+                    "--out", str(whole)], capsys)[0] == 0
+    assert out.read_bytes() == whole.read_bytes()

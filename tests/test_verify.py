@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -6,15 +7,20 @@ from math import comb
 import pytest
 
 import oracles
+import fmzv.bernoulli
+import fmzv.harmonic
 import fmzv.verify
 from fmzv import cli
+from fmzv.bernoulli import zeta_residue
 from fmzv.errors import InfeasibleFamilyError
 from fmzv.indices import Index
 from fmzv.records import VerificationRecord
 from fmzv.modfield import PrimeCtx, prime_ctx, primes_in_range
 from fmzv.verify import (
+    block_rows,
     check_tasks,
     evaluate_tasks_for_prime,
+    plan_tasks,
     record_sort_key,
     task_record_keys,
     verify_antipode,
@@ -28,13 +34,20 @@ from fmzv.verify import (
 IX = Index.of
 
 
+def prime_records(p, tasks):
+    """The records of ``tasks`` at ``p``, in task order, from a block of one."""
+    plan = plan_tasks(tasks)
+    [row] = block_rows((p,), plan)
+    return evaluate_tasks_for_prime(p, plan, row)
+
+
 def sweep(checks, primes, **grid):
     """The records of ``fmzv verify`` in its order: prime by prime, each
     prime's records sorted by ``record_sort_key``."""
     tasks = [task for check in checks for task in check_tasks(check, **grid)]
     records = []
     for p in primes:
-        records.extend(sorted(evaluate_tasks_for_prime(p, tasks), key=record_sort_key))
+        records.extend(sorted(prime_records(p, tasks), key=record_sort_key))
     return records
 
 
@@ -131,8 +144,8 @@ def test_sorted_tasks_give_the_record_order():
              for task in check_tasks(check, k_max=7, w_max=5)]
     random.Random(17).shuffle(tasks)
     for p in (2, 7, 31):
-        want = sorted(evaluate_tasks_for_prime(p, tasks), key=record_sort_key)
-        assert evaluate_tasks_for_prime(p, sorted(tasks)) == want, p
+        want = sorted(prime_records(p, tasks), key=record_sort_key)
+        assert prime_records(p, sorted(tasks)) == want, p
 
 
 def test_verify_height_sum_examples():
@@ -178,9 +191,9 @@ def test_height_grid_has_no_empty_cell(s_max):
 def test_evaluate_tasks_for_prime_skips_without_ctx():
     # p = 2 is not a valid PrimeCtx but every task is guarded, so no ctx
     # is ever built and the records all come back skipped
-    tasks = check_tasks("ao", k_max=6)
-    records = evaluate_tasks_for_prime(2, tasks)
-    assert all(r.skipped for r in records)
+    tasks = check_tasks("ao", k_max=6) + check_tasks("antipode", w_max=3)
+    records = prime_records(2, tasks)
+    assert len(records) == len(tasks) and all(r.skipped for r in records)
 
 
 def test_family_table_built_once_per_prime(monkeypatch):
@@ -197,22 +210,23 @@ def test_family_table_built_once_per_prime(monkeypatch):
             return build()
         return memo(ctx, key, counted if key == "family_table" else build)
 
-    def counting_tables(k, primes):
+    def counting_tables(k, primes, tables):
         passes.append(tuple(primes))
-        return block_pass(k, primes)
+        return block_pass(k, primes, tables)
 
     monkeypatch.setattr(PrimeCtx, "memo", counting_memo)
     monkeypatch.setattr(fmzv.verify, "family_tables", counting_tables)
     primes = primes_in_range(5, 200)
     for checks in (["ao", "lm", "lemma", "heightsum"], ["heightsum"]):
-        tasks = sorted(task for check in checks for task in check_tasks(check, k_max=10))
+        plan = plan_tasks(sorted(task for check in checks
+                                 for task in check_tasks(check, k_max=10)))
         for jobs in (1, 4):
             memo_builds.clear()
             passes.clear()
             blocks = cli._blocks(primes, -(-len(primes) // jobs), cli.BLOCK_BITS)
             assert len(blocks) >= max(jobs, 2)
             records = [rec for block in blocks
-                       for batch in cli._verify_worker((block, tasks)) for rec in batch]
+                       for batch in cli._verify_worker((block, plan)) for rec in batch]
             assert passes == blocks, (checks, jobs)
             assert memo_builds == [], (checks, jobs)  # sweep() below builds its own
             assert records == sweep(checks, primes, k_max=10)
@@ -225,12 +239,13 @@ def test_sweep_builds_no_shared_context(checks):
     # each prime's context is its own and goes with it: a sweep over
     # index, family or mixed blocks leaves the shared prime_ctx cache empty
     primes = primes_in_range(2, 80)
-    tasks = sorted(task for check in checks for task in check_tasks(check, k_max=8, w_max=4))
+    plan = plan_tasks(sorted(task for check in checks
+                             for task in check_tasks(check, k_max=8, w_max=4)))
     prime_ctx.cache_clear()
     for blocks in ([(p,) for p in primes], cli._blocks(primes, 4, cli.BLOCK_BITS)):
         records = [rec for block in blocks
-                   for batch in cli._verify_worker((block, tasks)) for rec in batch]
-        assert len(records) == len(tasks) * len(primes)
+                   for batch in cli._verify_worker((block, plan)) for rec in batch]
+        assert len(records) == len(plan.tasks) * len(primes)
         assert all(r.passed for r in records)
     assert prime_ctx.cache_info().misses == 0
 
@@ -261,12 +276,12 @@ PUBLIC = {"ao": verify_ao, "lm": verify_lm, "lemma": verify_lemma,
           "heightsum": verify_height_sum}
 
 
-def _sweep_records(checks, primes, **grid):
+def _sweep_records(checks, primes, size=None, **grid):
     """The records of ``fmzv verify`` over ``primes``: one DP pass per
-    block, each prime's records from its row."""
-    tasks = sorted(task for check in checks for task in check_tasks(check, **grid))
-    blocks = cli._blocks(primes, len(primes), cli.BLOCK_BITS)
-    return [rec for block in blocks for batch in cli._verify_worker((block, tasks))
+    block of at most ``size`` primes, each prime's records from its row."""
+    plan = plan_tasks(sorted(task for check in checks for task in check_tasks(check, **grid)))
+    blocks = cli._blocks(primes, size or len(primes), cli.BLOCK_BITS)
+    return [rec for block in blocks for batch in cli._verify_worker((block, plan))
             for rec in batch]
 
 
@@ -351,3 +366,124 @@ def test_public_index_checks_equal_the_sweep():
         verify, parts = PUBLIC_INDEX[rec.check], tuple(Index.parse(rec.index))
         assert verify(parts, prime_ctx(rec.p)) == rec, rec
         assert verify(parts, PrimeCtx(rec.p)) == rec, rec
+
+
+RELATION_PRIMES = primes_in_range(5, 400)
+
+
+def _sieve_rhs(k, s, p):
+    """The right side of ao and lm from the sieve route, B_(p-k)/k by
+    ``zeta_residue`` (a power sum mod p^2, ``_power_sum_mod_p2``)."""
+    half = (1 - pow(2, 1 - k, p)) * zeta_residue(k, PrimeCtx(p)) % p
+    return str(2 * comb(k - 1, 2 * s - 1) * half % p)
+
+
+def _relation_rhs(tmp_path, jobs):
+    """(check, k, s, p) -> rhs of every live record of ``fmzv verify ao,lm
+    --kmax 12`` over 5..400 at ``--jobs``."""
+    out = tmp_path / f"relations{jobs}.jsonl"
+    cli.main(["verify", "ao,lm", "--kmax", "12", "--primes", "5..400", "--jobs", str(jobs),
+              "--out", str(out)])
+    records = map(json.loads, out.read_text().splitlines())
+    return {(r["check"], r["k"], r["s"], r["p"]): r["rhs"] for r in records if not r["skipped"]}
+
+
+def _sieve_mismatches(rhs):
+    return [key for key, text in rhs.items() if text != _sieve_rhs(*key[1:])]
+
+
+@pytest.mark.parametrize("cut", ["jobs 1", "jobs 2", "blocks of 5"])
+def test_block_residues_equal_the_sieve_route(cut, tmp_path):
+    # every ao/lm right side of the sweep reads its block's Glaisher
+    # residues; over 5..400 --jobs 1 and 2 both cut three blocks (the
+    # second spread over a pool), and blocks of 5 primes cut sixteen; at
+    # p = k + 2 and through the public checks too, they equal the sieve
+    # route's, which no sweep calls
+    if cut.startswith("jobs"):
+        rhs = _relation_rhs(tmp_path, int(cut[-1]))
+    else:
+        rhs = {(r.check, r.k, r.s, r.p): r.rhs
+               for r in _sweep_records(["ao", "lm"], RELATION_PRIMES, k_max=12, size=5)
+               if not r.skipped}
+    # two checks, k // 2 heights of each k, at each prime past the guard
+    assert len(rhs) == sum(2 * (k // 2) for k in range(2, 13) for p in RELATION_PRIMES
+                           if p > k + 1)
+    assert {(k, p) for _, k, _, p in rhs if p == k + 2} == {(3, 5), (5, 7), (9, 11), (11, 13)}
+    assert _sieve_mismatches(rhs) == []
+    for p in (5, 7, 11, 13, 397):
+        for k in range(2, min(12, p - 2) + 1):
+            for s in range(1, k // 2 + 1):
+                for check, verify in (("ao", verify_ao), ("lm", verify_lm)):
+                    assert verify(k, s, PrimeCtx(p)).rhs == rhs[check, k, s, p], (check, k, s, p)
+
+
+def test_block_residues_no_sweep_reads_the_sieve(tmp_path, monkeypatch):
+    def no_sieve(*args):
+        raise AssertionError("a sweep read the sieve route")
+
+    monkeypatch.setattr(fmzv.bernoulli, "_power_sum_mod_p2", no_sieve)
+    monkeypatch.setattr(fmzv.bernoulli, "zeta_residue", no_sieve)
+    monkeypatch.setattr(fmzv.verify, "zeta_residue", no_sieve)
+    argv = ["verify", "ao,lm,lemma,heightsum", "--kmax", "12", "--primes", "5..400",
+            "--out", str(tmp_path / "v.jsonl")]
+    for jobs in ("1", "2"):
+        assert cli.main(argv + ["--jobs", jobs]) == 0
+    for verify in (verify_ao, verify_lm):
+        assert verify(9, 2, PrimeCtx(11)).passed
+
+
+@pytest.mark.parametrize("mutant", ["wrong k", "shifted lane"])
+def test_block_residues_test_sees_a_wrong_residue(mutant, tmp_path, monkeypatch):
+    # the comparison above fails when a block pass reads the residues of
+    # another k, or hands each prime its neighbour's
+    glaisher = fmzv.verify._glaisher_residues
+
+    def wrong_k(k, primes):
+        return glaisher(k + 2, primes)
+
+    def shifted_lane(k, primes):
+        residues = glaisher(k, primes)
+        return residues[1:] + residues[:1]
+
+    monkeypatch.setattr(fmzv.verify, "_glaisher_residues",
+                        {"wrong k": wrong_k, "shifted lane": shifted_lane}[mutant])
+    rhs = _relation_rhs(tmp_path, 1)
+    assert _sieve_mismatches(rhs)
+
+
+@pytest.mark.parametrize("checks, filled", [
+    (["ao"], {"star"}),
+    (["lm"], {"alt"}),
+    (["heightsum"], {"free"}),
+    (["lemma"], {"alt", "star"}),
+    (["ao", "lm"], {"alt", "star"}),
+    (["ao", "heightsum", "lemma", "lm"], {"alt", "star", "free"}),
+])
+def test_each_check_fills_only_the_tables_it_reads(checks, filled, monkeypatch):
+    # the block pass fills the columns of the tables the checks read, and
+    # no other: an ao,lm sweep fills no free column
+    family_pass, filled_by_pass = fmzv.harmonic.family_pass, []
+
+    def spy(k_max, steps, modulus, tables):
+        out = family_pass(k_max, steps, modulus, tables)
+        filled_by_pass.append({name for name, cols in zip(("alt", "star", "free"), out)
+                               if cols is not None})
+        return out
+
+    monkeypatch.setattr(fmzv.harmonic, "family_pass", spy)
+    records = _sweep_records(checks, primes_in_range(5, 200), k_max=8)
+    assert all(r.passed for r in records)
+    assert len(filled_by_pass) >= 2 and all(f == filled for f in filled_by_pass)
+
+
+def test_single_check_sweeps_write_the_lines_of_the_four(tmp_path):
+    # each check alone writes exactly its own lines of the four-check sweep
+    def lines(checks):
+        out = tmp_path / f"{checks}.jsonl"
+        assert cli.main(["verify", checks, "--kmax", "10", "--primes", "5..151", "--jobs", "1",
+                         "--out", str(out)]) == 0
+        return out.read_text().splitlines()
+
+    four = lines("ao,lm,lemma,heightsum")
+    for check in FAMILY_CHECKS:
+        assert lines(check) == [line for line in four if json.loads(line)["check"] == check]
