@@ -171,21 +171,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def _series_div(num, den, order: int) -> list[Fraction]:
-    """Power-series quotient to the given order; den[0] must be nonzero."""
-    n0 = den[0] if den else _ZERO
-    if n0 == 0:
-        raise ZeroDivisionError("series division needs a unit constant term")
-    inv0 = 1 / n0
-    out = []
-    for i in range(order + 1):
-        acc = num[i] if i < len(num) else _ZERO
-        for j in range(1, min(i, len(den) - 1) + 1):
-            acc -= den[j] * out[i - j]
-        out.append(acc * inv0)
-    return out
-
-
 def _int_linear_product(roots) -> tuple[list[int], int]:
     """prod(q z - p) over the roots p/q, ascending, and its leading prod(q)."""
     out = [1]
@@ -291,7 +276,13 @@ class RatFunc:
         """Series coefficients at z = 0 up to the given order."""
         if not self.regular_at_zero():
             raise ZeroDivisionError("pole at z = 0")
-        return _series_div(list(self.num.coeffs), list(self.den.coeffs), order)
+        num, den, out = self.num.coeffs, self.den.coeffs, []
+        for i in range(order + 1):
+            acc = num[i] if i < len(num) else _ZERO
+            for j in range(1, min(i, len(den) - 1) + 1):
+                acc -= den[j] * out[i - j]
+            out.append(acc / den[0])
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, RatFunc):

@@ -18,8 +18,8 @@ come, for every (k, s) at once, from harmonic's (weight, height) pass,
 the one every family sweep reads, run on exact ints.  It also certifies
 the terminating evaluation of the Gauss series at 1 and, over Z/pZ, the
 truncation congruences that connect the finite sums to that evaluation,
-at sampled points, each side from its order and leading coefficient
-there (``hypergeom_congruence_check``).
+at sampled points, from rows of Laurent coefficients there, one per point
+for every l, 4 bytes an entry (``hypergeom_congruence_check``).
 
 All arithmetic is exact, and the rational suites run on ints with one
 Fraction per reported value; re-running any check yields bit-identical
@@ -31,14 +31,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
+from operator import mul
 
 from .errors import AllSamplesSkippedError, DegenerateParametersError, PoleCancellationError
 from .harmonic import family_pass
 from .indices import Index
 # Unused here: perfbench/tracing.py patches this name on this module.
 from .indices import iter_admissible_indices  # noqa: F401
-from .modfield import PrimeCtx, prime_ctx
-from .polys import BiSeries, Poly, RatFunc, _ZERO, _as_fraction, _series_div
+from .modfield import PrimeCtx, inverses, prime_ctx
+from .polys import BiSeries, Poly, RatFunc, _ZERO, _as_fraction
 # Unused here: perfbench/tracing.py patches these names on this module.
 from .polys import fp_add, fp_mul, fp_pochhammer_poly, fp_scale  # noqa: F401
 from .records import VerificationRecord, comparison_record, skipped_record
@@ -146,19 +147,22 @@ def gf_coeff_series(n: int, dx: int = 12, dz: int = 12) -> BiSeries:
     the pair; any other pole raises PoleCancellationError (a bug, not
     bad input).
 
-    The divisions run on ints.  With D the common denominator of every
-    W's series, big = lcm(1..n) and t_i the z^i coefficient after j+1
-    divisions, U_i = D * big^(i+j+1) * t_i; dividing by z - l is then
-    U_i <- (big/l) * (U_(i-1) - U_i).  Every l's term in the cell (j, i)
-    has the denominator D * big^(i+j+1+v), so each even cell sums ints
-    and becomes one Fraction.
+    The divisions run on ints.  With W = N/Q on int lists, Q = z^v Q',
+    X_i = Q'_0^e [z^i] N/Q' = (Q'_0^e N_i - sum_j Q'_j X_(i-j)) / Q'_0 is
+    an int for e = dz+v+1.  With D the lcm of every l's Q'_0^e, big =
+    lcm(1..n) and t_i the z^i coefficient after j+1 divisions, U_i = D *
+    big^(i+j+1) * t_i; dividing by z - l is then U_i <- (big/l) *
+    (U_(i-1) - U_i).  Every l's term in the cell (j, i) has the
+    denominator D * big^(i+j+1+v), so each even cell sums ints and
+    becomes one Fraction.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    laurent = []  # (l, v, the z^(i-v) coefficients of W)
+    laurent = []  # (l, v, scale, the z^(i-v) coefficients of W times scale)
     for l in range(1, n + 1):
         w = pole_weight(n, l)
-        den = w.den.coeffs
+        common = lcm(*(c.denominator for c in w.num.coeffs + w.den.coeffs))
+        num, den = ([int(c * common) for c in f.coeffs] for f in (w.num, w.den))
         v = next(i for i, c in enumerate(den) if c)  # pole order at z = 0
         if l == n and v > 1:
             raise PoleCancellationError(
@@ -166,14 +170,18 @@ def gf_coeff_series(n: int, dx: int = 12, dz: int = 12) -> BiSeries:
         if l < n and v:
             raise PoleCancellationError(
                 f"unexpected z=0 pole in the (n={n}, l={l}) term")
-        laurent.append((l, v, _series_div(w.num.coeffs, den[v:], dz + v)))
+        e, q0, rest, x = dz + v + 1, den[v], den[v + 1:], []
+        power = q0 ** e
+        for c in (num + [0] * e)[:e]:
+            x.append((c * power - sum(map(mul, rest, reversed(x)))) // q0)
+        laurent.append((l, v, power, x))
     big = lcm(*range(1, n + 1))
-    d = lcm(*(c.denominator for _, _, t in laurent for c in t))
-    top = max(v for _, v, _ in laurent)
+    d = lcm(*(s for _, _, s, _ in laurent))
+    top = max(v for _, v, _, _ in laurent)
     nums = [[0] * (dz + 1) for _ in range(dx + 1)]
-    for l, v, t in laurent:
+    for l, v, scale, t in laurent:
         q = big // l
-        u = [c.numerator * (d // c.denominator) * big ** i for i, c in enumerate(t)]
+        u = [c * (d // scale) * big ** i for i, c in enumerate(t)]
         lift = big ** (top - v)  # onto the common denominator of the cell
         for j in range(dx + 1):
             # (z - l) * new = old, so new_i = (new_(i-1) - old_i) / l
@@ -317,109 +325,109 @@ def gauss_terminating_check(m: int, b, c) -> VerificationRecord:
 
 # ---------------------------------------------------------------------------
 # congruence checks over Z/pZ, each side read at one sampled point z0 at a
-# time from its order and leading coefficient there
+# time from its Laurent coefficients there
 
 _CONGRUENCES = ("truncation", "closed-form", "tail-term")
 
 
-def _horner_jets(z0: int, coeffs: list[int], p: int):
-    """First-order jets (value, derivative) at z0 of the series' sides.
+class _LaurentRows(dict):
+    """z0 -> (poles, values, fermat), built when z0 is first read: the
+    eps^-1 and eps^0 coefficients of r_n(z) = (z)_n / (2z+1)_n at z0 + eps
+    for n < length, 2 bytes each for p < 2^16, and the Fermat quotient's
+    (order, lead).  r_(n+1) = r_n (z+n)/(2z+1+n): with f = 2z0+1+n and
+    g = z0+n, the step is g/f + (1-n)/f^2 eps on r_n's (eps^0, eps^1)
+    until f vanishes, and there (g+eps)/(2 eps), which shifts that pair
+    to (eps^-1, eps^0).  A second vanishing f (length > p + 1) would leave
+    order -2 and raises ArithmeticError."""
 
-    The terms are c_n (z)_n / (2z+1)_n, coeffs[n] = c_n = (l)_n / n! for
-    n <= M = p - l.  Over (2z+1)_N the first N+1 terms sum to acc_N, and
-    acc_(N+1) = acc_N (2z+1+N) + c_(N+1) (z)_(N+1): one Horner pass, run
-    on jets beside those of (z)_N, (z+1)_N and (2z+1)_N.  Returns the
-    (numerator, denominator) jets of the truncated sum (i), which stops
-    at N = M-1, the full series (ii), the tail term c_M (z)_M / (2z+1)_M
-    (iii) and the right side of (i), ((z+1)_M - c_M (z)_M) / (2z+1)_M.
-    """
-    av, ad, zv, zd, sv, sd, dv, dd = 1, 0, 1, 0, 1, 0, 1, 0  # acc, (z), (z+1), (2z+1)
-    last = len(coeffs) - 2
-    for n, c in enumerate(coeffs[1:]):
-        if n == last:
-            trunc = ((av, ad), (dv, dd))
-        f, g = (2 * z0 + 1 + n) % p, (z0 + n) % p
-        zv, zd = zv * g % p, (zd * g + zv) % p
-        sv, sd = sv * (g + 1) % p, (sd * (g + 1) + sv) % p
-        av, ad = (av * f + c * zv) % p, (ad * f + 2 * av + c * zd) % p
-        dv, dd = dv * f % p, (dd * f + 2 * dv) % p
-    t, den = coeffs[-1], (dv, dd)
-    return (trunc, ((av, ad), den), ((t * zv % p, t * zd % p), den),
-            (((sv - t * zv) % p, (sd - t * zd) % p), den))
+    def __init__(self, p: int, length: int):  # dict.__new__ makes the empty mapping
+        self.p, self.length, self.inv = p, length, inverses(p)
 
-
-def _jet_ratio(num, den, p: int):
-    """num/den at z0 from their jets there; None at a pole.
-
-    Every den here is (2z+1)_N with N <= p-1, whose roots are distinct
-    mod p, so it vanishes to order <= 1, and a num whose jet is (0, 0)
-    leaves a zero of the quotient, not a pole.
-    """
-    (a0, a1), (b0, b1) = num, den
-    if b0:
-        return a0 * pow(b0, p - 2, p) % p
-    if not b1:
-        raise ArithmeticError("a denominator vanishes to order >= 2 at a sampled point")
-    return None if a0 else a1 * pow(b1, p - 2, p) % p
+    def __missing__(self, z0: int):
+        from array import array  # only hypcong reads it: kept off every command's start-up
+        p, length, inv = self.p, self.length, self.inv
+        at = (-2 * z0 - 1) % p  # the n whose factor 2z+1+n vanishes at z0
+        if length > at + p + 1:
+            raise ArithmeticError("a denominator vanishes to order >= 2 at a sampled point")
+        a, b, lo, hi = 1, 0, [1], [0]
+        for n in range(length - 1):
+            if n == at:
+                a, b = (z0 + n) * a * inv[2] % p, ((z0 + n) * b + a) * inv[2] % p
+            else:
+                i = inv[(n - at) % p]
+                g = (z0 + n) * i % p
+                a, b = g * a % p, (g * b + (1 - n) * i * i * a) % p
+            lo.append(a)
+            hi.append(b)
+        # c z^(p-1) - 1, c = 1 and 2^(p-1), vanishes at z0 != 0 to order one at most
+        (to, tc), (oo, oc) = ((0, v) if (v := (c * pow(z0, p - 1, p) - 1) % p)
+                              else (1, -c * pow(z0, p - 2, p) % p) for c in (1, pow(2, p - 1, p)))
+        cut, code = min(at + 1, length), "H" if p < 1 << 16 else "Q"
+        row = self[z0] = (array(code, [0] * cut + lo[cut:]), array(code, lo[:cut] + hi[cut:]),
+                          (to - oo, tc * inv[oc] % p))
+        return row
 
 
-def _quotient_at(nums, dens, p: int):
-    """prod(nums)/prod(dens) at z0 from their (order, lead) pairs; None at a pole."""
-    order = sum(o for o, _ in nums) - sum(o for o, _ in dens)
-    if order:
-        return None if order < 0 else 0
-    return prod(c for _, c in nums) * pow(prod(c for _, c in dens), p - 2, p) % p
-
-
-def _congruence_values(l: int, z0: int, coeffs: list[int], fact, inv_fact, p: int):
+def _congruence_values(l: int, z0: int, rows: _LaurentRows, head: list[int], t: int, ctx):
     """(lhs, rhs) at z0 of each congruence, in the order of _CONGRUENCES.
 
-    The closed forms of (ii) and (iii) carry the Fermat-quotient factor
-    (z^(p-1)-1)/((2z)^(p-1)-1) literally; it is 1 in Z/pZ(z), which lets
-    them be sampled at all: written as raw products of ~p consecutive
-    shifts, both sides vanish at every prime-field point.
+    head holds c_n = (l)_n / n! for n < M = p - l, and t = c_M.  A left
+    side is a pole where its eps^-1 coefficient is nonzero, else its eps^0
+    one: the truncation is head . r, the tail term t r_M, the full series
+    their sum, and the right side of (i), ((z+1)_M - t (z)_M) / (2z+1)_M,
+    is r_M ((z0+M)/z0 - M/z0^2 eps) - t r_M.  The closed forms of (ii) and
+    (iii) come from their linear factors' (order, lead) and carry the
+    Fermat quotient (z^(p-1)-1)/((2z)^(p-1)-1) literally; it is 1 in
+    Z/pZ(z), which lets them be sampled at all: as raw products of ~p
+    consecutive shifts, both sides vanish at every prime-field point.
     """
+    (fact, inv_fact), p, inv = ctx.factorials(), rows.p, rows.inv
     def poch(shift, scale, n):
-        # (order, lead) of prod_{i<n} (scale z + shift + i), n < p: the factors
-        # at z0 run a, a+1, ... from a in [1, p] and vanish only at p, where the
-        # factor is scale (z - z0); (p-1)! = -1 mod p
+        # (order, lead) of prod_{i<n} (scale z + shift + i), n < p: the factors at z0
+        # run a, a+1, ... from a in [1, p], and the one at p is scale (z - z0)
         a = (scale * z0 + shift - 1) % p + 1
         if a + n <= p:
             return 0, fact[a + n - 1] * inv_fact[a - 1] % p
-        return 1, -scale * inv_fact[a - 1] * fact[a + n - 1 - p] % p
+        return 1, -scale * inv_fact[a - 1] * fact[a + n - 1 - p] % p  # (p-1)! = -1
 
-    def fermat(c):  # c z^(p-1) - 1 vanishes at z0 != 0 to order one at most
-        v = (c * pow(z0, p - 1, p) - 1) % p
-        return (0, v) if v else (1, -c * pow(z0, p - 2, p) % p)
+    def side(pole, value):
+        return None if pole % p else value % p
 
-    trunc, full, tail, rhs_trunc = _horner_jets(z0, coeffs, p)
-    halves, top, over = poch(1 - l, 2, l - 1), fermat(1), fermat(pow(2, p - 1, p))
-    sign = (0, 1 if l % 2 else p - 1)
-    return [(_jet_ratio(*trunc, p), _jet_ratio(*rhs_trunc, p)),
-            (_jet_ratio(*full, p),
-             _quotient_at((top, halves), (over, poch(1 - l, 1, l - 1)), p)),
-            (_jet_ratio(*tail, p),
-             _quotient_at((sign, top, poch(0, 1, 1), halves), (over, poch(-l, 1, l)), p))]
+    def quotient(order, lead, den):  # lead z^order / den, den an (order, lead) pair
+        order -= den[0]
+        return (None if order < 0 else 0) if order else lead * inv[den[1]] % p
+
+    poles, values, (fo, fc) = rows[z0]
+    m = len(head)
+    sp, sv = sum(map(mul, head, poles)), sum(map(mul, head, values))
+    rp, rv, k = poles[m], values[m], (z0 + m) * inv[z0] - t
+    (ho, hc), sign_z = poch(1 - l, 2, l - 1), z0 if l % 2 else -z0  # sign_z: (-1)^(l+1) z
+    return [(side(sp, sv), side(k * rp, k * rv - m * inv[z0] ** 2 * rp)),
+            (side(sp + t * rp, sv + t * rv), quotient(fo + ho, fc * hc, poch(1 - l, 1, l - 1))),
+            (side(t * rp, t * rv), quotient(fo + ho, sign_z * fc * hc, poch(-l, 1, l)))]
 
 
 def hypergeom_congruence_check(l: int, ctx: PrimeCtx, samples: int = 20,
-                               seed: int = 1) -> VerificationRecord:
+                               seed: int = 1, rows=None) -> VerificationRecord:
     """Sample the three truncation/closed-form congruences at random z0.
 
     Each side is a rational function over Z/pZ, read at seeded
-    pseudorandom z0 in [1, p-1] from its order and leading coefficient
-    there, which give its reduced form's value with no gcd: a pole at a
-    negative order, else the coefficient at order 0 and 0 above.  A z0
-    where either side has a pole is skipped and reported.  Raises
-    AllSamplesSkippedError when some congruence never finds an admissible z0.
+    pseudorandom z0 in [1, p-1] from its Laurent coefficients at z0 + eps,
+    which give its reduced form's value with no gcd.  The left sides sum
+    c_n r_n(z0), r_n = (z)_n / (2z+1)_n free of l: ``rows`` (a suite's,
+    for every l) holds r_n for n < p at each z0 drawn, 4 bytes per (z0, n)
+    for p < 2^16; with none, the check builds its own, for n <= p - l.  A
+    z0 where either side has a pole is skipped and reported.  Raises
+    AllSamplesSkippedError when a congruence never finds an admissible z0.
     """
     p = ctx.p
     if not 1 <= l <= p - 2:
         raise ValueError(f"need 1 <= l <= p-2, got l={l}, p={p}")
     if samples < 1:
         raise ValueError("need samples >= 1")
+    rows = _LaurentRows(p, p - l + 1) if rows is None else rows
     fact, inv_fact = ctx.factorials()
-    coeffs = [fact[l + n - 1] * inv_fact[l - 1] * inv_fact[n] % p for n in range(p - l + 1)]
+    *head, t = [fact[l + n - 1] * inv_fact[l - 1] * inv_fact[n] % p for n in range(p - l + 1)]
     rng = Lcg((seed << 20) ^ (p << 8) ^ l)
     evaluated, skipped, mismatch, seen = [0, 0, 0], [0, 0, 0], None, {}
     for _ in range(samples * 16):
@@ -427,7 +435,7 @@ def hypergeom_congruence_check(l: int, ctx: PrimeCtx, samples: int = 20,
             break
         z0 = 1 + rng.below(p - 1)
         if z0 not in seen:  # draws repeat
-            seen[z0] = _congruence_values(l, z0, coeffs, fact, inv_fact, p)
+            seen[z0] = _congruence_values(l, z0, rows, head, t, ctx)
         for idx, (name, (lv, rv)) in enumerate(zip(_CONGRUENCES, seen[z0])):
             if evaluated[idx] >= samples:
                 continue
@@ -488,10 +496,11 @@ def run_phi0_suite(n_max: int = 5, k_max: int = 6) -> list[VerificationRecord]:
 
 def run_hypcong_suite(p: int, samples: int = 20, seed: int = 7) -> list[VerificationRecord]:
     ctx = prime_ctx(p)
+    rows = _LaurentRows(p, p)  # every l reads them; dropped on return
     records = []
     for l in range(1, p - 1):
         try:
-            records.append(hypergeom_congruence_check(l, ctx, samples, seed))
+            records.append(hypergeom_congruence_check(l, ctx, samples, seed, rows))
         except AllSamplesSkippedError as err:
             records.append(VerificationRecord(
                 check="hypcong", p=p, passed=False,

@@ -2,18 +2,20 @@
 
 Everything here is deliberately naive: direct chain enumeration for
 harmonic sums, bitmask composition generation, the textbook rational
-Bernoulli recurrence and its O(p^2) table mod p, and the family DP in
-its older running-tail form.  None of it shares
-code with the package paths it checks; the hypcong reference builds its
-sides as whole polynomials over Z/pZ with ``fmzv.polys``, which the
-pointwise evaluator it checks does not use, and shares only the seeded
-draws and the record type with it.  It imports ``fmzv`` when called,
-so the module loads without the package on the path.
+Bernoulli recurrence and its O(p^2) table mod p, the family DP in its
+older running-tail form, and hypcong's sides from one Horner pass on
+first-order jets per (l, z0).  None of it shares code with the package
+paths it checks; the hypcong reference builds its sides as whole
+polynomials over Z/pZ with ``fmzv.polys``, which the pointwise evaluator
+it checks does not use, and shares only the seeded draws and the record
+type with it.  It imports ``fmzv`` when called, so the module loads
+without the package on the path.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
+from math import prod
 
 
 def brute_mhs_strict(parts, p):
@@ -286,6 +288,92 @@ def hypcong_left_sides(l, p):
 
     tail = poly_mul_mod(z_poch[M], [c[M]], p)
     return [numerator(M - 1), numerator(M), (tail, suffixes(M)[0])]
+
+
+def horner_jets(z0, coeffs, p):
+    """First-order jets (value, derivative) at z0 of the series' sides.
+
+    The terms are c_n (z)_n / (2z+1)_n, coeffs[n] = c_n = (l)_n / n! for
+    n <= M = p - l.  Over (2z+1)_N the first N+1 terms sum to acc_N, and
+    acc_(N+1) = acc_N (2z+1+N) + c_(N+1) (z)_(N+1): one Horner pass, run
+    on jets beside those of (z)_N, (z+1)_N and (2z+1)_N.  Returns the
+    (numerator, denominator) jets of the truncated sum (i), which stops
+    at N = M-1, the full series (ii), the tail term c_M (z)_M / (2z+1)_M
+    (iii) and the right side of (i), ((z+1)_M - c_M (z)_M) / (2z+1)_M.
+    """
+    av, ad, zv, zd, sv, sd, dv, dd = 1, 0, 1, 0, 1, 0, 1, 0  # acc, (z), (z+1), (2z+1)
+    last = len(coeffs) - 2
+    for n, c in enumerate(coeffs[1:]):
+        if n == last:
+            trunc = ((av, ad), (dv, dd))
+        f, g = (2 * z0 + 1 + n) % p, (z0 + n) % p
+        zv, zd = zv * g % p, (zd * g + zv) % p
+        sv, sd = sv * (g + 1) % p, (sd * (g + 1) + sv) % p
+        av, ad = (av * f + c * zv) % p, (ad * f + 2 * av + c * zd) % p
+        dv, dd = dv * f % p, (dd * f + 2 * dv) % p
+    t, den = coeffs[-1], (dv, dd)
+    return (trunc, ((av, ad), den), ((t * zv % p, t * zd % p), den),
+            (((sv - t * zv) % p, (sd - t * zd) % p), den))
+
+
+def jet_ratio(num, den, p):
+    """num/den at z0 from their jets there; None at a pole.
+
+    Every den here is (2z+1)_N with N <= p-1, whose roots are distinct
+    mod p, so it vanishes to order <= 1, and a num whose jet is (0, 0)
+    leaves a zero of the quotient, not a pole.
+    """
+    (a0, a1), (b0, b1) = num, den
+    if b0:
+        return a0 * pow(b0, p - 2, p) % p
+    if not b1:
+        raise ArithmeticError("a denominator vanishes to order >= 2 at a sampled point")
+    return None if a0 else a1 * pow(b1, p - 2, p) % p
+
+
+@lru_cache(maxsize=None)
+def _factorials(p):
+    fact = [1] * p
+    for i in range(1, p):
+        fact[i] = fact[i - 1] * i % p
+    return fact, [pow(f, p - 2, p) for f in fact]
+
+
+def hypcong_horner_values(l, z0, p):
+    """(lhs, rhs) at z0 of each hypcong congruence, None at a pole: the
+    left sides and the right side of (i) from ``horner_jets``, the closed
+    forms of (ii) and (iii) from the (order, lead) pairs of their linear
+    factors, the Fermat binomials by ``pow``, multiplied out factor by
+    factor."""
+    fact, inv_fact = _factorials(p)
+    coeffs = [fact[l + n - 1] * inv_fact[l - 1] * inv_fact[n] % p for n in range(p - l + 1)]
+
+    def poch(shift, scale, n):
+        # (order, lead) of prod_{i<n} (scale z + shift + i), n < p: the factors
+        # at z0 run a, a+1, ... from a in [1, p] and vanish only at p, where the
+        # factor is scale (z - z0); (p-1)! = -1 mod p
+        a = (scale * z0 + shift - 1) % p + 1
+        if a + n <= p:
+            return 0, fact[a + n - 1] * inv_fact[a - 1] % p
+        return 1, -scale * inv_fact[a - 1] * fact[a + n - 1 - p] % p
+
+    def fermat(c):  # c z^(p-1) - 1 vanishes at z0 != 0 to order one at most
+        v = (c * pow(z0, p - 1, p) - 1) % p
+        return (0, v) if v else (1, -c * pow(z0, p - 2, p) % p)
+
+    def quotient(nums, dens):
+        order = sum(o for o, _ in nums) - sum(o for o, _ in dens)
+        if order:
+            return None if order < 0 else 0
+        return prod(c for _, c in nums) * pow(prod(c for _, c in dens), p - 2, p) % p
+
+    trunc, full, tail, rhs_trunc = horner_jets(z0, coeffs, p)
+    halves, top, over = poch(1 - l, 2, l - 1), fermat(1), fermat(pow(2, p - 1, p))
+    sign = (0, 1 if l % 2 else p - 1)
+    return [(jet_ratio(*trunc, p), jet_ratio(*rhs_trunc, p)),
+            (jet_ratio(*full, p), quotient((top, halves), (over, poch(1 - l, 1, l - 1)))),
+            (jet_ratio(*tail, p),
+             quotient((sign, top, poch(0, 1, 1), halves), (over, poch(-l, 1, l))))]
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,8 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -13,8 +15,8 @@ from fmzv.modfield import prime_ctx
 from fmzv.polys import FpRatFunc, Poly, RatFunc, Z
 from fmzv.symbolic import (
     Lcg,
-    _horner_jets,
-    _jet_ratio,
+    _congruence_values,
+    _LaurentRows,
     anl_form_agreement,
     gauss_terminating_check,
     gf_coeff_series,
@@ -379,16 +381,95 @@ def _series_coeffs(l, p):
     return out
 
 
+def _row_sides(p):
+    """(l, z0, the six sides) at every (l, z0), read from one set of rows
+    as the suite reads them."""
+    ctx, rows = prime_ctx(p), _LaurentRows(p, p)
+    for l in range(1, p - 1):
+        *head, t = _series_coeffs(l, p)
+        for z0 in range(1, p):
+            yield l, z0, _congruence_values(l, z0, rows, head, t, ctx)
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 31, 61])
 def test_congruence_sides_match_suffix_product_oracle(p):
-    # the Horner pass on jets against the three left sides built term by
-    # term from suffix products: value and derivative at every z0
-    for l in range(1, p - 1):
-        sides = oracles.hypcong_left_sides(l, p)
-        coeffs = _series_coeffs(l, p)
-        for z0 in range(1, p):
-            want = [(_jet(num, z0, p), _jet(den, z0, p)) for num, den in sides]
-            assert list(_horner_jets(z0, coeffs, p)[:3]) == want, (l, z0)
+    # the three left sides read from the rows against those built term by
+    # term from suffix products: value, or pole, at every (l, z0)
+    sides = {l: oracles.hypcong_left_sides(l, p) for l in range(1, p - 1)}
+    for l, z0, got in _row_sides(p):
+        want = [oracles.jet_ratio(_jet(num, z0, p), _jet(den, z0, p), p) for num, den in sides[l]]
+        assert [lhs for lhs, _ in got] == want, (l, z0)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 31, 61, 101, 151])
+def test_rows_match_the_horner_oracle(p):
+    # all six sides, right sides included, against one Horner pass on jets
+    # per (l, z0)
+    for l, z0, got in _row_sides(p):
+        assert got == oracles.hypcong_horner_values(l, z0, p), (l, z0)
+
+
+def _taylor(poly, x, p, order):
+    """The first order + 1 Taylor coefficients of a coefficient list at x,
+    mod p: comb(i, k) x^(i-k) is the k-th derivative of x^i over k!."""
+    return [sum(comb(i, k) * c * x ** (i - k) for i, c in enumerate(poly) if i >= k) % p
+            for k in range(order + 1)]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 31])
+def test_laurent_rows_expand_each_ratio(p):
+    # (eps^-1, eps^0) of (z)_n / (2z+1)_n at z0 + eps, for every z0 and
+    # n < p, from the Taylor coefficients of both products; a lone
+    # check's rows, to n <= p - l, are prefixes of the suite's
+    rows = _LaurentRows(p, p)
+    for z0 in range(1, p):
+        poles, values = rows[z0][:2]
+        num, den = [1], [1]
+        for n in range(p):
+            (a0, a1, _), (b0, b1, b2) = _taylor(num, z0, p, 2), _taylor(den, z0, p, 2)
+            if b0:
+                want = (0, a0 * pow(b0, p - 2, p) % p)
+            else:  # (a0 + a1 e) / (b1 e + b2 e^2) = a0/b1 e^-1 + (a1 - a0 b2/b1)/b1
+                inv = pow(b1, p - 2, p)
+                want = (a0 * inv % p, (a1 - a0 * b2 * inv) * inv % p)
+            assert (poles[n], values[n]) == want, (z0, n)
+            num = oracles.poly_mul_mod(num, [n, 1], p)
+            den = oracles.poly_mul_mod(den, [1 + n, 2], p)
+        for length in range(2, p + 1):
+            assert _LaurentRows(p, length)[z0] == (poles[:length], values[:length], rows[z0][2])
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_laurent_rows_refuse_a_second_vanishing_factor(p):
+    # a row longer than p + 1 can meet the factor 2z + 1 + n at z0 a second
+    # time, which would leave a pole of order 2: it raises exactly then
+    for z0 in range(1, p):
+        for length in range(p, 2 * p + 2):
+            twice = sum((2 * z0 + 1 + n) % p == 0 for n in range(length - 1)) >= 2
+            if twice:
+                with pytest.raises(ArithmeticError, match="order >= 2"):
+                    _LaurentRows(p, length)[z0]
+            else:
+                _LaurentRows(p, length)[z0]
+
+
+def test_hypcong_suite_keeps_no_rows(monkeypatch):
+    # the rows live for one run of the suite: none is parked on the shared
+    # context, and none is reachable once the suite returns
+    made = []
+
+    class Rows(_LaurentRows):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(fmzv.symbolic, "_LaurentRows", Rows)
+    before = set(prime_ctx(31)._memo)
+    records = run_hypcong_suite(31, samples=5, seed=7)
+    assert len(records) == 29 and len(made) == 1
+    gc.collect()
+    assert made[0]() is None
+    assert set(prime_ctx(31)._memo) - before <= {"factorials"}
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 31, 61])
@@ -417,14 +498,15 @@ def test_jet_ratio_reads_the_local_order():
     num = oracles.poly_mul_mod(oracles.poly_mul_mod([4, 1], [4, 1], p), [1, 1], p)
     den = oracles.poly_mul_mod([4, 1], [2, 1], p)
     assert _jet(num, 3, p) == (0, 0)
-    assert _jet_ratio(_jet(num, 3, p), _jet(den, 3, p), p) == 0
+    assert oracles.jet_ratio(_jet(num, 3, p), _jet(den, 3, p), p) == 0
     assert FpRatFunc(num, den, p).eval_at(3) == 0
     # a simple root over a simple root: the ratio of the derivatives
     num = oracles.poly_mul_mod([4, 1], [1, 1], p)
-    assert _jet_ratio(_jet(num, 3, p), _jet(den, 3, p), p) == FpRatFunc(num, den, p).eval_at(3)
+    assert (oracles.jet_ratio(_jet(num, 3, p), _jet(den, 3, p), p)
+            == FpRatFunc(num, den, p).eval_at(3))
     # no root over a simple root: a pole
-    assert _jet_ratio(_jet([1, 1], 3, p), _jet(den, 3, p), p) is None
+    assert oracles.jet_ratio(_jet([1, 1], 3, p), _jet(den, 3, p), p) is None
     assert FpRatFunc([1, 1], den, p).eval_at(3) is None
     # a denominator vanishing to order 2 breaks the premise and raises
     with pytest.raises(ArithmeticError):
-        _jet_ratio(_jet(num, 3, p), (0, 0), p)
+        oracles.jet_ratio(_jet(num, 3, p), (0, 0), p)
