@@ -3,6 +3,11 @@
 Truncated multiple harmonic sums mod p, Bernoulli values mod p, exact
 generating-function machinery, and verification sweeps for the
 identities relating them.
+
+Importing the package leaves the exact-arithmetic layer (``fmzv.symbolic``,
+with ``polys``, ``fractions`` and ``decimal``) unloaded: the mod-p sweeps
+never use it.  Its public names here import ``fmzv.symbolic`` on first
+access.
 """
 
 from .errors import (
@@ -46,17 +51,19 @@ from .verify import (
     verify_lm,
     verify_reversal,
 )
-from .symbolic import (
-    anl_form_agreement,
-    gauss_terminating_check,
-    gf_coeff_series,
-    gf_coefficient_check,
-    hypergeom_congruence_check,
-    pochhammer_poly,
-    pole_weight,
-    pole_weight_product_form,
-    polylog_star_coeff,
-)
+
+# The names of fmzv.symbolic, which ``__getattr__`` resolves on first access.
+_SYMBOLIC = frozenset((
+    "anl_form_agreement",
+    "gauss_terminating_check",
+    "gf_coeff_series",
+    "gf_coefficient_check",
+    "hypergeom_congruence_check",
+    "pochhammer_poly",
+    "pole_weight",
+    "pole_weight_product_form",
+    "polylog_star_coeff",
+))
 
 __version__ = "0.1.0"
 
@@ -100,3 +107,15 @@ __all__ = [
     "verify_reversal",
     "zeta_residue",
 ]
+
+
+def __getattr__(name):
+    # PEP 562: called only for a name the module does not hold
+    if name in _SYMBOLIC:
+        from . import symbolic
+        return getattr(symbolic, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _SYMBOLIC)

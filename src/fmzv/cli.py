@@ -8,7 +8,10 @@ Four subcommands:
   resumable via the output file itself.
 * ``zsweep``: the zeta-residue hunt with the two-method cross-check, one
   pass over l per route for each block of primes.
-* ``symbolic``: exact-arithmetic suites (gauss, anl, phi0, hypcong).
+* ``symbolic``: exact-arithmetic suites (gauss, anl, phi0, hypcong).  The
+  only command that loads ``symbolic`` (and with it ``polys``,
+  ``fractions`` and ``decimal``): its ``run_*_suite`` names here import
+  that layer when first called, so the other commands start without it.
 
 Every command that reports records takes one path: ``_open_out`` opens
 stdout or ``--out`` (a fresh CSV gets its header there), and ``_emit``
@@ -51,12 +54,6 @@ from .indices import Index
 from .modfield import PrimeCtx, is_prime, primes_in_range
 from .harmonic import mhs_star, mhs_strict
 from .records import VerificationRecord, json_line
-from .symbolic import (
-    run_anl_suite,
-    run_gauss_suite,
-    run_hypcong_suite,
-    run_phi0_suite,
-)
 from .verify import (
     CHECK_NAMES,
     block_rows,
@@ -449,6 +446,24 @@ def cmd_compute(args) -> int:
 
 # ---------------------------------------------------------------------------
 # symbolic
+
+
+def _symbolic_suite(name):
+    """A stand-in for ``symbolic.<name>`` that imports the exact-arithmetic
+    layer (``symbolic``, ``polys``, ``fractions``) when it is first called,
+    so that no other command loads it at start-up."""
+    def run(*args, **kwargs):
+        from . import symbolic
+        return getattr(symbolic, name)(*args, **kwargs)
+    run.__name__ = run.__qualname__ = name
+    return run
+
+
+# Module-level names: perfbench/tracing.py and the tests patch them on this module.
+run_gauss_suite = _symbolic_suite("run_gauss_suite")
+run_anl_suite = _symbolic_suite("run_anl_suite")
+run_phi0_suite = _symbolic_suite("run_phi0_suite")
+run_hypcong_suite = _symbolic_suite("run_hypcong_suite")
 
 
 def _suite_batch(run):

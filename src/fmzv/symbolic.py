@@ -268,15 +268,18 @@ def polylog_family_coeff(n: int, k: int, s: int) -> Fraction:
     return Fraction(num, big ** k)
 
 
-def gf_coefficient_check(n: int, k: int, s: int) -> VerificationRecord:
+def gf_coefficient_check(n: int, k: int, s: int, order: int | None = None) -> VerificationRecord:
     """[x^(k-2s) z^(2s-2)] of the series vs the polylog family sum.
 
-    Every s of one (n, k) reads the same grid, cut at max(12, k - 2) on
-    both axes.
+    The coefficient is read from the grid of ``gf_coeff_series`` cut at
+    ``order`` on both axes, which must be at least k - 2; by default
+    max(12, k - 2), so every s of one (n, k) reads the same grid.  The
+    coefficients of a grid do not depend on its cut.
     """
     if n < 1 or s < 1 or 2 * s > k:
         raise ValueError(f"need n >= 1, s >= 1, 2s <= k; got n={n}, k={k}, s={s}")
-    order = max(12, k - 2)
+    if order is None:
+        order = max(12, k - 2)
     lhs = gf_coeff_series(n, order, order).coeff(k - 2 * s, 2 * s - 2)
     rhs = polylog_family_coeff(n, k, s)
     return comparison_record("phi0", frac_str(lhs), frac_str(rhs),
@@ -486,11 +489,14 @@ def run_anl_suite(n_max: int = 6) -> list[VerificationRecord]:
 
 
 def run_phi0_suite(n_max: int = 5, k_max: int = 6) -> list[VerificationRecord]:
+    """Every (k, s) with k <= k_max at each n <= n_max, all of one n read
+    from one grid, cut at max(12, k_max - 2)."""
+    order = max(12, k_max - 2)
     records = []
     for n in range(1, n_max + 1):
         for k in range(2, k_max + 1):
             for s in range(1, k // 2 + 1):
-                records.append(gf_coefficient_check(n, k, s))
+                records.append(gf_coefficient_check(n, k, s, order))
     return records
 
 

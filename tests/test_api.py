@@ -2,8 +2,12 @@
 
 import ast
 import json
+import os
 import pickle
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -24,6 +28,41 @@ def test_star_import_and_all():
     assert len(set(names)) == len(names)
     for name in names:
         assert namespace[name] is getattr(fmzv, name)
+
+
+SYMBOLIC_NAMES = ["anl_form_agreement", "gauss_terminating_check", "gf_coeff_series",
+                  "gf_coefficient_check", "hypergeom_congruence_check", "pochhammer_poly",
+                  "pole_weight", "pole_weight_product_form", "polylog_star_coeff"]
+
+
+def test_symbolic_names_load_on_first_access():
+    # in a fresh interpreter, since other tests load fmzv.symbolic: the
+    # package imports without it, a missing name is an AttributeError that
+    # loads nothing, and a star import loads it and binds its names
+    code = textwrap.dedent(f"""\
+        import sys
+        import fmzv
+        assert 'fmzv.symbolic' not in sys.modules
+        try:
+            getattr(fmzv, 'no_such_name')
+        except AttributeError as err:
+            assert str(err) == "module 'fmzv' has no attribute 'no_such_name'", err
+        else:
+            raise AssertionError('no AttributeError')
+        assert not hasattr(fmzv, 'no_such_name')
+        assert 'fmzv.symbolic' not in sys.modules
+        namespace = {{}}
+        exec('from fmzv import *', namespace)
+        symbolic = sys.modules['fmzv.symbolic']
+        for name in {SYMBOLIC_NAMES!r}:
+            assert namespace[name] is getattr(symbolic, name), name
+        assert set(fmzv.__all__) <= set(dir(fmzv))
+        """)
+    src = os.path.dirname(os.path.dirname(fmzv.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert set(SYMBOLIC_NAMES) <= set(fmzv.__all__)
 
 
 def test_readme_library_block():

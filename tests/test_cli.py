@@ -949,7 +949,8 @@ def test_cli_imports_only_the_standard_library(tmp_path):
     # multiprocessing is imported only where `verify` starts a pool, so a
     # zsweep runs without it; a pool then writes the bytes of --jobs 1
     # (multiprocessing registers __main__ again as __mp_main__).  Nor does
-    # a run import dataclasses or inspect, which cost start-up time
+    # a run import dataclasses or inspect, which cost start-up time, and
+    # only `symbolic` loads the exact-arithmetic layer
     src = os.path.dirname(os.path.dirname(fmzv.__file__))
     outs = [tmp_path / f"jobs{jobs}.jsonl" for jobs in (1, 2)]
     verify = ["verify", "ao,lm", "--kmax", "6", "--primes", "5..61"]
@@ -964,6 +965,10 @@ def test_cli_imports_only_the_standard_library(tmp_path):
             "assert not slow, sorted(slow)\n"
             f"assert main({verify + ['--jobs', '2', '--out', str(outs[1])]!r}) == 0\n"
             "assert 'multiprocessing' in sys.modules\n"
+            "exact = {'fmzv.symbolic', 'fmzv.polys', 'fractions', 'decimal'}\n"
+            "assert not exact & set(sys.modules), sorted(exact & set(sys.modules))\n"
+            "assert main(['symbolic', 'anl', '--nmax', '2']) == 0\n"
+            "assert 'fmzv.symbolic' in sys.modules\n"
             "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
             "extra = new - set(sys.stdlib_module_names) - {'fmzv', '__mp_main__'}\n"
             "assert not extra, sorted(extra)\n")
@@ -971,7 +976,8 @@ def test_cli_imports_only_the_standard_library(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("\n") == 44  # one record per prime in 5..200
+    # one record per prime in 5..200, then anl's records to n = 2
+    assert proc.stdout.count("\n") == 44 + 3
     jobs1 = outs[0].read_bytes()
     assert jobs1.count(b"\n") > 100 and outs[1].read_bytes() == jobs1
 

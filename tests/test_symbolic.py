@@ -238,13 +238,21 @@ def test_polylog_family_sums_reduce_to_the_sweep_star_sums(p):
 
 
 def test_phi0_reads_one_grid_per_order():
-    # every s of an (n, k) shares the grid cut at max(12, k - 2): for
-    # k <= 18 that is 5 orders (12..16) for each of the 4 values of n
+    # every (k, s) of one n reads the one grid cut at max(12, k_max - 2),
+    # which holds every coefficient to weight k_max: one grid for each of
+    # the 4 values of n, where a cut per k would build 5 (orders 12..16)
     gf_coeff_series.cache_clear()
     try:
         records = run_phi0_suite(n_max=4, k_max=18)
         assert records and all(r.passed for r in records)
-        assert gf_coeff_series.cache_info().misses <= 20
+        assert gf_coeff_series.cache_info().misses == 4
+        # a lone check cuts at max(12, k - 2) unless told otherwise, and
+        # reads the same coefficient from any grid that holds it
+        lone = gf_coefficient_check(3, 18, 4)
+        assert gf_coeff_series.cache_info().misses == 4 and lone in records
+        assert gf_coefficient_check(3, 10, 2) == gf_coefficient_check(3, 10, 2, order=8)
+        with pytest.raises(ValueError):
+            gf_coefficient_check(3, 10, 1, order=7)
     finally:
         gf_coeff_series.cache_clear()
 
