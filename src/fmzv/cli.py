@@ -61,7 +61,6 @@ from .verify import (
     evaluate_tasks_for_prime,
     plan_tasks,
     require_tasks,
-    task_record_keys,
 )
 # Unused here: perfbench/tracing.py patches these names on this module.
 from .bernoulli import zeta_sweep_row  # noqa: F401
@@ -100,20 +99,6 @@ def _parse_prime_range(text: str) -> list[int]:
     if not primes:
         raise ValueError(f"no prime in {text!r}")
     return primes
-
-
-def _default_jobs() -> int:
-    """FMZV_JOBS when set, else the core count; a bad FMZV_JOBS is a ValueError."""
-    env = os.environ.get("FMZV_JOBS")
-    if not env:
-        return os.cpu_count() or 1
-    try:
-        jobs = int(env)
-    except ValueError:
-        raise ValueError(f"FMZV_JOBS must be an integer, got {env!r}") from None
-    if jobs < 1:
-        raise ValueError(f"FMZV_JOBS must be >= 1, got {jobs}")
-    return jobs
 
 
 class _StdoutClosed(Exception):
@@ -222,7 +207,11 @@ def _resume_primes(path, fmt, columns, keys, primes) -> tuple[list[int], dict]:
     bottom prime, primes past this run's top, or a stub record: a CSV row
     of another field count than the header's, or a record whose ``pass``
     and ``skipped`` are not both booleans, or whose ``zero``, where it is
-    given, is not one) is left as it is, and a ValueError is raised.
+    given, is not one) is left as it is, and a ValueError is raised.  So is
+    a file with a record that disagrees with itself: ``pass`` must be true
+    on a skipped record and ``lhs == rhs`` on any other, but for a zsweep
+    row whose ``cross`` is "degenerate", which has ``pass`` true and
+    ``rhs`` empty; and ``zero``, where it is given, is ``lhs == "0"``.
     """
     tally = _new_tally()
     if not os.path.exists(path):
@@ -267,6 +256,16 @@ def _resume_primes(path, fmt, columns, keys, primes) -> tuple[list[int], dict]:
             named = " ".join(f"{field}={value}" for field, value in want.items()
                              if value is not None)
             raise ValueError(f"{path}: line {lineno} is not this run's {named}")
+        lhs, rhs = _text(rec.get("lhs")), _text(rec.get("rhs"))
+        if skipped:
+            agrees = passed
+        elif rec.get("cross") == "degenerate":
+            agrees = passed and rhs == ""
+        else:
+            agrees = passed == (lhs == rhs)
+        if not agrees or "zero" in rec and zero != (lhs == "0"):
+            raise ValueError(f"{path}: line {lineno} disagrees with itself: its pass or "
+                             f"zero does not follow from its lhs and rhs")
         pending.append(VerificationRecord(rec.get("check"), passed=passed, skipped=skipped,
                                           extra=extra))
         if (i + 1) % per_prime == 0:
@@ -351,23 +350,22 @@ def cmd_verify(args) -> int:
         tasks = sorted(task for c in checks for task in check_tasks(c, **grid))
         require_tasks(checks, tasks, **grid)
         # before the resume scan, which may cut --out
-        jobs = _default_jobs() if args.jobs is None else args.jobs
+        jobs = (os.cpu_count() or 1) if args.jobs is None else args.jobs
         if jobs < 1:
             raise ValueError(f"--jobs must be >= 1, got {jobs}")
-        keys = task_record_keys(tasks) if args.resume else ()
+        plan = plan_tasks(tasks)
+        # each prime's records follow the sorted tasks, so their plan names them
+        keys = ([{"check": check, "k": k, "s": s, "index": index}
+                 for check, *_, k, s, index in plan.tasks] if args.resume else ())
         primes, handle, kept = _open_sweep(args, VERIFY_COLUMNS, keys)
     except (ValueError, OSError) as err:
         return _fail(str(err))
-    plan = plan_tasks(tasks)
     # a sweep that reads a block pass runs it once per block of primes, in
     # at least as many blocks as runs of ceil(len(primes) / jobs) primes, so
     # that every worker gets one; other sweeps have nothing to share
-    # between primes
-    if plan.k_max is not None:
-        blocks = _blocks(primes, -(-len(primes) // jobs), BLOCK_BITS)
-    else:
-        blocks = [(p,) for p in primes]
-    shard_args = [(block, plan) for block in blocks]
+    # between primes, and run one prime a block
+    size = 1 if plan.k_max is None else -(-len(primes) // jobs)
+    shard_args = [(block, plan) for block in _blocks(primes, size, BLOCK_BITS)]
     tally = _new_tally() if kept is None else kept
     resumed = tally["records"]
     try:
@@ -530,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="max index weight for antipode/reversal")
     p_verify.add_argument("--primes", required=True, help='inclusive range "A..B"')
     p_verify.add_argument("--jobs", type=int, default=None,
-                          help="worker processes (default: FMZV_JOBS or cores)")
+                          help="worker processes (default: cores)")
     p_verify.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p_verify.add_argument("--out", default=None)
     p_verify.add_argument("--resume", action="store_true",

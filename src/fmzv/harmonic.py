@@ -24,8 +24,8 @@ costs the top prime's m-steps on ints of a few machine words, not the
 sum of its primes' steps.  The pass fills only the tables it is asked
 for, and each table reads only its own columns, so a sweep whose checks
 read one table pays for that one.  A sweep hands each prime its lane
-(see ``verify.block_rows``); ``family_table``, the block of one kept on
-a ``PrimeCtx``, serves the ``family_sum_*`` calls on that context.
+(see ``verify.block_rows``); each ``family_sum_*`` call reads a block of
+one, filling only its own table, and keeps nothing on the context.
 
 The same pass (``family_pass``), on the steps lcm(1..n)/m and under a
 modulus no cell reaches, gives the exact family sums that phi0 checks
@@ -94,11 +94,6 @@ def mhs_strict(ix: Index | tuple[int, ...], ctx: PrimeCtx) -> int:
 def mhs_star(ix: Index | tuple[int, ...], ctx: PrimeCtx) -> int:
     """Non-strict truncated sum for ``ix``, an Index or parts tuple, mod p; empty gives 1."""
     return _mhs_int(tuple(ix), ctx, star=True)
-
-
-def _require_prime_above(k: int, ctx: PrimeCtx) -> None:
-    if ctx.p <= k + 1:
-        raise ValueError(f"prime {ctx.p} too small: need p > {k + 1} for weight {k}")
 
 
 # The names of the three family tables, in the order the passes return them.
@@ -201,43 +196,32 @@ def family_tables(k_max: int, primes: list[int],
              for table in block] for q in primes]
 
 
-def family_table(k: int, ctx: PrimeCtx) -> list[list[list[int]]]:
-    """[alternating strict, star, star with free first part], each as T[w][h],
-    of weight >= k: the block of one of ``family_tables``, kept on ``ctx``
-    and rebuilt there at weight k when it is short."""
-    tables = ctx.memo("family_table", lambda: family_tables(k, [ctx.p])[0])
-    if len(tables[0]) <= k:
-        with ctx._lock:
-            if len(tables[0]) <= k:
-                tables[:] = family_tables(k, [ctx.p])[0]
-    return tables
+def _family_sum(k: int, s: int, ctx: PrimeCtx, table: str) -> int:
+    """Cell (k, s) of one family table at the prime of ``ctx``, from a
+    block of one of ``family_tables`` that fills that table alone."""
+    if ctx.p <= k + 1:
+        raise ValueError(f"prime {ctx.p} too small: need p > {k + 1} for weight {k}")
+    if s > k // 2:
+        return 0
+    return family_tables(k, [ctx.p], (table,))[0][FAMILY_TABLES.index(table)][k][s]
 
 
 def family_sum_star(k: int, s: int, ctx: PrimeCtx) -> int:
     """Sum of mhs_star over the admissible family of weight k, height s."""
     if k < 1 or s < 1:
         raise ValueError(f"need k >= 1 and s >= 1, got k={k}, s={s}")
-    _require_prime_above(k, ctx)
-    if s > k // 2:
-        return 0
-    return family_table(k, ctx)[1][k][s]
+    return _family_sum(k, s, ctx, "star")
 
 
 def family_sum_alt_strict(k: int, s: int, ctx: PrimeCtx) -> int:
     """Sum of (-1)^depth * mhs_strict over the admissible family."""
     if k < 1 or s < 1:
         raise ValueError(f"need k >= 1 and s >= 1, got k={k}, s={s}")
-    _require_prime_above(k, ctx)
-    if s > k // 2:
-        return 0
-    return family_table(k, ctx)[0][k][s]
+    return _family_sum(k, s, ctx, "alt")
 
 
 def family_sum_star_unrestricted(k: int, s: int, ctx: PrimeCtx) -> int:
     """Sum of mhs_star over ALL indices of weight k, height s (free first part)."""
     if k < 0 or s < 0:
         raise ValueError(f"need k >= 0 and s >= 0, got k={k}, s={s}")
-    _require_prime_above(k, ctx)
-    if s > k // 2:
-        return 0
-    return family_table(k, ctx)[2][k][s]
+    return _family_sum(k, s, ctx, "free")

@@ -336,24 +336,21 @@ _CONGRUENCES = ("truncation", "closed-form", "tail-term")
 class _LaurentRows(dict):
     """z0 -> (poles, values, fermat), built when z0 is first read: the
     eps^-1 and eps^0 coefficients of r_n(z) = (z)_n / (2z+1)_n at z0 + eps
-    for n < length, 2 bytes each for p < 2^16, and the Fermat quotient's
+    for n < p, 2 bytes each for p < 2^16, and the Fermat quotient's
     (order, lead).  r_(n+1) = r_n (z+n)/(2z+1+n): with f = 2z0+1+n and
     g = z0+n, the step is g/f + (1-n)/f^2 eps on r_n's (eps^0, eps^1)
     until f vanishes, and there (g+eps)/(2 eps), which shifts that pair
-    to (eps^-1, eps^0).  A second vanishing f (length > p + 1) would leave
-    order -2 and raises ArithmeticError."""
+    to (eps^-1, eps^0).  For n < p, f vanishes at one n at most."""
 
-    def __init__(self, p: int, length: int):  # dict.__new__ makes the empty mapping
-        self.p, self.length, self.inv = p, length, inverses(p)
+    def __init__(self, p: int):  # dict.__new__ makes the empty mapping
+        self.p, self.inv = p, inverses(p)
 
     def __missing__(self, z0: int):
         from array import array  # only hypcong reads it: kept off every command's start-up
-        p, length, inv = self.p, self.length, self.inv
+        p, inv = self.p, self.inv
         at = (-2 * z0 - 1) % p  # the n whose factor 2z+1+n vanishes at z0
-        if length > at + p + 1:
-            raise ArithmeticError("a denominator vanishes to order >= 2 at a sampled point")
         a, b, lo, hi = 1, 0, [1], [0]
-        for n in range(length - 1):
+        for n in range(p - 1):
             if n == at:
                 a, b = (z0 + n) * a * inv[2] % p, ((z0 + n) * b + a) * inv[2] % p
             else:
@@ -365,7 +362,7 @@ class _LaurentRows(dict):
         # c z^(p-1) - 1, c = 1 and 2^(p-1), vanishes at z0 != 0 to order one at most
         (to, tc), (oo, oc) = ((0, v) if (v := (c * pow(z0, p - 1, p) - 1) % p)
                               else (1, -c * pow(z0, p - 2, p) % p) for c in (1, pow(2, p - 1, p)))
-        cut, code = min(at + 1, length), "H" if p < 1 << 16 else "Q"
+        cut, code = at + 1, "H" if p < 1 << 16 else "Q"
         row = self[z0] = (array(code, [0] * cut + lo[cut:]), array(code, lo[:cut] + hi[cut:]),
                           (to - oo, tc * inv[oc] % p))
         return row
@@ -419,7 +416,7 @@ def hypergeom_congruence_check(l: int, ctx: PrimeCtx, samples: int = 20,
     which give its reduced form's value with no gcd.  The left sides sum
     c_n r_n(z0), r_n = (z)_n / (2z+1)_n free of l: ``rows`` (a suite's,
     for every l) holds r_n for n < p at each z0 drawn, 4 bytes per (z0, n)
-    for p < 2^16; with none, the check builds its own, for n <= p - l.  A
+    for p < 2^16; with none, the check builds the same rows of its own.  A
     z0 where either side has a pole is skipped and reported.  Raises
     AllSamplesSkippedError when a congruence never finds an admissible z0.
     """
@@ -428,7 +425,7 @@ def hypergeom_congruence_check(l: int, ctx: PrimeCtx, samples: int = 20,
         raise ValueError(f"need 1 <= l <= p-2, got l={l}, p={p}")
     if samples < 1:
         raise ValueError("need samples >= 1")
-    rows = _LaurentRows(p, p - l + 1) if rows is None else rows
+    rows = _LaurentRows(p) if rows is None else rows
     fact, inv_fact = ctx.factorials()
     *head, t = [fact[l + n - 1] * inv_fact[l - 1] * inv_fact[n] % p for n in range(p - l + 1)]
     rng = Lcg((seed << 20) ^ (p << 8) ^ l)
@@ -502,7 +499,7 @@ def run_phi0_suite(n_max: int = 5, k_max: int = 6) -> list[VerificationRecord]:
 
 def run_hypcong_suite(p: int, samples: int = 20, seed: int = 7) -> list[VerificationRecord]:
     ctx = prime_ctx(p)
-    rows = _LaurentRows(p, p)  # every l reads them; dropped on return
+    rows = _LaurentRows(p)  # every l reads them; dropped on return
     records = []
     for l in range(1, p - 1):
         try:

@@ -358,16 +358,6 @@ def evaluate_tasks_for_prime(p: int, plan: Plan, row: _Row) -> list[Verification
     return out
 
 
-def task_record_keys(tasks: list[tuple]) -> list[dict]:
-    """The check, k, s and index of the records one prime's tasks yield,
-    in sorted task order (the order ``record_sort_key`` puts them in)."""
-    out = []
-    for check, *params in sorted(tasks):
-        _, k, s, index = CHECKS[check].grid.key(*params)
-        out.append({"check": check, "k": k, "s": s, "index": index})
-    return out
-
-
 def record_sort_key(rec: VerificationRecord):
     parts = tuple(Index.parse(rec.index)) if rec.index is not None else ()
     return (rec.check,

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -264,28 +265,11 @@ def test_compute_empty_index(capsys):
     assert code == 0 and "value=1" in out
 
 
-def test_jobs_env_default(monkeypatch):
-    from fmzv.cli import _default_jobs
-
-    monkeypatch.setenv("FMZV_JOBS", "3")
-    assert _default_jobs() == 3
-    for bad in ("junk", "0", "-2"):
-        monkeypatch.setenv("FMZV_JOBS", bad)
-        with pytest.raises(ValueError):
-            _default_jobs()
-    monkeypatch.delenv("FMZV_JOBS")
-    assert _default_jobs() >= 1
-
-
-def test_verify_rejects_bad_jobs(capsys, monkeypatch):
+def test_verify_rejects_bad_jobs(capsys):
     base = ["verify", "ao", "--kmax", "3", "--primes", "5..13"]
     for jobs in ("0", "-3"):
         code, out, err = run_cli(base + ["--jobs", jobs], capsys)
         assert code == 2 and out == "" and "error:" in err, jobs
-    for env in ("junk", "0"):
-        monkeypatch.setenv("FMZV_JOBS", env)
-        code, out, err = run_cli(base, capsys)
-        assert code == 2 and out == "" and "error:" in err, env
 
 
 def test_verify_csv_resume(tmp_path, capsys):
@@ -308,12 +292,34 @@ RESUMABLE = [
 ]
 
 
+def _edit_record(data, fmt, edit):
+    """``data`` with the first record that ``edit`` (a record's fields, as
+    text and booleans, to the fields to change) changes rewritten so."""
+    lines = data.split(b"\n")
+    columns = lines[0].decode().split(",") if fmt == "csv" else None
+    for i in range(fmt == "csv", len(lines)):
+        if fmt == "jsonl":
+            rec = json.loads(lines[i])
+        else:
+            rec = dict(zip(columns, next(csv.reader([lines[i].decode()]))))
+            rec.update((key, value == "true") for key, value in rec.items()
+                       if value in ("true", "false"))
+        fields = edit(rec)
+        if fields:
+            rec.update(fields)
+            if fmt == "jsonl":
+                lines[i] = json.dumps(rec, separators=(",", ":")).encode()
+            else:
+                lines[i] = ",".join(str(rec[c]).lower() if isinstance(rec[c], bool) else rec[c]
+                                    for c in columns).encode()
+            return b"\n".join(lines)
+    raise AssertionError("no record to edit")
+
+
 def _fail_first_record(data, fmt):
-    """``data`` with its first record's pass field set to false."""
-    if fmt == "jsonl":
-        return data.replace(b'"pass":true', b'"pass":false', 1)
-    header, rows = data.split(b"\n", 1)
-    return header + b"\n" + rows.replace(b",true,", b",false,", 1)
+    """``data`` with its first record failed: a right side that is not the
+    left one, and pass false, so that the record still agrees with itself."""
+    return _edit_record(data, fmt, lambda rec: {"rhs": rec["rhs"] + "9", "pass": False})
 
 
 @pytest.mark.parametrize("argv, fmt", RESUMABLE)
@@ -925,8 +931,47 @@ def test_resume_refuses_a_flag_that_is_not_a_boolean(tmp_path, capsys, case):
     assert out.read_bytes() == bad
 
 
+SELF_DISAGREEING = {
+    # the sweep, and the edit of its first record that the edit changes:
+    # an edited lhs, a flipped pass, a flipped zero, a skipped record that
+    # failed, and a degenerate row given a right side
+    "lhs": (["verify", "ao,lm", "--kmax", "4", "--primes", "5..29", "--jobs", "1"],
+            lambda rec: {"lhs": rec["lhs"] + "1"}),
+    "pass": (["verify", "ao,lm", "--kmax", "4", "--primes", "5..29", "--jobs", "1"],
+             lambda rec: {"pass": not rec["pass"]}),
+    "zero": (["zsweep", "--k", "3", "--primes", "5..29"],
+             lambda rec: {"zero": not rec["zero"]}),
+    "skipped": (["verify", "ao,lm", "--kmax", "4", "--primes", "2..29", "--jobs", "1"],
+                lambda rec: {"pass": False}),
+    "degenerate": (["zsweep", "--k", "9", "--primes", "3..31"],
+                   lambda rec: {"rhs": rec["lhs"]} if rec.get("cross") == "degenerate" else {}),
+}
+
+
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
-def test_jobs_are_checked_before_the_resume_scan(tmp_path, capsys, monkeypatch, fmt):
+@pytest.mark.parametrize("case", SELF_DISAGREEING)
+def test_resume_refuses_a_record_that_disagrees_with_itself(tmp_path, capsys, case, fmt):
+    # a kept record is counted as it reads, so its pass and zero must
+    # follow from its sides: a file with one that does not is refused,
+    # naming its line, and left as it was, torn tail included
+    argv, edit = SELF_DISAGREEING[case]
+    out = tmp_path / f"run.{fmt}"
+    base = argv + ["--format", fmt, "--out", str(out)]
+    assert run_cli(base, capsys)[0] == 0
+    whole = out.read_bytes()
+    bad = _edit_record(whole, fmt, edit)[:-5]
+    lineno = next(i for i, (a, b) in enumerate(zip(whole.split(b"\n"), bad.split(b"\n")), 1)
+                  if a != b)
+    out.write_bytes(bad)
+    code, stdout, err = run_cli(base + ["--resume"], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == (f"error: {out}: line {lineno} disagrees with itself: its pass or zero "
+                   f"does not follow from its lhs and rhs\n")
+    assert out.read_bytes() == bad
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_jobs_are_checked_before_the_resume_scan(tmp_path, capsys, fmt):
     # the scan cuts a torn tail, so a usage error must come before it
     out = tmp_path / f"v.{fmt}"
     argv = ["verify", "ao", "--kmax", "3", "--primes", "5..13", "--format", fmt,
@@ -936,10 +981,6 @@ def test_jobs_are_checked_before_the_resume_scan(tmp_path, capsys, monkeypatch, 
     out.write_bytes(torn)
     code, stdout, err = run_cli(argv + ["--resume", "--jobs", "0"], capsys)
     assert (code, stdout, err) == (2, "", "error: --jobs must be >= 1, got 0\n")
-    assert out.read_bytes() == torn
-    monkeypatch.setenv("FMZV_JOBS", "junk")
-    code, stdout, err = run_cli(argv + ["--resume"], capsys)
-    assert (code, stdout) == (2, "") and "FMZV_JOBS" in err
     assert out.read_bytes() == torn
 
 
@@ -982,13 +1023,10 @@ def test_cli_imports_only_the_standard_library(tmp_path):
     assert jobs1.count(b"\n") > 100 and outs[1].read_bytes() == jobs1
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "ao,lm,lemma,heightsum", "--kmax", "10", "--primes", "5..151"],
-    ["verify", "antipode,reversal", "--wmax", "3", "--primes", "5..151"],
-])
-def test_verify_pool_is_capped_at_its_shards(argv, capsys, monkeypatch):
-    # --jobs 500 on the 34 primes of 5..151 asks for no more workers than
-    # there are shards; the fake executor starts no process and runs in order
+def _fake_pool(monkeypatch) -> list:
+    """Replace the process pool with one that starts no process and runs
+    its shards in order; each pool appends (max_workers, shards) to the
+    list returned."""
     import concurrent.futures
 
     seen = []
@@ -1005,13 +1043,39 @@ def test_verify_pool_is_capped_at_its_shards(argv, capsys, monkeypatch):
             seen.append((self.max_workers, len(shards)))
             return map(func, shards)
 
-    code, want, _ = run_cli(argv + ["--jobs", "1"], capsys)
-    assert code == 0 and not seen
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ProcessPoolExecutor)
+    return seen
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "ao,lm,lemma,heightsum", "--kmax", "10", "--primes", "5..151"],
+    ["verify", "antipode,reversal", "--wmax", "3", "--primes", "5..151"],
+])
+def test_verify_pool_is_capped_at_its_shards(argv, capsys, monkeypatch):
+    # --jobs 500 on the 34 primes of 5..151 asks for no more workers than
+    # there are shards
+    code, want, _ = run_cli(argv + ["--jobs", "1"], capsys)
+    assert code == 0
+    seen = _fake_pool(monkeypatch)
     code, out, _ = run_cli(argv + ["--jobs", "500"], capsys)
     assert code == 0 and out == want
     [(max_workers, shards)] = seen
     assert max_workers <= shards == 34
+
+
+def test_jobs_default_to_the_core_count(capsys, monkeypatch):
+    # with no --jobs, verify starts one worker per core and cuts the primes
+    # as that --jobs does (5..400 into four blocks for four cores), and runs
+    # in one process where the core count is unknown; the bytes are CI's pin
+    argv = ["verify", "ao,lm", "--kmax", "12", "--primes", "5..400"]
+    seen = _fake_pool(monkeypatch)
+    for cores, pools in ((4, [(4, 4)]), (None, [])):
+        seen.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda cores=cores: cores)
+        code, out, _ = run_cli(argv, capsys)
+        assert (code, seen) == (0, pools), cores
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "fb50208151b4bace7fd28eed0b256612ed7c1029fc89e634c48a703ef74af4fd")
 
 
 KILLER = '''\

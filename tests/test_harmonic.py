@@ -8,7 +8,6 @@ from fmzv.harmonic import (
     family_sum_alt_strict,
     family_sum_star,
     family_sum_star_unrestricted,
-    family_table,
     family_tables,
     mhs_star,
     mhs_strict,
@@ -118,8 +117,7 @@ def test_family_sum_guards():
 
 
 def test_family_sums_dp_matches_enumeration():
-    # the DP engine against enumeration plus the naive suffix sum; asking
-    # for k in increasing order also grows each prime's table step by step
+    # the DP engine against enumeration plus the naive suffix sum
     for p in primes_in_range(11, 199):
         ctx = prime_ctx(p)
         for k in range(0, 9):
@@ -132,21 +130,15 @@ def test_family_sums_dp_matches_enumeration():
 
 def test_family_sums_dp_matches_enumeration_at_large_weight():
     # k = 9..12, the weights of the benchmark and the CLI sweeps, down to
-    # the boundary p = k + 2 (11 for k = 9, 13 for k = 11).  Each order
-    # starts from a fresh context: increasing k grows the table step by
-    # step, decreasing k has the table built at the top answer the rest.
+    # the boundary p = k + 2 (11 for k = 9, 13 for k = 11)
     for p in (11, 13, 17, 31):
-        weights = range(9, min(12, p - 2) + 1)
-        want = {k: oracles.family_sums(k, p) for k in weights}
-        for order in (weights, weights[::-1]):
-            ctx = PrimeCtx(p)
-            for k in order:
-                for s, (alt, star, star_all) in want[k].items():
-                    if s >= 1:
-                        assert family_sum_alt_strict(k, s, ctx) == alt, (k, s, p)
-                        assert family_sum_star(k, s, ctx) == star, (k, s, p)
-                    assert family_sum_star_unrestricted(k, s, ctx) == star_all, (k, s, p)
-            assert len(family_table(weights[0], ctx)[0]) == weights[-1] + 1
+        ctx = PrimeCtx(p)
+        for k in range(9, min(12, p - 2) + 1):
+            for s, (alt, star, star_all) in oracles.family_sums(k, p).items():
+                if s >= 1:
+                    assert family_sum_alt_strict(k, s, ctx) == alt, (k, s, p)
+                    assert family_sum_star(k, s, ctx) == star, (k, s, p)
+                assert family_sum_star_unrestricted(k, s, ctx) == star_all, (k, s, p)
 
 
 def _assert_tables_match_enumeration(tables, k_max, p):
@@ -174,14 +166,6 @@ def test_one_pass_tables_match_enumeration(p):
 def test_one_pass_tables_match_enumeration_at_the_boundary_prime(k):
     # p = k + 2, the least prime each weight is checked at
     _assert_tables_match_enumeration(family_tables(k, [k + 2])[0], k, k + 2)
-
-
-@pytest.mark.parametrize("p", [11, 17, 37])
-def test_grown_family_table_equals_a_direct_build(p):
-    for k, grown in ((2, 9), (3, 8), (8, 9)):
-        ctx = PrimeCtx(p)
-        family_table(k, ctx)
-        assert family_table(grown, ctx) == family_tables(grown, [p])[0], (k, grown)
 
 
 # Blocks that mix primes <= k + 1 = 10, the top prime and the primes

@@ -22,7 +22,6 @@ from fmzv.verify import (
     evaluate_tasks_for_prime,
     plan_tasks,
     record_sort_key,
-    task_record_keys,
     verify_antipode,
     verify_ao,
     verify_height_sum,
@@ -199,16 +198,16 @@ def test_evaluate_tasks_for_prime_skips_without_ctx():
 def test_family_table_built_once_per_prime(monkeypatch):
     # a block of primes runs one DP pass and hands each prime its lane,
     # at the largest weight of the family checks, so that no prime builds
-    # or grows tables of its own while its tasks run
+    # a table of its own, or any other memo entry, while its tasks run
     memo_builds, passes = [], []
     memo = PrimeCtx.memo
     block_pass = fmzv.verify.family_tables
 
     def counting_memo(ctx, key, build):
         def counted():
-            memo_builds.append(ctx.p)
+            memo_builds.append((ctx.p, key))
             return build()
-        return memo(ctx, key, counted if key == "family_table" else build)
+        return memo(ctx, key, counted)
 
     def counting_tables(k, primes, tables):
         passes.append(tuple(primes))
@@ -228,9 +227,22 @@ def test_family_table_built_once_per_prime(monkeypatch):
             records = [rec for block in blocks
                        for batch in cli._verify_worker((block, plan)) for rec in batch]
             assert passes == blocks, (checks, jobs)
-            assert memo_builds == [], (checks, jobs)  # sweep() below builds its own
+            assert memo_builds == [], (checks, jobs)
             assert records == sweep(checks, primes, k_max=10)
             assert all(r.passed for r in records)
+
+
+def test_family_sums_park_no_table_on_a_context():
+    # the public family sums and verify_* read a block of one and keep
+    # nothing on the context they are given
+    ctx = PrimeCtx(31)
+    for k in range(2, 10):
+        for s in range(1, k // 2 + 1):
+            fmzv.harmonic.family_sum_star(k, s, ctx)
+            fmzv.harmonic.family_sum_alt_strict(k, s, ctx)
+            fmzv.harmonic.family_sum_star_unrestricted(k, s, ctx)
+            assert verify_ao(k, s, ctx).passed
+    assert ctx._memo == {}
 
 
 @pytest.mark.parametrize("checks", [["antipode", "reversal"], ["ao", "lm", "lemma", "heightsum"],
@@ -253,12 +265,12 @@ def test_sweep_builds_no_shared_context(checks):
 def test_verify_range_sorted_and_green():
     checks, primes = ["ao", "lm", "lemma"], primes_in_range(7, 31)
     records = sweep(checks, primes, k_max=6)
-    # each prime's records come in the order --resume expects them in
-    keys = task_record_keys([t for c in checks for t in check_tasks(c, k_max=6)])
+    # each prime's records come in the order --resume expects them in:
+    # that of the plan of the sorted tasks
+    plan = plan_tasks(sorted(t for c in checks for t in check_tasks(c, k_max=6)))
+    keys = [(check, k, s, index) for check, *_, k, s, index in plan.tasks]
     for p in primes:
-        got = [{"check": r.check, "k": r.k, "s": r.s, "index": r.index}
-               for r in records if r.p == p]
-        assert got == keys, p
+        assert [(r.check, r.k, r.s, r.index) for r in records if r.p == p] == keys, p
     assert all(r.passed for r in records)
     assert any(r.skipped for r in records)  # small primes vs k=6
     live = [r for r in records if not r.skipped]
