@@ -1,39 +1,38 @@
 """Command-line front end.
 
-Four subcommands:
-
 * ``compute``: one truncated harmonic sum mod one prime.
-* ``verify``: identity sweeps over a prime range (the checks of
-  ``verify.CHECKS``), JSONL or CSV records, parallel over blocks of primes,
-  resumable via the output file itself.
-* ``zsweep``: the zeta-residue hunt with the two-method cross-check, one
+* ``verify``: identity sweeps (``verify.CHECKS``) over a prime range, in
+  parallel over blocks of primes, resumable from the output file itself.
+* ``zsweep``: the zeta-residue hunt with its two-method cross-check, one
   pass over l per route for each block of primes.
-* ``symbolic``: exact-arithmetic suites (gauss, anl, phi0, hypcong).  The
-  only command that loads ``symbolic`` (and with it ``polys``,
-  ``fractions`` and ``decimal``): its ``run_*_suite`` names here import
-  that layer when first called, so the other commands start without it.
+* ``symbolic``: the exact-arithmetic suites (gauss, anl, phi0, hypcong),
+  the only command that loads ``symbolic`` (with ``polys``, ``fractions``
+  and ``decimal``): its ``run_*_suite`` names import it when first called.
 
-Every command that reports records takes one path: ``_open_out`` opens
-stdout or ``--out`` (a fresh CSV gets its header there), and ``_emit``
-writes each VerificationRecord as one JSON line (``records.json_line``,
-straight from the fields) or one CSV row (from ``to_json_dict``) and
-counts them for the stderr summary line.  ``verify`` and ``zsweep`` share
-``_open_sweep``: it parses ``--primes`` and, for ``--resume``, checks
-that ``--out`` holds a prefix of this run's records (``_resume_primes``)
+A command reads every flag it accepts.  A sizing flag not given is not
+passed on, so ``check_tasks`` and the ``run_*_suite`` signatures hold the
+only defaults; one given to a suite (``SUITE_FLAGS``) or to checks
+(``Grid.flags``) that do not read it is a usage error.
+
+Every command that reports records opens stdout or ``--out`` with
+``_open_out`` (a fresh CSV gets its header there) and writes each
+VerificationRecord with ``_emit``: a JSON line straight from its fields
+(``json_line``) or a CSV row from ``to_json_dict``, counted for the stderr
+summary line.  ``verify`` and ``zsweep`` share ``_open_sweep``: it parses
+``--primes`` and, for ``--resume``, checks that ``--out`` holds a prefix
+of this run's records (``_resume_primes``).  Every usage error is raised
 before any record is computed.  The records a resume keeps count in the
 summary line and the exit code, so both describe the whole file.
 
-Exit codes: 0 all records passed or were skipped, 1 at least one record
-failed, 2 usage error (including a flag that leaves nothing to check),
-3 a ``verify`` pool lost a worker process (killed, say, for want of
-memory): the output holds whole primes only, one stderr line names the
-last of them, and ``--resume`` continues after it, 141 (128 + SIGPIPE)
-the reader of stdout went away before the records were all written
+Exit codes: 0 all records passed or were skipped, 1 at least one failed,
+2 usage error (a flag that leaves nothing to check, too), 3 a ``verify``
+pool lost a worker (killed, say, for want of memory): the output holds
+whole primes only, one stderr line names the last, and ``--resume``
+continues after it, 141 (128 + SIGPIPE) the reader of stdout went away
 (``fmzv zsweep ... | head -1``), a quiet stop with no traceback and no
-summary line.
-Output is deterministic: fixed seeds give byte-identical JSONL, and the
-record order does not depend on --jobs: ``verify`` sorts its task list
-once, and each prime's records follow it.
+summary line.  Fixed seeds give byte-identical output, and the record
+order does not depend on --jobs: ``verify`` sorts its task list once, and
+each prime's records follow it.
 """
 
 from __future__ import annotations
@@ -345,7 +344,8 @@ def _pool_shards(results):
 
 def cmd_verify(args) -> int:
     checks = [c for c in args.checks.split(",") if c]
-    grid = {"k_max": args.kmax, "w_max": args.wmax, "s_max": args.smax}
+    grid = {key: value for key, value in (("k_max", args.kmax), ("s_max", args.smax),
+                                          ("w_max", args.wmax)) if value is not None}
     try:
         tasks = sorted(task for c in checks for task in check_tasks(c, **grid))
         require_tasks(checks, tasks, **grid)
@@ -428,9 +428,6 @@ def cmd_zsweep(args) -> int:
 def cmd_compute(args) -> int:
     try:
         ix = Index.parse(args.index)
-    except ValueError as err:
-        return _fail(str(err))
-    try:
         ctx = PrimeCtx(args.prime)
     except (ValueError, TypeError) as err:
         return _fail(str(err))
@@ -464,37 +461,42 @@ run_phi0_suite = _symbolic_suite("run_phi0_suite")
 run_hypcong_suite = _symbolic_suite("run_hypcong_suite")
 
 
-def _suite_batch(run):
-    """The suite's records as one batch, computed when ``_emit`` asks for it."""
-    yield run()
+# The flags each suite reads: flag -> (the suite function's keyword, the
+# least value, None for any).  A flag not given is not passed: the suite's
+# signature holds the only default.
+SUITE_FLAGS = {
+    "gauss": {"mmax": ("m_max", 0), "pairs": ("pairs", 1), "seed": ("seed", None)},
+    "anl": {"nmax": ("n_max", 1)},
+    "phi0": {"nmax": ("n_max", 1), "kmax": ("k_max", 2)},
+    "hypcong": {"prime": ("p", 5), "samples": ("samples", 1), "seed": ("seed", None)},
+}
+_SUITE_OPTIONS = dict.fromkeys(flag for flags in SUITE_FLAGS.values() for flag in flags)
+
+
+def _suite_batch(suite, kwargs):
+    """The suite's records, one batch computed when ``_emit`` asks for it."""
+    yield globals()[f"run_{suite}_suite"](**kwargs)
 
 
 def cmd_symbolic(args) -> int:
-    suite = args.suite
-    nmax = {"anl": 6, "phi0": 5}.get(suite) if args.nmax is None else args.nmax
-    least = {"gauss": (("--mmax", args.mmax, 0), ("--pairs", args.pairs, 1)),
-             "anl": (("--nmax", nmax, 1),),
-             "phi0": (("--nmax", nmax, 1), ("--kmax", args.kmax, 2)),
-             "hypcong": (("--samples", args.samples, 1),)}
-    for flag, value, low in least[suite]:
-        if value < low:
-            return _fail(f"{suite} needs {flag} >= {low}, got {value}")
-    if suite == "hypcong" and not args.prime:
-        return _fail("hypcong needs --prime")
-    if suite == "hypcong" and (not is_prime(args.prime) or args.prime < 5):
-        return _fail(f"{args.prime} is not an odd prime >= 5")
-    seed = {"gauss": 42, "hypcong": 7}.get(suite) if args.seed is None else args.seed
-    runs = {
-        "gauss": lambda: run_gauss_suite(m_max=args.mmax, pairs=args.pairs, seed=seed),
-        "anl": lambda: run_anl_suite(n_max=nmax),
-        "phi0": lambda: run_phi0_suite(n_max=nmax, k_max=args.kmax),
-        "hypcong": lambda: run_hypcong_suite(args.prime, samples=args.samples, seed=seed),
-    }
+    suite, reads, kwargs = args.suite, SUITE_FLAGS[args.suite], {}
+    for flag in _SUITE_OPTIONS:
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        if flag not in reads:
+            return _fail(f"{suite} reads --{' --'.join(reads)} and --out, not --{flag}")
+        keyword, least = reads[flag]
+        if least is not None and value < least:
+            return _fail(f"{suite} needs --{flag} >= {least}, got {value}")
+        kwargs[keyword] = value
+    if suite == "hypcong" and not (args.prime and is_prime(args.prime)):
+        return _fail("hypcong needs --prime, a prime >= 5")
     try:
         handle = _open_out(args.out, "jsonl", (), False)
     except OSError as err:
         return _fail(str(err))
-    tally = _emit(_suite_batch(runs[suite]), handle, "jsonl", ())
+    tally = _emit(_suite_batch(suite, kwargs), handle, "jsonl", ())
     print(f"symbolic {suite}: {tally['records']} records, {tally['failed']} failed",
           file=sys.stderr)
     return 1 if tally["failed"] else 0
@@ -522,9 +524,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="identity sweeps over a prime range")
     p_verify.add_argument("checks",
                           help=f"comma-separated subset of: {','.join(CHECK_NAMES)}")
-    p_verify.add_argument("--kmax", type=int, default=8)
-    p_verify.add_argument("--smax", type=int, default=None)
-    p_verify.add_argument("--wmax", type=int, default=6,
+    p_verify.add_argument("--kmax", type=int,
+                          help="max weight k for ao/lm/lemma/heightsum")
+    p_verify.add_argument("--smax", type=int,
+                          help="max height s for ao/lm/lemma/heightsum")
+    p_verify.add_argument("--wmax", type=int,
                           help="max index weight for antipode/reversal")
     p_verify.add_argument("--primes", required=True, help='inclusive range "A..B"')
     p_verify.add_argument("--jobs", type=int, default=None,
@@ -544,14 +548,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_zsweep.set_defaults(func=cmd_zsweep)
 
     p_symbolic = sub.add_parser("symbolic", help="exact-arithmetic check suites")
-    p_symbolic.add_argument("suite", choices=("gauss", "anl", "phi0", "hypcong"))
-    p_symbolic.add_argument("--nmax", type=int, default=None)
-    p_symbolic.add_argument("--kmax", type=int, default=6)
-    p_symbolic.add_argument("--mmax", type=int, default=8)
-    p_symbolic.add_argument("--pairs", type=int, default=25)
-    p_symbolic.add_argument("--prime", type=int, default=None)
-    p_symbolic.add_argument("--samples", type=int, default=20)
-    p_symbolic.add_argument("--seed", type=int, default=None)
+    p_symbolic.add_argument("suite", choices=tuple(SUITE_FLAGS))
+    for flag in _SUITE_OPTIONS:
+        readers = "/".join(suite for suite, reads in SUITE_FLAGS.items() if flag in reads)
+        p_symbolic.add_argument(f"--{flag}", type=int, help=f"read by {readers}")
     p_symbolic.add_argument("--out", default=None)
     p_symbolic.set_defaults(func=cmd_symbolic)
 

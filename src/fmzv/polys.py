@@ -161,9 +161,6 @@ class Poly:
         return f"Poly({list(self.coeffs)})"
 
 
-Z = Poly((0, 1))
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd over Q by Euclid's algorithm on ``Poly`` division."""
     while not b.is_zero:

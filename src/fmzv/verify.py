@@ -184,7 +184,7 @@ class Grid(NamedTuple):
     (k, s) or (parts,), in sweep order.  ``key`` takes one such tuple and
     gives (weight, k, s, index): its weight (primes up to weight + 1 are
     skipped) and the k, s and index its record carries, None where the
-    grid has none.  ``flags`` names the options that size the grid.
+    grid has none.  ``flags`` names the ``check_tasks`` keywords that size it.
     """
 
     params: Callable[[int, int, int | None], list[tuple]]
@@ -192,11 +192,11 @@ class Grid(NamedTuple):
     flags: tuple[str, ...]
 
 
-FAMILY = Grid(_family_params, lambda k, s: (k, k, s, None), ("kmax", "smax"))
+FAMILY = Grid(_family_params, lambda k, s: (k, k, s, None), ("k_max", "s_max"))
 HEIGHT = FAMILY._replace(params=_height_params)
 # the index text is str(Index(parts))
 INDEX = Grid(_index_params, lambda parts: (sum(parts), None, None, ",".join(map(str, parts))),
-             ("wmax",))
+             ("w_max",))
 
 
 def _ao_sides(k: int, s: int, row: _Row) -> tuple[str, str]:
@@ -268,19 +268,21 @@ def check_tasks(check: str, *, k_max: int = 8, w_max: int = 6,
     return [(check, *params) for params in CHECKS[check].grid.params(k_max, w_max, s_max)]
 
 
-def require_tasks(checks: list[str], tasks: list[tuple], *, k_max: int, w_max: int,
-                  s_max: int | None) -> None:
-    """Refuse a sweep that has no check, a check named twice or no task,
-    naming the options that sized an empty grid."""
+def require_tasks(checks: list[str], tasks: list[tuple], **grid: int) -> None:
+    """Refuse a sweep that has no check, a check named twice, a ``grid``
+    keyword of ``check_tasks`` (k_max is --kmax) that none of its checks
+    reads, or no task."""
     if not checks:
         raise ValueError("no checks given")
     if len(set(checks)) < len(checks):
         raise ValueError(f"a check is named twice in {','.join(checks)}")
+    read = {key for check in checks for key in CHECKS[check].grid.flags}
+    options = {key: f"--{key.replace('_', '')}" for key in grid}
+    unread = [options[key] for key in grid if key not in read]
+    if unread:
+        raise ValueError(f"no check of {','.join(checks)} reads {' or '.join(unread)}")
     if not tasks:
-        named = {flag for check in checks for flag in CHECKS[check].grid.flags}
-        sizes = {"kmax": k_max, "smax": s_max, "wmax": w_max}
-        flags = " ".join(f"--{flag} {value}" for flag, value in sizes.items()
-                         if flag in named and value is not None)
+        flags = " ".join(f"{options[key]} {value}" for key, value in grid.items())
         raise ValueError(f"no tasks for {','.join(checks)} with {flags}")
 
 

@@ -208,6 +208,8 @@ PARSER_REUSE = [
     ["verify", "ao,lm", "--help"],
     ["symbolic", "gauss", "--mmax", "3", "--pairs", "4"],
     ["symbolic", "gauss", "--mmax", "3", "--pairs", "4", "--seed", "42"],
+    ["symbolic", "hypcong", "--prime", "13", "--seed", "5"],
+    ["symbolic", "hypcong", "--prime", "13"],
 ]
 
 
@@ -223,9 +225,11 @@ def test_reused_parser_matches_fresh_runs(capsys, monkeypatch):
         fresh = subprocess.run([sys.executable, "-m", "fmzv", *argv],
                                capture_output=True, text=True, env=env)
         assert runs[-1] == (fresh.returncode, fresh.stdout, fresh.stderr), argv
-    assert [code for code, _, _ in runs] == [0, 0, 2, 0, 0, 0]
-    # gauss defaults to seed 42 before and after the call that gave 5
+    assert [code for code, _, _ in runs] == [0, 0, 2, 0, 0, 0, 0, 0]
+    # gauss defaults to seed 42 before and after the call that gave 5, and
+    # hypcong's seed 5 is not the next hypcong call's
     assert runs[0] == runs[4] == runs[5] and runs[0][1] != runs[1][1]
+    assert runs[6][1] != runs[7][1]
     assert "usage:" in runs[3][1]
     reused = vars(cli_mod._parser().parse_args(PARSER_REUSE[0]))
     assert reused == vars(cli_mod.build_parser().parse_args(PARSER_REUSE[0]))
@@ -582,6 +586,74 @@ def test_symbolic_rejects_bad_input(capsys, argv):
     code, out, err = run_cli(["symbolic", *argv], capsys)
     assert code == 2 and out == "", argv
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# Every sizing flag of `symbolic`, with a value each suite that reads it
+# takes, and the flags each suite reads; a suite given any other is refused.
+SUITE_VALUES = {"nmax": "3", "kmax": "4", "mmax": "3", "pairs": "2", "prime": "13",
+                "samples": "2", "seed": "5"}
+SUITE_READS = {"gauss": {"mmax", "pairs", "seed"}, "anl": {"nmax"},
+               "phi0": {"nmax", "kmax"}, "hypcong": {"prime", "samples", "seed"}}
+UNREAD_SUITE_FLAGS = [(suite, flag) for suite, reads in SUITE_READS.items()
+                      for flag in SUITE_VALUES if flag not in reads]
+
+
+def _refuse_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the flags were checked")
+
+    for name in ("_verify_worker", "run_gauss_suite", "run_anl_suite", "run_phi0_suite",
+                 "run_hypcong_suite"):
+        monkeypatch.setattr(cli, name, no_work)
+
+
+@pytest.mark.parametrize("suite, flag", UNREAD_SUITE_FLAGS)
+def test_symbolic_refuses_a_flag_its_suite_does_not_read(tmp_path, capsys, monkeypatch,
+                                                         suite, flag):
+    # the flag would be dropped without a word; it is refused before --out
+    # is opened and before the suite runs
+    assert len(UNREAD_SUITE_FLAGS) == 19
+    _refuse_work(monkeypatch)
+    base = ["--prime", "13"] if suite == "hypcong" else []
+    path = tmp_path / "x.jsonl"
+    code, out, err = run_cli(["symbolic", suite, *base, f"--{flag}", SUITE_VALUES[flag],
+                              "--out", str(path)], capsys)
+    assert code == 2 and out == "", (suite, flag)
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"--{flag}" in err, err
+    assert not path.exists()
+
+
+UNREAD_VERIFY_FLAGS = [
+    ("antipode", ["--kmax", "8"], "--kmax"),
+    ("antipode", ["--kmax", "1", "--smax", "0"], "--kmax"),
+    ("antipode,reversal", ["--smax", "1"], "--smax"),
+    ("ao,lm", ["--wmax", "6"], "--wmax"),
+    ("heightsum", ["--wmax", "3"], "--wmax"),
+]
+
+
+@pytest.mark.parametrize("checks, flags, named", UNREAD_VERIFY_FLAGS)
+def test_verify_refuses_a_flag_no_check_reads(tmp_path, capsys, monkeypatch, checks, flags,
+                                              named):
+    # a flag that one named check reads is read: test_summary_lines runs
+    # ao,antipode with --kmax and --wmax
+    _refuse_work(monkeypatch)
+    path = tmp_path / "x.jsonl"
+    code, out, err = run_cli(["verify", checks, *flags, "--primes", "5..13", "--jobs", "1",
+                              "--out", str(path)], capsys)
+    assert code == 2 and out == "", (checks, flags)
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err, err
+    assert not path.exists()
+
+
+def test_the_parser_holds_no_sizing_default():
+    # an unset sizing flag is None, so the library's signature holds its
+    # only default (``check_tasks``, ``run_*_suite``)
+    parser = cli.build_parser()
+    args = vars(parser.parse_args(["symbolic", "gauss"]))
+    assert {flag: args[flag] for flag in SUITE_VALUES} == dict.fromkeys(SUITE_VALUES)
+    args = vars(parser.parse_args(["verify", "ao", "--primes", "5..7"]))
+    assert (args["kmax"], args["smax"], args["wmax"]) == (None, None, None)
 
 
 def test_summary_lines(tmp_path, capsys):

@@ -10,7 +10,6 @@ from fmzv.polys import (
     FpRatFunc,
     Poly,
     RatFunc,
-    Z,
     fp_divmod,
     fp_eval,
     fp_gcd,
@@ -21,6 +20,7 @@ from fmzv.polys import (
 )
 
 F = Fraction
+Z = Poly((0, 1))  # the polynomial z
 
 frac_st = st.fractions(
     min_value=-6, max_value=6, max_denominator=6

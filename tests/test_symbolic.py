@@ -12,7 +12,7 @@ from fmzv.errors import AllSamplesSkippedError, DegenerateParametersError, PoleC
 from fmzv.harmonic import family_sum_star
 from fmzv.indices import Index, iter_admissible_indices, iter_indices_of_weight
 from fmzv.modfield import prime_ctx
-from fmzv.polys import FpRatFunc, Poly, RatFunc, Z
+from fmzv.polys import FpRatFunc, Poly, RatFunc
 from fmzv.symbolic import (
     Lcg,
     _congruence_values,
@@ -33,6 +33,7 @@ from fmzv.symbolic import (
 )
 
 F = Fraction
+Z = Poly((0, 1))  # the polynomial z
 
 
 def test_pochhammer_poly_examples():
@@ -349,6 +350,15 @@ def test_hypergeom_congruence_small():
         hypergeom_congruence_check(0, ctx)
     with pytest.raises(ValueError):
         hypergeom_congruence_check(10, ctx)
+
+
+@pytest.mark.parametrize("p", [13, 61])
+def test_lone_hypcong_check_is_the_suites_record(p):
+    # the check's default seed and samples are the suite's, so a check run
+    # alone at l writes the suite's record for l
+    ctx = prime_ctx(p)
+    lone = [hypergeom_congruence_check(l, ctx).to_json_dict() for l in range(1, p - 1)]
+    assert lone == [rec.to_json_dict() for rec in run_hypcong_suite(p)]
 
 
 def test_hypergeom_congruence_reports_skips():
