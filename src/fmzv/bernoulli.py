@@ -2,25 +2,16 @@
 
 Every value is an int in [0, p).
 
-Three independent routes are kept deliberately separate:
+Two independent routes are kept deliberately separate:
 
-* the sieve route, the power sum sum(l^n, l < p) = p * B_n mod p^2, one
-  O(p) sum per value and prime, for any even n (``bernoulli_mod`` and
-  ``zeta_residue``).  It serves these public functions and the tests,
-  which confront it with the other two routes; no sweep reads it.  For
-  even n, (p-l)^n = l^n - n*p*l^(n-1) mod p^2, so the sum is 2*sum(l^n)
-  - n*p*sum(l^(n-1)) over l <= h = (p-1)/2, the second sum needed only
-  mod p.  l -> l^(n-1) mod p^2 is completely multiplicative, so ``pow``
-  runs only at prime l and a composite takes the product of two earlier
-  terms, split at its smallest prime factor.  That factor comes from one
-  sieve shared by all primes, grown on demand;
 * Glaisher's route, sum(l^(-(k-1)), l < p) = (k-1)/k * p * B_(p-k)
-  mod p^2 for odd k and p >= k+2, which the zeta hunt reads for its
-  residues and ``verify`` for the right side of ao and lm
-  (``_glaisher_residues``).  Its steps l^(k-1) do not depend on p, so
-  one pass over l serves a whole block of primes, modulo the product of
-  their squares.  B_(p-k)/k is needed only for odd k and p > k + 1 (it
-  is 0 for even k), which is that route's domain;
+  mod p^2 for odd k and p >= k+2 (``_glaisher_residues``).  The zeta
+  hunt reads it for its residues, ``verify`` for the right side of ao
+  and lm, and the public ``bernoulli_mod`` and ``zeta_residue`` as its
+  block of one: an even B_n with 2 <= n <= p-3 is k * (B_(p-k)/k) at
+  the odd k = p - n, which is that route's domain (B_(p-k)/k is 0 for
+  even k).  Its steps l^(k-1) do not depend on p, so one pass over l
+  serves a whole block of primes, modulo the product of their squares;
 * the alternating inverse power sum, which a classical congruence ties
   to 2*(1 - 2^(1-k)) * B_(p-k)/k whenever 2^(k-1) is not 1 mod p, the
   hunt's cross-check (``_alternating_sums``; ``alternating_power_sum``
@@ -29,25 +20,25 @@ Three independent routes are kept deliberately separate:
   l <= h) for odd k and 0 for even k, one pass over l <= h modulo the
   product of a block's primes.
 
-The routes share no arithmetic: the sieve works mod p^2 prime by prime,
-Glaisher's route mod a block's product of p^2 over the full range
-l < p, the alternating route mod a block's product of p over signed
-terms at l <= h.  Both passes keep their sum as one running fraction
-N/D, each prime a Chinese remainder lane that reads N/D where its range
-ends and then leaves the modulus, so neither holds a table.
+The routes share no arithmetic: Glaisher's route works mod a block's
+product of p^2 over the full range l < p, the alternating route mod a
+block's product of p over signed terms at l <= h.  Both passes keep
+their sum as one running fraction N/D, each prime a Chinese remainder
+lane that reads N/D where its range ends and then leaves the modulus, so
+neither holds a table.
 
-The classical recurrence sum(C(m+1, j) * B_j, j <= m) = 0 is kept only
-as a test oracle.  ``check_euler_congruence`` confronts the sieve with
-the alternating route; ``zeta_sweep_rows`` confronts Glaisher's route
-with it at a block of primes of a hunt for zero residues of B_(p-k)/k.
-Both report VerificationRecords; a sweep row carries the residue as lhs
-and ``zero``/``cross`` extras.
+The term-by-term power sum and the classical recurrence sum(C(m+1, j) *
+B_j, j <= m) = 0 are kept only as test oracles.  ``check_euler_congruence``
+confronts Glaisher's route, through ``zeta_residue``, with the
+alternating route at one prime; ``zeta_sweep_rows`` does so at a block of
+primes of a hunt for zero residues of B_(p-k)/k.  Both report
+VerificationRecords; a sweep row carries the residue as lhs and
+``zero``/``cross`` extras.
 """
 
 from __future__ import annotations
 
-from math import isqrt, prod
-from operator import mul
+from math import prod
 
 from .errors import VonStaudtPoleError
 from .modfield import PrimeCtx
@@ -55,51 +46,14 @@ from .modfield import PrimeCtx
 from .modfield import prime_ctx  # noqa: F401
 from .records import VerificationRecord, comparison_record, skipped_record
 
-# _spf[l] is the smallest prime factor of l, for 2 <= l < len(_spf).  One
-# table serves every prime.  A larger prime swaps in a table at least twice
-# the size, built whole, so a reader never sees a half-built one.
-_spf: list[int] = []
-
-
-def _smallest_prime_factors(n: int) -> list[int]:
-    """The shared sieve, grown to cover every l < n."""
-    global _spf
-    spf = _spf
-    if len(spf) < n:
-        size = max(n, 2 * len(spf))
-        spf = list(range(size))
-        for q in range(2, isqrt(size - 1) + 1):
-            if spf[q] == q:
-                for m in range(q * q, size, q):
-                    if spf[m] == m:
-                        spf[m] = q
-        _spf = spf
-    return spf
-
-
-def _power_sum_mod_p2(n: int, p: int) -> int:
-    """sum(l^n, l < p) mod p^2 for even n, from l <= h = (p-1)/2 only.
-
-    For even n, (p-l)^n = l^n - n*p*l^(n-1) mod p^2, so with
-    u[l] = l^(n-1) mod p^2 the sum is 2*sum(l*u[l]) - n*p*(sum(u[l]) mod p)
-    over l <= h.  ``pow`` runs at prime l only.
-    """
-    p2 = p * p
-    h = (p - 1) // 2
-    spf = _smallest_prime_factors(h + 1)
-    u = [0, 1] + [0] * (h - 1)
-    for l in range(2, h + 1):
-        q = spf[l]
-        u[l] = pow(l, n - 1, p2) if q == l else u[q] * u[l // q] % p2
-    return (2 * sum(map(mul, range(h + 1), u)) - n * p * (sum(u) % p)) % p2
-
 
 def bernoulli_mod(n: int, ctx: PrimeCtx) -> int:
     """B_n mod p for n in {0, 1}, odd n <= p-2 and even n <= p-3.
 
     Odd n >= 3 give 0; n with (p-1) | n (n > 0) are von Staudt poles.
-    An even n is read off sum(l^n, l < p) = p * B_n mod p^2, which holds
-    for 2 <= n <= p-3, and memoized on the context.
+    An even n is k * (B_(p-k)/k) at the odd k = p - n, 3 <= k <= p-2,
+    Glaisher's domain: the block of one of ``_glaisher_residues``,
+    memoized on the context.
     """
     p = ctx.p
     if n < 0:
@@ -119,7 +73,8 @@ def bernoulli_mod(n: int, ctx: PrimeCtx) -> int:
     if n > p - 3:
         raise ValueError(f"Bernoulli index {n} out of range for p={p}")
 
-    return ctx.memo(("bernoulli_even", n), lambda: _power_sum_mod_p2(n, p) // p)
+    k = p - n
+    return ctx.memo(("bernoulli_even", n), lambda: _glaisher_residues(k, (p,))[0] * k % p)
 
 
 def _alternating_sums(k: int, primes) -> list[int]:

@@ -342,6 +342,14 @@ def _pool_shards(results):
         raise _WorkerLost from None
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on; the machine's where the platform
+    cannot say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_verify(args) -> int:
     checks = [c for c in args.checks.split(",") if c]
     grid = {key: value for key, value in (("k_max", args.kmax), ("s_max", args.smax),
@@ -350,7 +358,7 @@ def cmd_verify(args) -> int:
         tasks = sorted(task for c in checks for task in check_tasks(c, **grid))
         require_tasks(checks, tasks, **grid)
         # before the resume scan, which may cut --out
-        jobs = (os.cpu_count() or 1) if args.jobs is None else args.jobs
+        jobs = _usable_cores() if args.jobs is None else args.jobs
         if jobs < 1:
             raise ValueError(f"--jobs must be >= 1, got {jobs}")
         plan = plan_tasks(tasks)
@@ -532,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="max index weight for antipode/reversal")
     p_verify.add_argument("--primes", required=True, help='inclusive range "A..B"')
     p_verify.add_argument("--jobs", type=int, default=None,
-                          help="worker processes (default: cores)")
+                          help="worker processes (default: usable cores)")
     p_verify.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p_verify.add_argument("--out", default=None)
     p_verify.add_argument("--resume", action="store_true",

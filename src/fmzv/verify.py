@@ -33,8 +33,8 @@ tables some check reads, and one pass of Glaisher's congruence
 "zeta".  Each prime gets a row of plain values, and a context for its
 index sums, built when first read.  Every record of a prime comes from
 its row, in ``evaluate_tasks_for_prime``, and each ``verify_*`` is a
-block of one through the same builder, so no check reads the sieve
-route (``bernoulli.zeta_residue``).  Sweeps, resumes and the CLI read
+block of one through the same builder, so no check calls a public block
+of one (``bernoulli.zeta_residue``).  Sweeps, resumes and the CLI read
 the registry and name no check themselves.
 
 A task is ``(check, k, s)`` or ``(check, parts)``, and one prime's records

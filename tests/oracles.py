@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: direct chain enumeration for
 harmonic sums, bitmask composition generation, the textbook rational
-Bernoulli recurrence and its O(p^2) table mod p, the family DP in its
+Bernoulli recurrence and its O(p^2) table mod p, B_(p-k)/k from the
+power sum mod p^2 term by term over l < p, the family DP in its
 older running-tail form, and hypcong's sides from one Horner pass on
 first-order jets per (l, z0).  None of it shares code with the package
 paths it checks; the hypcong reference builds its sides as whole
@@ -161,6 +162,15 @@ def power_sum_mod_p2(n, p):
     """Sum of l^n over l = 1..p-1, mod p^2, term by term over the full range."""
     p2 = p * p
     return sum(pow(l, n, p2) for l in range(1, p)) % p2
+
+
+@lru_cache(maxsize=None)
+def zeta_residue(k, p):
+    """B_(p-k)/k mod p for p > k+1: B_(p-k) = sum(l^(p-k), l < p) / p mod p
+    for odd k (power_sum_mod_p2), and 0 for even k."""
+    if k % 2 == 0:
+        return 0
+    return power_sum_mod_p2(p - k, p) // p * pow(k, -1, p) % p
 
 
 def alternating_power_sum(k, p):

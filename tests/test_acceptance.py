@@ -150,7 +150,7 @@ def test_criterion_07_bernoulli_independence():
             if not rec.passed:
                 bad.append((k, p))
     _report(7, not bad and count > 0,
-            f"recurrence vs alternating-sum route agrees on {count} pairs")
+            f"Glaisher's route vs alternating-sum route agrees on {count} pairs")
 
 
 def test_criterion_08_generating_function():

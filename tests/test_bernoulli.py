@@ -48,37 +48,18 @@ def test_bernoulli_pole_and_range_errors():
     assert bernoulli_mod(9, ctx) == 0  # odd slots up to p-2 are fine
 
 
-def test_power_sum_matches_recurrence_oracle(monkeypatch):
+def test_power_sum_matches_recurrence_oracle():
     # every even n <= p-3, against the O(p^2) recurrence table, and the
-    # zeta residues B_(p-k)/k read from it.  From an empty sieve the
-    # primes go up, then down again on fresh contexts (no memoized
-    # value), so the shared sieve is read both as it grows and once grown
-    # past p.
-    monkeypatch.setattr(bernoulli, "_spf", [])
-    primes = primes_in_range(5, 400) + [1009, 2999]
-    tables = {p: oracles.bernoulli_even_table(p) for p in primes}
-    for p in primes + primes[::-1]:
+    # zeta residues B_(p-k)/k read from it
+    for p in primes_in_range(5, 400) + [1009, 2999]:
         ctx = PrimeCtx(p)
-        table = tables[p]
+        table = oracles.bernoulli_even_table(p)
         assert len(table) == (p - 3) // 2 + 1, p
         for i, want in enumerate(table):
             assert bernoulli_mod(2 * i, ctx) == want, (2 * i, p)
         for k in range(3, min(9, p - 2) + 1):
             want = table[(p - k) // 2] * pow(k, -1, p) % p if k % 2 else 0
             assert zeta_residue(k, ctx) == want, (k, p)
-
-
-def test_power_sum_mod_p2_matches_term_by_term_oracle(monkeypatch):
-    # the half-range reflection against the full-range sum: every even n
-    # in 2..p-3 at each prime to 200 (p = 5 and 7 give h = 2 and 3), and
-    # n = p-3 at three larger primes.  From an empty sieve the primes go
-    # up and then down, so a grown sieve is read at a smaller p.
-    monkeypatch.setattr(bernoulli, "_spf", [])
-    cases = [(n, p) for p in primes_in_range(5, 200) for n in range(2, p - 2, 2)]
-    cases += [(p - 3, p) for p in (1009, 2999, 16843)]
-    want = {case: oracles.power_sum_mod_p2(*case) for case in cases}
-    for n, p in cases + cases[::-1]:
-        assert bernoulli._power_sum_mod_p2(n, p) == want[n, p], (n, p)
 
 
 # The irregular pairs (p, 2j) with p < 160, p | B_2j (Buhler, Crandall,
@@ -202,8 +183,9 @@ def test_zeta_sweep_even_k_all_zero():
 @pytest.mark.parametrize("k", [3, 5, 7, 9, 11, 13, 21])
 def test_blocked_passes_match_oracles_that_share_no_code_with_them(k):
     # every prime from k+2 to 2000, cut into the hunt's blocks: each
-    # Glaisher residue is the sieve's zeta_residue, each alternating value
-    # the term-by-term sum, and each block's rows are its primes' own rows
+    # Glaisher residue is the term-by-term power sum's, each alternating
+    # value the term-by-term sum, and each block's rows are its primes' own
+    # rows
     primes = primes_in_range(k + 2, 2000)
     blocks = cli._blocks(primes, len(primes), cli.ZETA_BLOCK_BITS)
     assert len(blocks) >= 2 and min(map(len, blocks)) > 1
@@ -213,7 +195,7 @@ def test_blocked_passes_match_oracles_that_share_no_code_with_them(k):
         sums = bernoulli._alternating_sums(k, block)
         assert len(residues) == len(sums) == len(block)
         for p, res, alt in zip(block, residues, sums):
-            assert res == zeta_residue(k, PrimeCtx(p)), (k, p)
+            assert res == oracles.zeta_residue(k, p), (k, p)
             assert alt == oracles.alternating_power_sum(k, p), (k, p)
         assert zeta_sweep_rows(k, block) == [zeta_sweep_row(k, p) for p in block], k
 
@@ -230,7 +212,7 @@ def test_a_block_with_a_degenerate_prime():
     by_p = {row.p: row for row in rows}
     assert all(by_p[p].skipped for p in block if p <= 12)
     assert by_p[31].rhs == "" and dict(by_p[31].extra)["cross"] == "degenerate"
-    assert by_p[31].lhs == str(zeta_residue(11, PrimeCtx(31)))
+    assert by_p[31].lhs == str(oracles.zeta_residue(11, 31))
     live = [row for row in rows if not row.skipped and row.p != 31]
     assert live and all(dict(row.extra)["cross"] == "ok" for row in live)
 
@@ -244,7 +226,7 @@ def test_the_wolstenholme_prime_inside_a_block():
     residues = bernoulli._glaisher_residues(3, block)
     sums = bernoulli._alternating_sums(3, block)
     i = block.index(16843)
-    assert residues[i] == zeta_residue(3, PrimeCtx(16843)) == 0
+    assert residues[i] == oracles.zeta_residue(3, 16843) == 0
     assert sums[i] == oracles.alternating_power_sum(3, 16843) == 0
     rows = zeta_sweep_rows(3, block)
     assert [row.p for row in rows if dict(row.extra)["zero"]] == [16843]

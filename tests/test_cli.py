@@ -1136,16 +1136,24 @@ def test_verify_pool_is_capped_at_its_shards(argv, capsys, monkeypatch):
 
 
 def test_jobs_default_to_the_core_count(capsys, monkeypatch):
-    # with no --jobs, verify starts one worker per core and cuts the primes
-    # as that --jobs does (5..400 into four blocks for four cores), and runs
-    # in one process where the core count is unknown; the bytes are CI's pin
+    # with no --jobs, verify starts one worker per core it may run on and
+    # cuts the primes as that --jobs does (5..400 into four blocks for four
+    # cores); pinned to one of four cores it starts no pool, and where the
+    # platform gives no affinity it counts the machine's cores, running in
+    # one process where that count is unknown; the bytes are CI's pin
     argv = ["verify", "ao,lm", "--kmax", "12", "--primes", "5..400"]
     seen = _fake_pool(monkeypatch)
-    for cores, pools in ((4, [(4, 4)]), (None, [])):
+    for affinity, cores, pools in (({0, 1, 2, 3}, 4, [(4, 4)]), ({0}, 4, []),
+                                   (None, 4, [(4, 4)]), (None, None, [])):
         seen.clear()
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=affinity: cpus,
+                                raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda cores=cores: cores)
         code, out, _ = run_cli(argv, capsys)
-        assert (code, seen) == (0, pools), cores
+        assert (code, seen) == (0, pools), (affinity, cores)
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "fb50208151b4bace7fd28eed0b256612ed7c1029fc89e634c48a703ef74af4fd")
 

@@ -11,7 +11,6 @@ import fmzv.bernoulli
 import fmzv.harmonic
 import fmzv.verify
 from fmzv import cli
-from fmzv.bernoulli import zeta_residue
 from fmzv.errors import InfeasibleFamilyError
 from fmzv.indices import Index
 from fmzv.records import VerificationRecord
@@ -383,10 +382,10 @@ def test_public_index_checks_equal_the_sweep():
 RELATION_PRIMES = primes_in_range(5, 400)
 
 
-def _sieve_rhs(k, s, p):
-    """The right side of ao and lm from the sieve route, B_(p-k)/k by
-    ``zeta_residue`` (a power sum mod p^2, ``_power_sum_mod_p2``)."""
-    half = (1 - pow(2, 1 - k, p)) * zeta_residue(k, PrimeCtx(p)) % p
+def _oracle_rhs(k, s, p):
+    """The right side of ao and lm with B_(p-k)/k from the term-by-term
+    power sum mod p^2 (``oracles.zeta_residue``)."""
+    half = (1 - pow(2, 1 - k, p)) * oracles.zeta_residue(k, p) % p
     return str(2 * comb(k - 1, 2 * s - 1) * half % p)
 
 
@@ -400,17 +399,17 @@ def _relation_rhs(tmp_path, jobs):
     return {(r["check"], r["k"], r["s"], r["p"]): r["rhs"] for r in records if not r["skipped"]}
 
 
-def _sieve_mismatches(rhs):
-    return [key for key, text in rhs.items() if text != _sieve_rhs(*key[1:])]
+def _oracle_mismatches(rhs):
+    return [key for key, text in rhs.items() if text != _oracle_rhs(*key[1:])]
 
 
 @pytest.mark.parametrize("cut", ["jobs 1", "jobs 2", "blocks of 5"])
-def test_block_residues_equal_the_sieve_route(cut, tmp_path):
+def test_block_residues_equal_the_oracle(cut, tmp_path):
     # every ao/lm right side of the sweep reads its block's Glaisher
     # residues; over 5..400 --jobs 1 and 2 both cut three blocks (the
     # second spread over a pool), and blocks of 5 primes cut sixteen; at
-    # p = k + 2 and through the public checks too, they equal the sieve
-    # route's, which no sweep calls
+    # p = k + 2 and through the public checks too, they equal the
+    # term-by-term power sum's
     if cut.startswith("jobs"):
         rhs = _relation_rhs(tmp_path, int(cut[-1]))
     else:
@@ -421,7 +420,7 @@ def test_block_residues_equal_the_sieve_route(cut, tmp_path):
     assert len(rhs) == sum(2 * (k // 2) for k in range(2, 13) for p in RELATION_PRIMES
                            if p > k + 1)
     assert {(k, p) for _, k, _, p in rhs if p == k + 2} == {(3, 5), (5, 7), (9, 11), (11, 13)}
-    assert _sieve_mismatches(rhs) == []
+    assert _oracle_mismatches(rhs) == []
     for p in (5, 7, 11, 13, 397):
         for k in range(2, min(12, p - 2) + 1):
             for s in range(1, k // 2 + 1):
@@ -429,13 +428,15 @@ def test_block_residues_equal_the_sieve_route(cut, tmp_path):
                     assert verify(k, s, PrimeCtx(p)).rhs == rhs[check, k, s, p], (check, k, s, p)
 
 
-def test_block_residues_no_sweep_reads_the_sieve(tmp_path, monkeypatch):
-    def no_sieve(*args):
-        raise AssertionError("a sweep read the sieve route")
+def test_block_residues_no_sweep_calls_a_public_block_of_one(tmp_path, monkeypatch):
+    # sweeps and the public checks read Glaisher's pass through the block
+    # builder, never through the public bernoulli_mod or zeta_residue
+    def no_block_of_one(*args):
+        raise AssertionError("a sweep called a public block of one")
 
-    monkeypatch.setattr(fmzv.bernoulli, "_power_sum_mod_p2", no_sieve)
-    monkeypatch.setattr(fmzv.bernoulli, "zeta_residue", no_sieve)
-    monkeypatch.setattr(fmzv.verify, "zeta_residue", no_sieve)
+    monkeypatch.setattr(fmzv.bernoulli, "bernoulli_mod", no_block_of_one)
+    monkeypatch.setattr(fmzv.bernoulli, "zeta_residue", no_block_of_one)
+    monkeypatch.setattr(fmzv.verify, "zeta_residue", no_block_of_one)
     argv = ["verify", "ao,lm,lemma,heightsum", "--kmax", "12", "--primes", "5..400",
             "--out", str(tmp_path / "v.jsonl")]
     for jobs in ("1", "2"):
@@ -460,7 +461,7 @@ def test_block_residues_test_sees_a_wrong_residue(mutant, tmp_path, monkeypatch)
     monkeypatch.setattr(fmzv.verify, "_glaisher_residues",
                         {"wrong k": wrong_k, "shifted lane": shifted_lane}[mutant])
     rhs = _relation_rhs(tmp_path, 1)
-    assert _sieve_mismatches(rhs)
+    assert _oracle_mismatches(rhs)
 
 
 @pytest.mark.parametrize("checks, filled", [
