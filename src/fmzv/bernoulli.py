@@ -137,7 +137,8 @@ def _glaisher_residues(k: int, primes) -> list[int]:
     so the sum is one running fraction N/D, N <- N*t + D and D <- D*t,
     modulo M, the product of the p^2.  Each prime reads H = N/D mod p^2,
     a multiple of p, when l reaches p-1, takes (H/p) / (k-1) mod p and
-    leaves M.  A step is l^(k-1) reduced mod M.
+    leaves M.  A step is l^(k-1) reduced mod M.  An H that is not 0 mod p
+    (a prime outside the domain, or a wrong sum) raises ArithmeticError.
     """
     e = k - 1
     mod = prod(p * p for p in primes)
@@ -154,6 +155,8 @@ def _glaisher_residues(k: int, primes) -> list[int]:
         start = p
         p2 = p * p
         total = num * pow(den, -1, p2) % p2
+        if total % p:
+            raise ArithmeticError(f"Glaisher's power sum is not 0 mod p={p} at k={k}")
         residues.append(total // p * pow(e, -1, p) % p)
         mod //= p2
         num, den = num % mod, den % mod

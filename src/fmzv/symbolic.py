@@ -28,6 +28,7 @@ rationals.
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
@@ -334,19 +335,18 @@ _CONGRUENCES = ("truncation", "closed-form", "tail-term")
 
 
 class _LaurentRows(dict):
-    """z0 -> (poles, values, fermat), built when z0 is first read: the
-    eps^-1 and eps^0 coefficients of r_n(z) = (z)_n / (2z+1)_n at z0 + eps
-    for n < p, 2 bytes each for p < 2^16, and the Fermat quotient's
-    (order, lead).  r_(n+1) = r_n (z+n)/(2z+1+n): with f = 2z0+1+n and
-    g = z0+n, the step is g/f + (1-n)/f^2 eps on r_n's (eps^0, eps^1)
-    until f vanishes, and there (g+eps)/(2 eps), which shifts that pair
-    to (eps^-1, eps^0).  For n < p, f vanishes at one n at most."""
+    """z0 -> (poles, values), built when z0 is first read: the eps^-1 and
+    eps^0 coefficients of r_n(z) = (z)_n / (2z+1)_n at z0 + eps for n < p,
+    2 bytes each for p < 2^16.  r_(n+1) = r_n (z+n)/(2z+1+n): with f =
+    2z0+1+n and g = z0+n, the step is g/f + (1-n)/f^2 eps on r_n's
+    (eps^0, eps^1) until f vanishes, and there (g+eps)/(2 eps), which
+    shifts that pair to (eps^-1, eps^0).  For n < p, f vanishes at one n
+    at most."""
 
     def __init__(self, p: int):  # dict.__new__ makes the empty mapping
         self.p, self.inv = p, inverses(p)
 
     def __missing__(self, z0: int):
-        from array import array  # only hypcong reads it: kept off every command's start-up
         p, inv = self.p, self.inv
         at = (-2 * z0 - 1) % p  # the n whose factor 2z+1+n vanishes at z0
         a, b, lo, hi = 1, 0, [1], [0]
@@ -359,12 +359,8 @@ class _LaurentRows(dict):
                 a, b = g * a % p, (g * b + (1 - n) * i * i * a) % p
             lo.append(a)
             hi.append(b)
-        # c z^(p-1) - 1, c = 1 and 2^(p-1), vanishes at z0 != 0 to order one at most
-        (to, tc), (oo, oc) = ((0, v) if (v := (c * pow(z0, p - 1, p) - 1) % p)
-                              else (1, -c * pow(z0, p - 2, p) % p) for c in (1, pow(2, p - 1, p)))
         cut, code = at + 1, "H" if p < 1 << 16 else "Q"
-        row = self[z0] = (array(code, [0] * cut + lo[cut:]), array(code, lo[:cut] + hi[cut:]),
-                          (to - oo, tc * inv[oc] % p))
+        row = self[z0] = (array(code, [0] * cut + lo[cut:]), array(code, lo[:cut] + hi[cut:]))
         return row
 
 
@@ -376,10 +372,10 @@ def _congruence_values(l: int, z0: int, rows: _LaurentRows, head: list[int], t: 
     one: the truncation is head . r, the tail term t r_M, the full series
     their sum, and the right side of (i), ((z+1)_M - t (z)_M) / (2z+1)_M,
     is r_M ((z0+M)/z0 - M/z0^2 eps) - t r_M.  The closed forms of (ii) and
-    (iii) come from their linear factors' (order, lead) and carry the
-    Fermat quotient (z^(p-1)-1)/((2z)^(p-1)-1) literally; it is 1 in
-    Z/pZ(z), which lets them be sampled at all: as raw products of ~p
-    consecutive shifts, both sides vanish at every prime-field point.
+    (iii) come from their linear factors' (order, lead), with their Fermat
+    quotient (z^(p-1)-1)/((2z)^(p-1)-1) cancelled: it is 1 in Z/pZ(z), as
+    2^(p-1) = 1 mod p.  Without it, both sides, raw products of ~p
+    consecutive shifts, would vanish at every prime-field point.
     """
     (fact, inv_fact), p, inv = ctx.factorials(), rows.p, rows.inv
     def poch(shift, scale, n):
@@ -397,14 +393,14 @@ def _congruence_values(l: int, z0: int, rows: _LaurentRows, head: list[int], t: 
         order -= den[0]
         return (None if order < 0 else 0) if order else lead * inv[den[1]] % p
 
-    poles, values, (fo, fc) = rows[z0]
+    poles, values = rows[z0]
     m = len(head)
     sp, sv = sum(map(mul, head, poles)), sum(map(mul, head, values))
     rp, rv, k = poles[m], values[m], (z0 + m) * inv[z0] - t
     (ho, hc), sign_z = poch(1 - l, 2, l - 1), z0 if l % 2 else -z0  # sign_z: (-1)^(l+1) z
     return [(side(sp, sv), side(k * rp, k * rv - m * inv[z0] ** 2 * rp)),
-            (side(sp + t * rp, sv + t * rv), quotient(fo + ho, fc * hc, poch(1 - l, 1, l - 1))),
-            (side(t * rp, t * rv), quotient(fo + ho, sign_z * fc * hc, poch(-l, 1, l)))]
+            (side(sp + t * rp, sv + t * rv), quotient(ho, hc, poch(1 - l, 1, l - 1))),
+            (side(t * rp, t * rv), quotient(ho, sign_z * hc, poch(-l, 1, l)))]
 
 
 def hypergeom_congruence_check(l: int, ctx: PrimeCtx, samples: int = 20,

@@ -46,6 +46,9 @@ def test_bernoulli_pole_and_range_errors():
     with pytest.raises(ValueError):
         bernoulli_mod(12, ctx)  # even, above p-3, not a pole
     assert bernoulli_mod(9, ctx) == 0  # odd slots up to p-2 are fine
+    for n in (11, 13):  # odd, past p-2, and not poles
+        with pytest.raises(ValueError, match="out of range"):
+            bernoulli_mod(n, ctx)
 
 
 def test_power_sum_matches_recurrence_oracle():
@@ -178,6 +181,27 @@ def test_zeta_sweep_even_k_all_zero():
     assert rows and all(row.lhs == "0" and dict(row.extra)["zero"] for row in rows)
     with pytest.raises(ValueError):
         zeta_sweep_row(1, 7)
+
+
+def test_zeta_sweep_rows_at_k_2():
+    # k = 2 is the guard's boundary: it is swept, its primes to 3 are
+    # skipped, and every row past them is a zero whose cross-check is "ok"
+    primes = primes_in_range(2, 100)
+    rows = zeta_sweep_rows(2, primes)
+    assert [row.p for row in rows] == primes
+    assert [row.p for row in rows if row.skipped] == [2, 3]
+    live = [row for row in rows if not row.skipped]
+    assert len(live) == len(primes) - 2
+    assert all(row.passed and row.lhs == row.rhs == "0"
+               and dict(row.extra) == {"zero": True, "cross": "ok"} for row in live)
+
+
+@pytest.mark.parametrize("k, p", [(3, 3), (5, 5), (7, 7), (5, 3)])
+def test_glaisher_pass_raises_outside_its_domain(k, p):
+    # below p = k + 2 the power sum is not 0 mod p, so the pass has no
+    # residue to give: it raises, naming the prime and k
+    with pytest.raises(ArithmeticError, match=f"p={p} at k={k}"):
+        bernoulli._glaisher_residues(k, (p,))
 
 
 @pytest.mark.parametrize("k", [3, 5, 7, 9, 11, 13, 21])

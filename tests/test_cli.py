@@ -924,6 +924,17 @@ def test_resume_refuses_a_mismatched_run(tmp_path, capsys, first, resumed, fmt):
     assert out.read_bytes() == before
 
 
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("first, resumed", MISMATCHED_RESUMES[-2:])
+def test_resume_past_the_top_names_the_runs_top_prime(tmp_path, capsys, first, resumed, fmt):
+    # a file that holds primes past this run's is refused at its first line
+    # past the run, whose error names the run's top prime, 11, not the file's
+    out = tmp_path / f"run.{fmt}"
+    assert run_cli(first + ["--format", fmt, "--out", str(out)], capsys)[0] == 0
+    code, _, err = run_cli(resumed + ["--format", fmt, "--out", str(out), "--resume"], capsys)
+    assert code == 2 and "it ends at prime 11\n" in err
+
+
 FOREIGN_CSV = [
     b"check,k,p\nzsweep,3,5\n",
     b"check,k,p,rhs,lhs,pass,skipped,reason,zero,cross\n"

@@ -427,6 +427,19 @@ def test_rows_match_the_horner_oracle(p):
         assert got == oracles.hypcong_horner_values(l, z0, p), (l, z0)
 
 
+def test_rows_of_8_byte_entries_past_2_16():
+    # from p = 2^16 + 1 the rows hold 8-byte entries, and the sides read
+    # from them still match the Horner pass at both ends of l and z0
+    p = 65537
+    ctx, rows = prime_ctx(p), _LaurentRows(p)
+    for l in (1, 2, p - 3):
+        *head, t = _series_coeffs(l, p)
+        for z0 in (1, 2, 32768, p - 1):
+            got = _congruence_values(l, z0, rows, head, t, ctx)
+            assert got == oracles.hypcong_horner_values(l, z0, p), (l, z0)
+    assert rows[1][0].typecode == "Q"
+
+
 def _taylor(poly, x, p, order):
     """The first order + 1 Taylor coefficients of a coefficient list at x,
     mod p: comb(i, k) x^(i-k) is the k-th derivative of x^i over k!."""
@@ -440,7 +453,7 @@ def test_laurent_rows_expand_each_ratio(p):
     # n < p, from the Taylor coefficients of both products
     rows = _LaurentRows(p)
     for z0 in range(1, p):
-        poles, values = rows[z0][:2]
+        poles, values = rows[z0]
         num, den = [1], [1]
         for n in range(p):
             (a0, a1, _), (b0, b1, b2) = _taylor(num, z0, p, 2), _taylor(den, z0, p, 2)

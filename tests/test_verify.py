@@ -448,11 +448,14 @@ def test_block_residues_no_sweep_calls_a_public_block_of_one(tmp_path, monkeypat
 @pytest.mark.parametrize("mutant", ["wrong k", "shifted lane"])
 def test_block_residues_test_sees_a_wrong_residue(mutant, tmp_path, monkeypatch):
     # the comparison above fails when a block pass reads the residues of
-    # another k, or hands each prime its neighbour's
+    # another k, or hands each prime its neighbour's; the other k is read
+    # only at the primes of its own domain, p >= k + 4, where its pass
+    # raises nothing (see the test below)
     glaisher = fmzv.verify._glaisher_residues
 
     def wrong_k(k, primes):
-        return glaisher(k + 2, primes)
+        cut = sum(p < k + 4 for p in primes)
+        return glaisher(k, primes[:cut]) + glaisher(k + 2, primes[cut:])
 
     def shifted_lane(k, primes):
         residues = glaisher(k, primes)
@@ -462,6 +465,16 @@ def test_block_residues_test_sees_a_wrong_residue(mutant, tmp_path, monkeypatch)
                         {"wrong k": wrong_k, "shifted lane": shifted_lane}[mutant])
     rhs = _relation_rhs(tmp_path, 1)
     assert _oracle_mismatches(rhs)
+
+
+def test_block_residues_of_another_k_outside_its_domain_raise(tmp_path, monkeypatch):
+    # a block pass that reads k + 2 at p = k + 2, below that k's domain, is
+    # stopped by Glaisher's self-check before any right side is compared
+    glaisher = fmzv.verify._glaisher_residues
+    monkeypatch.setattr(fmzv.verify, "_glaisher_residues",
+                        lambda k, primes: glaisher(k + 2, primes))
+    with pytest.raises(ArithmeticError, match="p=5 at k=5"):
+        _relation_rhs(tmp_path, 1)
 
 
 @pytest.mark.parametrize("checks, filled", [
