@@ -15,14 +15,22 @@ only defaults; one given to a suite (``SUITE_FLAGS``) or to checks
 (``Grid.flags``) that do not read it is a usage error.
 
 Every command that reports records opens stdout or ``--out`` with
-``_open_out`` (a fresh CSV gets its header there) and writes each
-VerificationRecord with ``_emit``: a JSON line straight from its fields
-(``json_line``) or a CSV row from ``to_json_dict``, counted for the stderr
-summary line.  ``verify`` and ``zsweep`` share ``_open_sweep``: it parses
-``--primes`` and, for ``--resume``, checks that ``--out`` holds a prefix
-of this run's records (``_resume_primes``).  Every usage error is raised
-before any record is computed.  The records a resume keeps count in the
-summary line and the exit code, so both describe the whole file.
+``_open_out`` (a fresh CSV gets its header there) and writes them with
+``_emit``, the one writer: it takes batches already rendered as text,
+each a list of lines and the counts (records, failed, skipped, ...) that
+the stderr summary line sums.  ``zsweep`` and ``symbolic`` render their
+VerificationRecords with ``_render``: a JSON line straight from each
+record's fields (``json_line``) or a CSV row from ``to_json_dict``.
+``verify``'s shards render their own primes (``_verify_worker``), in the
+pool's workers where there is a pool, so only text crosses back: JSON
+lines from the heads the plan holds and the prime's sides, with no record
+built (``records.json_lines_at``), or CSV rows from the prime's records
+through ``_render``.
+``verify`` and ``zsweep`` share ``_open_sweep``: it parses ``--primes``
+and, for ``--resume``, checks that ``--out`` holds a prefix of this run's
+records (``_resume_primes``).  Every usage error is raised before any
+record is computed.  The records a resume keeps count in the summary
+line and the exit code, so both describe the whole file.
 
 Exit codes: 0 all records passed or were skipped, 1 at least one failed,
 2 usage error (a flag that leaves nothing to check, too), 3 a ``verify``
@@ -46,19 +54,21 @@ import json
 import os
 import sys
 from math import ceil, log2
-from operator import attrgetter, methodcaller
+from operator import attrgetter, itemgetter, methodcaller
+from types import SimpleNamespace
 
 from .bernoulli import zeta_sweep_rows
 from .indices import Index
 from .modfield import PrimeCtx, is_prime, primes_in_range
 from .harmonic import mhs_star, mhs_strict
-from .records import VerificationRecord, json_line
+from .records import VerificationRecord, json_line, json_lines_at
 from .verify import (
     CHECK_NAMES,
     block_rows,
     check_tasks,
     evaluate_tasks_for_prime,
     plan_tasks,
+    prime_sides,
     require_tasks,
 )
 # Unused here: perfbench/tracing.py patches these names on this module.
@@ -138,35 +148,47 @@ def _count(tally, batch) -> None:
     tally["degenerate"] += list(map(_cross, extras)).count("degenerate")
 
 
-def _emit(batches, handle, fmt, columns, tally=None) -> dict:
-    """Write every batch of VerificationRecords to ``handle`` as JSON lines
-    or as CSV rows of ``columns``, flushing after each, then close it
-    unless it is stdout.
+def _render(batch, fmt, columns) -> tuple[list[str], dict]:
+    """A batch of VerificationRecords as ``_emit`` takes it: its lines,
+    JSON lines (``json_line``) or CSV rows of ``columns``, and its counts
+    (see ``_count``)."""
+    if fmt == "csv":
+        lines = []
+        # csv writes each row with one call of its file's write
+        writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+        for rec in batch:
+            # true/false as in JSON; csv writes None as an empty field
+            # (``_csv_record`` reads a row back)
+            writer.writerow([str(v).lower() if isinstance(v, bool) else v
+                             for v in map(rec.to_json_dict().get, columns)])
+    else:
+        lines = list(map(json_line, batch))
+    counts = _new_tally()
+    _count(counts, batch)
+    return lines, counts
 
-    Returns ``tally`` (a fresh one by default) with the written records
-    counted in (see ``_count``).  A broken pipe on stdout stops the run
+
+def _emit(batches, handle, tally=None) -> dict:
+    """Write every rendered batch, (lines, counts) as ``_render`` gives it,
+    to ``handle``, flushing after each, then close it unless it is stdout.
+
+    Returns ``tally`` (a fresh one by default) with the counts of each
+    written batch added in.  A broken pipe on stdout stops the run
     quietly: stdout is pointed at os.devnull, so the interpreter's last
     flush cannot fail again, and ``_StdoutClosed`` unwinds the command
     (tearing down its pool) up to ``main``.
     """
     if tally is None:
         tally = _new_tally()
-    writer = csv.writer(handle, lineterminator="\n") if fmt == "csv" else None
     try:
-        for batch in batches:
-            if writer is None:
-                # a write per line, not one joined write per batch: a batch
-                # larger than a pipe could then land whole after a reader
-                # like `head -1` took its line, and the run would not see
-                # the closed pipe
-                handle.writelines(map(json_line, batch))
-            else:
-                for rec in batch:
-                    # true/false as in JSON; csv writes None as an empty
-                    # field (``_csv_record`` reads a row back)
-                    writer.writerow([str(v).lower() if isinstance(v, bool) else v
-                                     for v in map(rec.to_json_dict().get, columns)])
-            _count(tally, batch)
+        for lines, counts in batches:
+            # a write per line, not one joined write per batch: a batch
+            # larger than a pipe could then land whole after a reader like
+            # `head -1` took its line, and the run would not see the closed
+            # pipe
+            handle.writelines(lines)
+            for key, count in counts.items():
+                tally[key] += count
             handle.flush()
     except BrokenPipeError:
         if handle is not sys.stdout:
@@ -316,16 +338,34 @@ def _blocks(primes: list[int], size: int, bits: int) -> list[tuple[int, ...]]:
 # verify
 
 
+_reason = itemgetter(4)  # of a plan's task
+
+
+def _verify_lines(p, plan, row) -> tuple[list[str], dict]:
+    """One prime's JSON lines, from its tasks' heads in the plan and their
+    sides (``prime_sides``), with no record built, and their counts."""
+    sides = prime_sides(p, plan, row)
+    lines, failed = json_lines_at(p, plan.heads, map(_reason, plan.tasks), sides)
+    return lines, {"records": len(lines), "failed": failed, "skipped": sides.count(None)}
+
+
 def _verify_worker(shard):
-    """The records of a shard (primes, plan), one batch per prime, computed
-    as they are read, each from its prime's row of the block builder
-    (``block_rows``), whose passes over the block run at the first."""
-    primes, plan = shard
-    return (evaluate_tasks_for_prime(row.p, plan, row) for row in block_rows(primes, plan))
+    """The rendered batches of a shard (primes, plan, format), one per
+    prime, computed as they are read, each from its prime's row of the
+    block builder (``block_rows``), whose passes over the block run at the
+    first: JSON lines from the plan's heads (``_verify_lines``), or CSV
+    rows of the prime's records."""
+    primes, plan, fmt = shard
+    for row in block_rows(primes, plan):
+        if fmt == "csv":
+            yield _render(evaluate_tasks_for_prime(row.p, plan, row), fmt, VERIFY_COLUMNS)
+        else:
+            yield _verify_lines(row.p, plan, row)
 
 
 def _pool_worker(shard):
-    # a pool hands its results back pickled, which a generator cannot be
+    # a pool hands its results back pickled, which a generator cannot be:
+    # lists of lines, and their counts
     return list(_verify_worker(shard))
 
 
@@ -334,7 +374,7 @@ class _WorkerLost(Exception):
 
 
 def _pool_shards(results):
-    """A pool's shards of records, in order; a lost worker raises _WorkerLost."""
+    """A pool's shards of batches, in order; a lost worker raises _WorkerLost."""
     from concurrent.futures.process import BrokenProcessPool
     try:
         yield from results
@@ -373,7 +413,7 @@ def cmd_verify(args) -> int:
     # that every worker gets one; other sweeps have nothing to share
     # between primes, and run one prime a block
     size = 1 if plan.k_max is None else -(-len(primes) // jobs)
-    shard_args = [(block, plan) for block in _blocks(primes, size, BLOCK_BITS)]
+    shard_args = [(block, plan, args.format) for block in _blocks(primes, size, BLOCK_BITS)]
     tally = _new_tally() if kept is None else kept
     resumed = tally["records"]
     try:
@@ -389,8 +429,7 @@ def cmd_verify(args) -> int:
                 # no worker has started
                 stack.callback(pool.shutdown, cancel_futures=True)
                 shards = _pool_shards(pool.map(_pool_worker, shard_args))
-            _emit(itertools.chain.from_iterable(shards), handle, args.format,
-                  VERIFY_COLUMNS, tally)
+            _emit(itertools.chain.from_iterable(shards), handle, tally)
     except _WorkerLost:
         done = (tally["records"] - resumed) // len(tasks)
         where = f"whole up to p = {primes[done - 1]}" if done else f"whole below p = {primes[0]}"
@@ -418,8 +457,9 @@ def cmd_zsweep(args) -> int:
     # batch a prime, so the file is flushed, and can be resumed, per prime
     blocks = map(functools.partial(zeta_sweep_rows, args.k),
                  _blocks(primes, len(primes), ZETA_BLOCK_BITS))
-    rows = ([row] for row in itertools.chain.from_iterable(blocks))
-    tally = _emit(rows, handle, args.format, ZSWEEP_COLUMNS, kept)
+    rows = (_render([row], args.format, ZSWEEP_COLUMNS)
+            for row in itertools.chain.from_iterable(blocks))
+    tally = _emit(rows, handle, kept)
     print(
         f"zsweep k={args.k}: {tally['records']} primes, {tally['zero']} zero residues, "
         f"{tally['failed']} cross-check failures, {tally['degenerate']} degenerate, "
@@ -482,8 +522,9 @@ _SUITE_OPTIONS = dict.fromkeys(flag for flags in SUITE_FLAGS.values() for flag i
 
 
 def _suite_batch(suite, kwargs):
-    """The suite's records, one batch computed when ``_emit`` asks for it."""
-    yield globals()[f"run_{suite}_suite"](**kwargs)
+    """The suite's records, one batch computed and rendered when ``_emit``
+    asks for it."""
+    yield _render(globals()[f"run_{suite}_suite"](**kwargs), "jsonl", ())
 
 
 def cmd_symbolic(args) -> int:
@@ -504,7 +545,7 @@ def cmd_symbolic(args) -> int:
         handle = _open_out(args.out, "jsonl", (), False)
     except OSError as err:
         return _fail(str(err))
-    tally = _emit(_suite_batch(suite, kwargs), handle, "jsonl", ())
+    tally = _emit(_suite_batch(suite, kwargs), handle)
     print(f"symbolic {suite}: {tally['records']} records, {tally['failed']} failed",
           file=sys.stderr)
     return 1 if tally["failed"] else 0

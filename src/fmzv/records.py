@@ -3,8 +3,13 @@
 ``to_json_dict`` gives a record's fields as a dict in a stable key order:
 the CSV rows read it.  ``json_line`` writes the JSON line of that dict,
 the bytes ``json.dumps(rec.to_json_dict(), separators=(",", ":"))``
-makes, straight from the fields with no dict in between: the JSONL path
-of every command.
+makes, straight from the fields with no dict in between.  ``json_head``
+is the one writer of a line's fixed head, its check, k, s and index:
+``json_line`` starts each line with it, and a ``verify`` plan holds the
+head of each of its tasks (``verify.plan_tasks``).  ``json_lines_at``
+writes a sweep's lines of one prime from those heads and the tasks'
+sides, the bytes ``json_line`` writes of their records, with no record
+built.
 """
 
 from __future__ import annotations
@@ -18,6 +23,9 @@ from typing import NamedTuple
 _JSON = json.JSONEncoder(separators=(",", ":"))
 # json writes an int, and no bool, as int.__repr__ does.
 _int = int.__repr__
+# The tails of a line of a comparison record with no reason or extra.
+_PASSED = ',"pass":true,"skipped":false}\n'
+_FAILED = ',"pass":false,"skipped":false}\n'
 # The keys of to_json_dict that come from fields, not from ``extra``.
 _FIELD_KEYS = frozenset(("check", "k", "s", "index", "p", "lhs", "rhs", "pass",
                          "skipped", "reason"))
@@ -106,6 +114,47 @@ def _json_value(value) -> str:
     return _JSON.encode(value)
 
 
+def json_head(check: str, k: int | None = None, s: int | None = None,
+              index: str | None = None) -> str:
+    """The head of a record's JSON line, unclosed: '{"check":' and the
+    check, then k, s and index where they are not None, in the key order
+    of ``to_json_dict``.  ``encode_basestring_ascii`` and ``int.__repr__``
+    raise TypeError on a value of another type."""
+    head = '{"check":' + _json_str(check)
+    if k is not None:
+        head += ',"k":' + _int(k)
+    if s is not None:
+        head += ',"s":' + _int(s)
+    if index is not None:
+        head += ',"index":' + _json_str(index)
+    return head
+
+
+def json_lines_at(p: int, heads, reasons, sides) -> tuple[list[str], int]:
+    """The JSON lines of one prime's records and how many of them failed,
+    written from each record's head (``json_head``), its reason and its
+    sides: a pair (lhs, rhs) gives the line of a comparison record, which
+    passes where lhs == rhs, and None that of a skipped record with the
+    reason.  These are the bytes ``json_line`` writes of those records.  A
+    side that is not a str raises TypeError, as ``json_line`` would write
+    it through the dict."""
+    at = ',"p":' + _int(p)
+    lines, failed = [], 0
+    for head, reason, pair in zip(heads, reasons, sides):
+        if pair is None:
+            lines.append(head + at + ',"pass":true,"skipped":true,"reason":'
+                         + _json_str(reason) + "}\n")
+            continue
+        lhs, rhs = pair
+        if lhs == rhs:
+            tail = _PASSED
+        else:
+            failed += 1
+            tail = _FAILED
+        lines.append(head + at + ',"lhs":' + _json_str(lhs) + ',"rhs":' + _json_str(rhs) + tail)
+    return lines, failed
+
+
 def json_line(rec: VerificationRecord) -> str:
     """``json.dumps(rec.to_json_dict(), separators=(",", ":"))`` and a
     newline, written from the fields in the dict's key order."""
@@ -122,13 +171,7 @@ def json_line(rec: VerificationRecord) -> str:
             keys = {key for key, _ in extra if key.__class__ is str}
             if len(keys) < len(extra) or not keys.isdisjoint(_FIELD_KEYS):
                 raise TypeError
-        line = '{"check":' + _json_str(check)
-        if k is not None:
-            line += ',"k":' + _int(k)
-        if s is not None:
-            line += ',"s":' + _int(s)
-        if index is not None:
-            line += ',"index":' + _json_str(index)
+        line = json_head(check, k, s, index)
         if p is not None:
             line += ',"p":' + _int(p)
         if lhs is not None:

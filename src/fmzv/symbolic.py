@@ -249,21 +249,28 @@ def _free_star_table(n: int, weight: int) -> list[list[int]]:
     return family_pass(weight, steps, (2 * n * big) ** weight + 1, ("free",))[2]
 
 
-def polylog_family_coeff(n: int, k: int, s: int) -> Fraction:
+def polylog_family_coeff(n: int, k: int, s: int, order: int | None = None) -> Fraction:
     """Coefficient of t^n summed over the admissible family (k, s).
 
     The sum of ``polylog_star_coeff`` over every index of weight k and
     height s with k_1 >= 2: the first part k_1 sits at m = n, and the
     tail after it has weight k - k_1 and height s - 1 with a free first
     part, so the family sum is sum over k_1 of q_n^(k_1) free[s-1][k-k_1]
-    / L^k, with q_n = L/n and free the table of ``_free_star_table``.
+    / L^k, with q_n = L/n and free the table of ``_free_star_table`` at
+    weight ``order``, which must be at least k - 2 (by default k - 2).  A
+    cell of weight w is the same in every table of weight >= w, as no cell
+    reaches a table's modulus, so all (k, s) of one n may read one table.
     """
     if n < 1 or k < 0 or s < 1:
         raise ValueError(f"need n >= 1, k >= 0 and s >= 1, got n={n}, k={k}, s={s}")
+    if order is None:
+        order = k - 2
+    elif order < k - 2:
+        raise ValueError(f"need order >= k - 2, got order={order}, k={k}")
     if 2 * s > k:
         return _ZERO
     big = lcm(*range(1, n + 1))
-    free = _free_star_table(n, k - 2)[s - 1]
+    free = _free_star_table(n, order)[s - 1]
     q = big // n
     num = sum(q ** k1 * free[k - k1] for k1 in range(2, k - 2 * s + 3))
     return Fraction(num, big ** k)
@@ -275,14 +282,16 @@ def gf_coefficient_check(n: int, k: int, s: int, order: int | None = None) -> Ve
     The coefficient is read from the grid of ``gf_coeff_series`` cut at
     ``order`` on both axes, which must be at least k - 2; by default
     max(12, k - 2), so every s of one (n, k) reads the same grid.  The
-    coefficients of a grid do not depend on its cut.
+    coefficients of a grid do not depend on its cut.  The family sum
+    reads the free star table of n at the same weight (see
+    ``polylog_family_coeff``), so every (k, s) of one n reads one table.
     """
     if n < 1 or s < 1 or 2 * s > k:
         raise ValueError(f"need n >= 1, s >= 1, 2s <= k; got n={n}, k={k}, s={s}")
     if order is None:
         order = max(12, k - 2)
     lhs = gf_coeff_series(n, order, order).coeff(k - 2 * s, 2 * s - 2)
-    rhs = polylog_family_coeff(n, k, s)
+    rhs = polylog_family_coeff(n, k, s, order)
     return comparison_record("phi0", frac_str(lhs), frac_str(rhs),
                              k=k, s=s, extra=(("n", n),))
 

@@ -31,10 +31,13 @@ over a block of primes: one ``family_tables`` pass that fills only the
 tables some check reads, and one pass of Glaisher's congruence
 (``bernoulli._glaisher_residues``) per odd k of the tasks that read
 "zeta".  Each prime gets a row of plain values, and a context for its
-index sums, built when first read.  Every record of a prime comes from
-its row, in ``evaluate_tasks_for_prime``, and each ``verify_*`` is a
-block of one through the same builder, so no check calls a public block
-of one (``bernoulli.zeta_residue``).  Sweeps, resumes and the CLI read
+index sums, built when first read.  Every side of a prime's tasks comes
+from its row, in one loop over the plan (``prime_sides``), which applies
+each task's guard: ``evaluate_tasks_for_prime`` builds a prime's records
+from it, and ``verify``'s sweep its lines, from the heads the plan holds
+(``records.json_head``).  Each ``verify_*`` is a block of one through the
+same builder, so no check calls a public block of one
+(``bernoulli.zeta_residue``).  Sweeps, resumes and the CLI read
 the registry and name no check themselves.
 
 A task is ``(check, k, s)`` or ``(check, parts)``, and one prime's records
@@ -52,7 +55,7 @@ from .errors import InfeasibleFamilyError
 from .harmonic import FAMILY_TABLES, family_tables, mhs_star, mhs_strict
 from .indices import Index, iter_indices_of_weight
 from .modfield import PrimeCtx
-from .records import VerificationRecord, skipped_record
+from .records import VerificationRecord, json_head, skipped_record
 # Unused here: perfbench/tracing.py patches these names on this module.
 from .bernoulli import zeta_residue  # noqa: F401
 from .harmonic import family_sum_star, family_sum_alt_strict  # noqa: F401
@@ -292,34 +295,37 @@ class Plan(NamedTuple):
     ``tasks`` holds, in the given order, one tuple (check, sides, params,
     guard, reason, k, s, index) per task: its check's name and sides, its
     parameters, its guard weight + 1 (primes up to it are skipped, for
-    ``reason``) and its record's k, s and index.  ``reads`` is the union
-    of what the checks read, ``k_max`` the largest k of the tasks whose
-    check reads a block pass (None when none does), and ``zeta`` the odd
-    k of the tasks that read "zeta", ascending.
+    ``reason``) and its record's k, s and index.  ``heads`` holds each
+    task's JSON head (``records.json_head``), in the same order.
+    ``reads`` is the union of what the checks read, ``k_max`` the largest
+    k of the tasks whose check reads a block pass (None when none does),
+    and ``zeta`` the odd k of the tasks that read "zeta", ascending.
     """
 
     tasks: tuple[tuple, ...]
+    heads: tuple[str, ...]
     reads: frozenset[str]
     k_max: int | None
     zeta: tuple[int, ...]
 
 
 def plan_tasks(tasks: list[tuple]) -> Plan:
-    """The plan of ``tasks``: each task's check, guard and record key
-    looked up once, and what the block passes must give."""
-    resolved, reads, block_ks, zeta = [], set(), [], set()
+    """The plan of ``tasks``: each task's check, guard, record key and
+    JSON head looked up once, and what the block passes must give."""
+    resolved, heads, reads, block_ks, zeta = [], [], set(), [], set()
     for check, *params in tasks:
         grid, sides, check_reads = CHECKS[check]
         weight, k, s, index = grid.key(*params)
         resolved.append((check, sides, tuple(params), weight + 1, f"p <= {weight + 1}",
                          k, s, index))
+        heads.append(json_head(check, k, s, index))
         reads.update(check_reads)
         if not _BLOCK_READS.isdisjoint(check_reads):
             block_ks.append(k)
         if "zeta" in check_reads and k % 2:
             zeta.add(k)
-    return Plan(tuple(resolved), frozenset(reads), max(block_ks, default=None),
-                tuple(sorted(zeta)))
+    return Plan(tuple(resolved), tuple(heads), frozenset(reads),
+                max(block_ks, default=None), tuple(sorted(zeta)))
 
 
 def block_rows(primes, plan: Plan, ctx: PrimeCtx | None = None) -> Iterator[_Row]:
@@ -345,17 +351,26 @@ def block_rows(primes, plan: Plan, ctx: PrimeCtx | None = None) -> Iterator[_Row
         yield _Row(p, lane, zeta[p], ctx)
 
 
+def prime_sides(p: int, plan: Plan, row: _Row) -> list[tuple[str, str] | None]:
+    """The (lhs, rhs) text of each task of ``plan`` at ``p``, in the plan's
+    task order, or None for a task skipped at p, one at or below its
+    guard: the one place a task's guard is applied and its check's sides
+    are read off the prime's row (see ``block_rows``)."""
+    return [None if p <= guard else sides(*params, row)
+            for _, sides, params, guard, _, _, _, _ in plan.tasks]
+
+
 def evaluate_tasks_for_prime(p: int, plan: Plan, row: _Row) -> list[VerificationRecord]:
-    """All records for one prime, in the plan's task order: the one place
-    a check's record is built.  A task at or below its guard is skipped;
-    the rest read the sides of their check off the prime's row (see
-    ``block_rows``)."""
+    """All records for one prime, in the plan's task order, from its
+    tasks' sides (``prime_sides``): a skipped record, with the task's
+    reason, where a task has none."""
     out = []
-    for check, sides, params, guard, reason, k, s, index in plan.tasks:
-        if p <= guard:
+    for (check, _, _, _, reason, k, s, index), sides in zip(plan.tasks,
+                                                            prime_sides(p, plan, row)):
+        if sides is None:
             out.append(skipped_record(check, reason, p=p, k=k, s=s, index=index))
         else:
-            lhs, rhs = sides(*params, row)
+            lhs, rhs = sides
             out.append(VerificationRecord(check, p, k, s, index, lhs, rhs, lhs == rhs))
     return out
 

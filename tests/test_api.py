@@ -15,7 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fmzv
-from fmzv.records import VerificationRecord, comparison_record, json_line
+from fmzv.records import (
+    VerificationRecord,
+    comparison_record,
+    json_head,
+    json_line,
+    json_lines_at,
+    skipped_record,
+)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -144,3 +151,22 @@ _RECORDS = st.builds(
 @given(_RECORDS)
 def test_json_line_is_the_json_of_the_record_dict(rec):
     assert json_line(rec) == json.dumps(rec.to_json_dict(), separators=(",", ":")) + "\n"
+
+
+# a record's two sides: skipped, equal or (mostly) unequal text
+_SIDES = st.none() | _TEXT.map(lambda text: (text, text)) | st.tuples(_TEXT, _TEXT)
+
+
+@settings(max_examples=400, deadline=None)
+@given(check=_TEXT, k=st.none() | st.integers(0, 99), s=st.none() | st.integers(0, 99),
+       index=st.none() | _TEXT, p=st.integers(2, 1 << 64), reason=_TEXT, sides=_SIDES)
+def test_json_lines_at_are_the_json_lines_of_the_records(check, k, s, index, p, reason,
+                                                         sides):
+    # a sweep's line from its task's head and sides is json_line of the
+    # record those give: skipped with the reason, or a comparison
+    if sides is None:
+        rec = skipped_record(check, reason, p=p, k=k, s=s, index=index)
+    else:
+        rec = comparison_record(check, *sides, p=p, k=k, s=s, index=index)
+    lines, failed = json_lines_at(p, [json_head(check, k, s, index)], [reason], [sides])
+    assert lines == [json_line(rec)] and failed == (not rec.passed)

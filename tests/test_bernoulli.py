@@ -51,9 +51,10 @@ def test_bernoulli_pole_and_range_errors():
             bernoulli_mod(n, ctx)
 
 
-def test_power_sum_matches_recurrence_oracle():
-    # every even n <= p-3, against the O(p^2) recurrence table, and the
-    # zeta residues B_(p-k)/k read from it
+def test_bernoulli_mod_block_of_one_matches_recurrence_oracle():
+    # bernoulli_mod, Glaisher's pass on a block of one, at every even
+    # n <= p-3, against the O(p^2) recurrence table, and the zeta residues
+    # B_(p-k)/k read from it
     for p in primes_in_range(5, 400) + [1009, 2999]:
         ctx = PrimeCtx(p)
         table = oracles.bernoulli_even_table(p)

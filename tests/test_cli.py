@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,10 +10,12 @@ import sys
 import pytest
 
 import fmzv
+import fmzv.verify
 from fmzv import cli
 from fmzv.cli import main
 from fmzv.modfield import primes_in_range
-from fmzv.records import VerificationRecord
+from fmzv.records import VerificationRecord, json_line
+from fmzv.verify import block_rows, check_tasks, evaluate_tasks_for_prime, plan_tasks
 
 
 def run_cli(argv, capsys):
@@ -178,9 +181,10 @@ def test_exit_code_on_failure(tmp_path, capsys, monkeypatch):
     import fmzv.cli as cli_mod
 
     def fake_worker(shard):
-        primes, _tasks = shard
-        return [[VerificationRecord(check="ao", p=p, k=2, s=1, lhs="1", rhs="2",
-                                    passed=False)] for p in primes]
+        primes, _plan, fmt = shard
+        return [cli_mod._render([VerificationRecord(check="ao", p=p, k=2, s=1, lhs="1",
+                                                    rhs="2", passed=False)],
+                                fmt, cli_mod.VERIFY_COLUMNS) for p in primes]
 
     monkeypatch.setattr(cli_mod, "_verify_worker", fake_worker)
     code, out, _ = run_cli(["verify", "ao", "--kmax", "2", "--primes", "5..5",
@@ -868,13 +872,95 @@ JSONL_PINS = {
 
 @pytest.mark.parametrize("name", JSONL_PINS)
 def test_jsonl_lines_are_written_without_the_record_dict(capsys, monkeypatch, name):
-    # every JSONL line comes from the record's fields (records.json_line):
-    # with to_json_dict made to raise, each command writes its pinned bytes
+    # every JSONL line comes from the record's fields (records.json_line),
+    # or for verify from its task's head in the plan and its sides: with
+    # to_json_dict made to raise, each command writes its pinned bytes
     monkeypatch.setattr(VerificationRecord, "to_json_dict", _no_dict)
     argv, digest = JSONL_PINS[name]
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# All six checks from p = 2: skipped records at the small primes, family
+# keys (k, s) and index texts of up to five parts, in blocks of primes.
+ALL_CHECKS = ["antipode", "ao", "heightsum", "lemma", "lm", "reversal"]
+ALL_PLAN = plan_tasks(sorted(task for check in ALL_CHECKS
+                             for task in check_tasks(check, k_max=7, w_max=5)))
+ALL_BLOCKS = cli._blocks(primes_in_range(2, 60), 6, cli.BLOCK_BITS)
+
+
+def _block_records(block, plan):
+    return [evaluate_tasks_for_prime(row.p, plan, row) for row in block_rows(block, plan)]
+
+
+def test_rendered_jsonl_is_the_json_line_of_each_record():
+    # the verify shard writes each prime's lines from the plan's heads,
+    # with no record built: the bytes of json_line of the prime's records,
+    # counted as _count counts them
+    assert len(ALL_BLOCKS) > 2 and any("," in head for head in ALL_PLAN.heads)
+    seen = set()
+    for block in ALL_BLOCKS:
+        batches = list(cli._verify_worker((block, ALL_PLAN, "jsonl")))
+        records = _block_records(block, ALL_PLAN)
+        assert len(batches) == len(records) == len(block)
+        for (lines, counts), recs in zip(batches, records):
+            assert lines == [json_line(rec) for rec in recs]
+            want = cli._new_tally()
+            cli._count(want, recs)
+            assert counts == {key: want[key] for key in ("records", "failed", "skipped")}
+            seen.update((rec.skipped, rec.index is None) for rec in recs)
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_rendered_csv_rows_are_written_from_the_record_dict():
+    # the verify shard's CSV rows are the rows csv writes of each record's
+    # dict, true/false as in JSON and None as an empty field
+    for block in ALL_BLOCKS:
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        for recs in _block_records(block, ALL_PLAN):
+            for rec in recs:
+                writer.writerow([json.dumps(v) if isinstance(v, bool) else v
+                                 for v in map(rec.to_json_dict().get, cli.VERIFY_COLUMNS)])
+        lines = [line for lines, _ in cli._verify_worker((block, ALL_PLAN, "csv"))
+                 for line in lines]
+        assert "".join(lines) == out.getvalue()
+        assert len(lines) == len(block) * len(ALL_PLAN.tasks)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_a_failing_side_is_written_as_a_failure(capsys, monkeypatch, fmt):
+    # a check whose sides disagree writes "pass":false on every live line,
+    # the bytes of its records, and the run exits 1
+    check = fmzv.verify.CHECKS["ao"]
+    monkeypatch.setitem(fmzv.verify.CHECKS, "ao",
+                        check._replace(sides=lambda k, s, row: ("1", "2")))
+    argv = ["verify", "ao", "--kmax", "4", "--primes", "2..13", "--jobs", "1", "--format", fmt]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and "24 records, 14 failed, 10 skipped" in err, err
+    if fmt == "jsonl":
+        plan = plan_tasks(check_tasks("ao", k_max=4))
+        want = [json_line(rec) for recs in _block_records(primes_in_range(2, 13), plan)
+                for rec in recs]
+        assert out.splitlines(keepends=True) == want
+        lines = [json.loads(line) for line in want]
+    else:
+        lines = [cli._csv_record(cli.VERIFY_COLUMNS, row)
+                 for row in list(csv.reader(io.StringIO(out)))[1:]]
+    assert [rec["pass"] for rec in lines if not rec["skipped"]] == [False] * 14
+    assert all(rec["lhs"] == "1" and rec["rhs"] == "2" for rec in lines if not rec["skipped"])
+
+
+def test_a_side_that_is_not_text_raises(monkeypatch):
+    # the shard writes lhs and rhs through encode_basestring_ascii, which
+    # refuses a value that is not a str rather than write bad JSON
+    check = fmzv.verify.CHECKS["ao"]
+    monkeypatch.setitem(fmzv.verify.CHECKS, "ao",
+                        check._replace(sides=lambda k, s, row: (1, "1")))
+    plan = plan_tasks(check_tasks("ao", k_max=4))
+    with pytest.raises(TypeError):
+        list(cli._verify_worker(((11, 13), plan, "jsonl")))
 
 
 def test_csv_rows_are_written_from_the_record_dict(capsys, monkeypatch):

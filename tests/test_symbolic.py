@@ -224,6 +224,10 @@ def test_polylog_family_coeff_empty_families_and_bad_input():
     for n, k, s in ((0, 2, 1), (1, -1, 1), (1, 2, 0)):
         with pytest.raises(ValueError):
             polylog_family_coeff(n, k, s)
+    for k, s, order in ((8, 1, 5), (8, 2, 0), (5, 3, 2)):
+        # a table cut below k - 2 lacks the family's cells
+        with pytest.raises(ValueError, match="order >= k - 2"):
+            polylog_family_coeff(3, k, s, order)
 
 
 @pytest.mark.parametrize("p", [11, 13, 17, 19, 23])
@@ -256,6 +260,26 @@ def test_phi0_reads_one_grid_per_order():
             gf_coefficient_check(3, 10, 1, order=7)
     finally:
         gf_coeff_series.cache_clear()
+
+
+def test_phi0_reads_one_free_star_table_per_n():
+    # the family sums of one n read the free star table cut where the
+    # suite cuts its grid; a cell of weight w is the same in any table of
+    # weight >= w, so a lone sum reads its own table to the same value
+    table = fmzv.symbolic._free_star_table
+    table.cache_clear()
+    try:
+        records = run_phi0_suite(n_max=8, k_max=10)
+        assert records and all(r.passed for r in records)
+        assert table.cache_info().misses == 8
+        for n in range(1, 9):
+            for k in range(2, 11):
+                for s in range(1, k // 2 + 1):
+                    want = polylog_family_coeff(n, k, s)
+                    for order in (k - 2, k - 1, 12, 16):
+                        assert polylog_family_coeff(n, k, s, order) == want, (n, k, s, order)
+    finally:
+        table.cache_clear()
 
 
 def test_gf_coefficient_check_examples():

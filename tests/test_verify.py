@@ -39,6 +39,13 @@ def prime_records(p, tasks):
     return evaluate_tasks_for_prime(p, plan, row)
 
 
+def block_records(block, plan):
+    """The records of a block of primes, prime by prime, each from its row
+    of one run of the block builder."""
+    return [rec for row in block_rows(block, plan)
+            for rec in evaluate_tasks_for_prime(row.p, plan, row)]
+
+
 def sweep(checks, primes, **grid):
     """The records of ``fmzv verify`` in its order: prime by prime, each
     prime's records sorted by ``record_sort_key``."""
@@ -223,8 +230,7 @@ def test_family_table_built_once_per_prime(monkeypatch):
             passes.clear()
             blocks = cli._blocks(primes, -(-len(primes) // jobs), cli.BLOCK_BITS)
             assert len(blocks) >= max(jobs, 2)
-            records = [rec for block in blocks
-                       for batch in cli._verify_worker((block, plan)) for rec in batch]
+            records = [rec for block in blocks for rec in block_records(block, plan)]
             assert passes == blocks, (checks, jobs)
             assert memo_builds == [], (checks, jobs)
             assert records == sweep(checks, primes, k_max=10)
@@ -254,8 +260,7 @@ def test_sweep_builds_no_shared_context(checks):
                              for task in check_tasks(check, k_max=8, w_max=4)))
     prime_ctx.cache_clear()
     for blocks in ([(p,) for p in primes], cli._blocks(primes, 4, cli.BLOCK_BITS)):
-        records = [rec for block in blocks
-                   for batch in cli._verify_worker((block, plan)) for rec in batch]
+        records = [rec for block in blocks for rec in block_records(block, plan)]
         assert len(records) == len(plan.tasks) * len(primes)
         assert all(r.passed for r in records)
     assert prime_ctx.cache_info().misses == 0
@@ -292,8 +297,7 @@ def _sweep_records(checks, primes, size=None, **grid):
     block of at most ``size`` primes, each prime's records from its row."""
     plan = plan_tasks(sorted(task for check in checks for task in check_tasks(check, **grid)))
     blocks = cli._blocks(primes, size or len(primes), cli.BLOCK_BITS)
-    return [rec for block in blocks for batch in cli._verify_worker((block, plan))
-            for rec in batch]
+    return [rec for block in blocks for rec in block_records(block, plan)]
 
 
 @lru_cache(maxsize=None)
