@@ -19,8 +19,10 @@ Every command that reports records opens stdout or ``--out`` with
 ``_emit``, the one writer: it takes batches already rendered as text,
 each a list of lines and the counts (records, failed, skipped, ...) that
 the stderr summary line sums.  ``zsweep`` and ``symbolic`` render their
-VerificationRecords with ``_render``: a JSON line straight from each
-record's fields (``json_line``) or a CSV row from ``to_json_dict``.
+VerificationRecords with ``_render``, from each record's dict
+(``to_json_dict``), the one serialization of a record: its JSON line is
+``json.dumps`` of the dict, its CSV row the dict's values, and ``_count``
+counts it off the dict, as a resume counts the records it keeps.
 ``verify``'s shards render their own primes (``_verify_worker``), in the
 pool's workers where there is a pool, so only text crosses back: JSON
 lines from the heads the plan holds and the prime's sides, with no record
@@ -33,14 +35,14 @@ record is computed.  The records a resume keeps count in the summary
 line and the exit code, so both describe the whole file.
 
 Exit codes: 0 all records passed or were skipped, 1 at least one failed,
-2 usage error (a flag that leaves nothing to check, too), 3 a ``verify``
-pool lost a worker (killed, say, for want of memory): the output holds
-whole primes only, one stderr line names the last, and ``--resume``
-continues after it, 141 (128 + SIGPIPE) the reader of stdout went away
-(``fmzv zsweep ... | head -1``), a quiet stop with no traceback and no
-summary line.  Fixed seeds give byte-identical output, and the record
-order does not depend on --jobs: ``verify`` sorts its task list once, and
-each prime's records follow it.
+2 usage error (a flag that leaves nothing to check, or a prime at or
+past the 2^61 cap, too), 3 a ``verify`` pool lost a worker (killed, say,
+for want of memory): the output holds whole primes only, one stderr line
+names the last, and ``--resume`` continues after it, 141 (128 + SIGPIPE)
+the reader of stdout went away (``fmzv zsweep ... | head -1``), a quiet
+stop with no traceback and no summary line.  Fixed seeds give
+byte-identical output, and the record order does not depend on --jobs:
+``verify`` sorts its task list once, and each prime's records follow it.
 """
 
 from __future__ import annotations
@@ -54,14 +56,14 @@ import json
 import os
 import sys
 from math import ceil, log2
-from operator import attrgetter, itemgetter, methodcaller
+from operator import itemgetter
 from types import SimpleNamespace
 
 from .bernoulli import zeta_sweep_rows
 from .indices import Index
-from .modfield import PrimeCtx, is_prime, primes_in_range
+from .modfield import PRIME_CAP, PrimeCtx, is_prime, primes_in_range
 from .harmonic import mhs_star, mhs_strict
-from .records import VerificationRecord, json_line, json_lines_at
+from .records import json_lines_at
 from .verify import (
     CHECK_NAMES,
     block_rows,
@@ -104,6 +106,8 @@ def _parse_prime_range(text: str) -> list[int]:
         raise ValueError(f"bad prime range {text!r}") from None
     if lo < 1 or hi < lo:
         raise ValueError(f"bad prime range {text!r}")
+    if hi >= PRIME_CAP:
+        raise ValueError(f"prime range {text!r} reaches the 2^61 cap")
     primes = primes_in_range(lo, hi)
     if not primes:
         raise ValueError(f"no prime in {text!r}")
@@ -131,40 +135,35 @@ def _new_tally() -> dict:
     return dict.fromkeys(("records", "failed", "skipped", "zero", "degenerate"), 0)
 
 
-_passed, _skipped, _extra = attrgetter("passed"), attrgetter("skipped"), attrgetter("extra")
-_zero, _cross = methodcaller("get", "zero", False), methodcaller("get", "cross")
-
-
-def _count(tally, batch) -> None:
-    """Add a batch of records to ``tally``: records, failed and skipped,
-    and of zsweep rows (their extras) the zero residues and the degenerate
-    cross-checks.  Each is a C-level count over the batch, with no Python
-    call per record."""
-    extras = [dict(extra) for extra in map(_extra, batch) if extra]
-    tally["records"] += len(batch)
-    tally["failed"] += len(batch) - sum(map(_passed, batch))
-    tally["skipped"] += sum(map(_skipped, batch))
-    tally["zero"] += sum(map(_zero, extras))
-    tally["degenerate"] += list(map(_cross, extras)).count("degenerate")
+def _count(tally, fields) -> None:
+    """Add one record, as its dict (``to_json_dict``, or a line read back),
+    to ``tally``: a record, failed or skipped, and of a zsweep row a zero
+    residue and a degenerate cross-check."""
+    tally["records"] += 1
+    tally["failed"] += not fields["pass"]
+    tally["skipped"] += fields["skipped"]
+    tally["zero"] += fields.get("zero", False)
+    tally["degenerate"] += fields.get("cross") == "degenerate"
 
 
 def _render(batch, fmt, columns) -> tuple[list[str], dict]:
-    """A batch of VerificationRecords as ``_emit`` takes it: its lines,
-    JSON lines (``json_line``) or CSV rows of ``columns``, and its counts
-    (see ``_count``)."""
+    """A batch of VerificationRecords as ``_emit`` takes it: each record's
+    dict (``to_json_dict``) written as its JSON line or its CSV row of
+    ``columns``, and counted (``_count``)."""
+    lines, counts = [], _new_tally()
     if fmt == "csv":
-        lines = []
         # csv writes each row with one call of its file's write
-        writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
-        for rec in batch:
+        writerow = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerow
+    for rec in batch:
+        fields = rec.to_json_dict()
+        if fmt == "csv":
             # true/false as in JSON; csv writes None as an empty field
             # (``_csv_record`` reads a row back)
-            writer.writerow([str(v).lower() if isinstance(v, bool) else v
-                             for v in map(rec.to_json_dict().get, columns)])
-    else:
-        lines = list(map(json_line, batch))
-    counts = _new_tally()
-    _count(counts, batch)
+            writerow([str(v).lower() if isinstance(v, bool) else v
+                      for v in map(fields.get, columns)])
+        else:
+            lines.append(json.dumps(fields, separators=(",", ":")) + "\n")
+        _count(counts, fields)
     return lines, counts
 
 
@@ -249,7 +248,7 @@ def _resume_primes(path, fmt, columns, keys, primes) -> tuple[list[int], dict]:
         keep = len(lines[0]) + 1
         lines = lines[1:]
     pos = keep
-    pending = []  # the records of the prime being read, as far as _count reads them
+    pending = []  # the records of the prime being read
     for i, line in enumerate(lines):
         pos += len(line) + 1
         lineno = i + 1 + (fmt == "csv")
@@ -265,7 +264,6 @@ def _resume_primes(path, fmt, columns, keys, primes) -> tuple[list[int], dict]:
             passed, skipped, zero = rec["pass"], rec["skipped"], rec.get("zero", False)
             if not all(isinstance(flag, bool) for flag in (passed, skipped, zero)):
                 raise ValueError
-            extra = tuple((key, rec[key]) for key in ("zero", "cross") if key in rec)
             int(rec["p"])
         except (ValueError, KeyError, IndexError, TypeError):
             raise ValueError(f"{path}: unreadable record {line[:60]!r}") from None
@@ -287,11 +285,11 @@ def _resume_primes(path, fmt, columns, keys, primes) -> tuple[list[int], dict]:
         if not agrees or "zero" in rec and zero != (lhs == "0"):
             raise ValueError(f"{path}: line {lineno} disagrees with itself: its pass or "
                              f"zero does not follow from its lhs and rhs")
-        pending.append(VerificationRecord(rec.get("check"), passed=passed, skipped=skipped,
-                                          extra=extra))
+        pending.append(rec)
         if (i + 1) % per_prime == 0:
             keep = pos
-            _count(tally, pending)
+            for fields in pending:
+                _count(tally, fields)
             pending.clear()
     if keep < len(data):
         with open(path, "r+b") as handle:
@@ -539,8 +537,9 @@ def cmd_symbolic(args) -> int:
         if least is not None and value < least:
             return _fail(f"{suite} needs --{flag} >= {least}, got {value}")
         kwargs[keyword] = value
-    if suite == "hypcong" and not (args.prime and is_prime(args.prime)):
-        return _fail("hypcong needs --prime, a prime >= 5")
+    if suite == "hypcong" and not (args.prime and args.prime < PRIME_CAP
+                                   and is_prime(args.prime)):
+        return _fail("hypcong needs --prime, a prime >= 5 below the 2^61 cap")
     try:
         handle = _open_out(args.out, "jsonl", (), False)
     except OSError as err:

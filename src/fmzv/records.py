@@ -1,34 +1,25 @@
 """The VerificationRecord: one check outcome, the unit of every report.
 
-``to_json_dict`` gives a record's fields as a dict in a stable key order:
-the CSV rows read it.  ``json_line`` writes the JSON line of that dict,
-the bytes ``json.dumps(rec.to_json_dict(), separators=(",", ":"))``
-makes, straight from the fields with no dict in between.  ``json_head``
-is the one writer of a line's fixed head, its check, k, s and index:
-``json_line`` starts each line with it, and a ``verify`` plan holds the
-head of each of its tasks (``verify.plan_tasks``).  ``json_lines_at``
-writes a sweep's lines of one prime from those heads and the tasks'
-sides, the bytes ``json_line`` writes of their records, with no record
-built.
+``to_json_dict`` gives a record's fields as a dict in a stable key order,
+the one serialization of a record: ``cli`` writes its JSON line
+(``json.dumps`` of the dict) and its CSV row from it, and counts it from
+it.  ``verify``'s sweeps build no record: ``json_head`` writes a line's
+fixed head, its check, k, s and index, which a ``verify`` plan holds for
+each of its tasks (``verify.plan_tasks``), and ``json_lines_at`` writes a
+sweep's lines of one prime from those heads and the tasks' sides, the
+bytes ``json.dumps`` writes of their records' dicts.
 """
 
 from __future__ import annotations
 
-import json
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple
 
-# One encoder for the values json_line does not write itself: json.dumps
-# with separators builds a new one per call.
-_JSON = json.JSONEncoder(separators=(",", ":"))
 # json writes an int, and no bool, as int.__repr__ does.
 _int = int.__repr__
 # The tails of a line of a comparison record with no reason or extra.
 _PASSED = ',"pass":true,"skipped":false}\n'
 _FAILED = ',"pass":false,"skipped":false}\n'
-# The keys of to_json_dict that come from fields, not from ``extra``.
-_FIELD_KEYS = frozenset(("check", "k", "s", "index", "p", "lhs", "rhs", "pass",
-                         "skipped", "reason"))
 
 
 class VerificationRecord(NamedTuple):
@@ -98,22 +89,6 @@ def comparison_record(check: str, lhs: str, rhs: str, *, p=None, k=None, s=None,
     )
 
 
-def _json_value(value) -> str:
-    """An extra's value as the shared encoder writes it.  A bool is an
-    int, so the bools are tested first."""
-    if value.__class__ is str:
-        return _json_str(value)
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if value is None:
-        return "null"
-    if value.__class__ is int:
-        return _int(value)
-    return _JSON.encode(value)
-
-
 def json_head(check: str, k: int | None = None, s: int | None = None,
               index: str | None = None) -> str:
     """The head of a record's JSON line, unclosed: '{"check":' and the
@@ -135,9 +110,10 @@ def json_lines_at(p: int, heads, reasons, sides) -> tuple[list[str], int]:
     written from each record's head (``json_head``), its reason and its
     sides: a pair (lhs, rhs) gives the line of a comparison record, which
     passes where lhs == rhs, and None that of a skipped record with the
-    reason.  These are the bytes ``json_line`` writes of those records.  A
-    side that is not a str raises TypeError, as ``json_line`` would write
-    it through the dict."""
+    reason.  These are the bytes of ``json.dumps(rec.to_json_dict(),
+    separators=(",", ":"))`` and a newline for each of those records.  A
+    side that is not a str raises TypeError, where ``json.dumps`` would
+    write another JSON type."""
     at = ',"p":' + _int(p)
     lines, failed = [], 0
     for head, reason, pair in zip(heads, reasons, sides):
@@ -153,37 +129,3 @@ def json_lines_at(p: int, heads, reasons, sides) -> tuple[list[str], int]:
             tail = _FAILED
         lines.append(head + at + ',"lhs":' + _json_str(lhs) + ',"rhs":' + _json_str(rhs) + tail)
     return lines, failed
-
-
-def json_line(rec: VerificationRecord) -> str:
-    """``json.dumps(rec.to_json_dict(), separators=(",", ":"))`` and a
-    newline, written from the fields in the dict's key order."""
-    check, p, k, s, index, lhs, rhs, passed, skipped, reason, extra = rec
-    try:
-        # _json_str and _int raise TypeError off their types; the rest
-        # would be written wrongly, so it is sent to the dict here: a bool
-        # in an int field, a flag that is not a bool, and an extra key
-        # that repeats, names a field or is not a str
-        if (passed.__class__ is not bool or skipped.__class__ is not bool
-                or p.__class__ is bool or k.__class__ is bool or s.__class__ is bool):
-            raise TypeError
-        if extra:
-            keys = {key for key, _ in extra if key.__class__ is str}
-            if len(keys) < len(extra) or not keys.isdisjoint(_FIELD_KEYS):
-                raise TypeError
-        line = json_head(check, k, s, index)
-        if p is not None:
-            line += ',"p":' + _int(p)
-        if lhs is not None:
-            line += ',"lhs":' + _json_str(lhs)
-        if rhs is not None:
-            line += ',"rhs":' + _json_str(rhs)
-        line += ',"pass":true' if passed else ',"pass":false'
-        line += ',"skipped":true' if skipped else ',"skipped":false'
-        if reason is not None:
-            line += ',"reason":' + _json_str(reason)
-        for key, value in extra:
-            line += "," + _json_str(key) + ":" + _json_value(value)
-    except TypeError:
-        return _JSON.encode(rec.to_json_dict()) + "\n"
-    return line + "}\n"

@@ -14,7 +14,7 @@ import fmzv.verify
 from fmzv import cli
 from fmzv.cli import main
 from fmzv.modfield import primes_in_range
-from fmzv.records import VerificationRecord, json_line
+from fmzv.records import VerificationRecord
 from fmzv.verify import block_rows, check_tasks, evaluate_tasks_for_prime, plan_tasks
 
 
@@ -351,6 +351,16 @@ def test_resume_summary_counts_the_kept_records(tmp_path, capsys, argv, fmt):
                    .replace(", 0 cross-check", ", 1 cross-check"))
 
 
+# The one-shot summaries of the hunts over 3..31 below: every live row at
+# k = 4 is a zero, and each k has a degenerate row.
+KEPT_ROWS_SUMMARY = {
+    4: "zsweep k=4: 10 primes, 8 zero residues, 0 cross-check failures, 1 degenerate, "
+       "2 skipped\n",
+    9: "zsweep k=9: 10 primes, 0 zero residues, 0 cross-check failures, 1 degenerate, "
+       "3 skipped\n",
+}
+
+
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
 @pytest.mark.parametrize("k", [4, 9])
 def test_resume_counts_kept_zero_and_degenerate_rows(tmp_path, capsys, k, fmt):
@@ -360,7 +370,7 @@ def test_resume_counts_kept_zero_and_degenerate_rows(tmp_path, capsys, k, fmt):
     base = ["zsweep", "--k", str(k), "--format", fmt, "--primes", "3..31"]
     out = tmp_path / f"run.{fmt}"
     code, _, oneshot_err = run_cli(base + ["--out", str(out)], capsys)
-    assert code == 0 and ", 1 degenerate" in oneshot_err
+    assert code == 0 and oneshot_err == KEPT_ROWS_SUMMARY[k]
     whole = out.read_bytes()
     ends = [i + 1 for i, byte in enumerate(whole) if byte == ord("\n")]
     for end in ends:
@@ -533,6 +543,25 @@ def test_prime_range_without_a_prime_is_a_usage_error(tmp_path, capsys):
     assert done.read_bytes() == before
 
 
+# The first prime past PrimeCtx's 2^61 cap, and ranges whose top is that
+# prime or the cap itself, 2^61, above the prime 2^61 - 1 below it.
+PAST_THE_CAP = ["2305843009213693967..2305843009213693967",
+                "2305843009213693951..2305843009213693952"]
+
+
+@pytest.mark.parametrize("primes", PAST_THE_CAP)
+def test_prime_range_past_the_cap_is_a_usage_error(capsys, monkeypatch, primes):
+    # refused before any work, where an index sweep raised ValueError at
+    # the prime and a family sweep or the zeta hunt ran without end
+    _refuse_work(monkeypatch)
+    for argv in (["verify", "antipode", "--wmax", "2", "--primes", primes, "--jobs", "1"],
+                 ["verify", "ao", "--kmax", "4", "--primes", primes, "--jobs", "1"],
+                 ["zsweep", "--k", "3", "--primes", primes]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == "", argv
+        assert err == f"error: prime range {primes!r} reaches the 2^61 cap\n", err
+
+
 @pytest.mark.parametrize("text", ["5..", "..7", "abc", "5..x", "5...7"])
 def test_malformed_prime_range_is_named(capsys, text):
     for argv in (["verify", "ao", "--kmax", "3", "--jobs", "1"], ["zsweep", "--k", "3"]):
@@ -580,6 +609,7 @@ BAD_SYMBOLIC = [
     ["hypcong", "--prime", "13", "--samples", "-1"],
     ["gauss", "--pairs", "0"],
     ["gauss", "--mmax", "-1"],
+    ["hypcong", "--prime", "2305843009213693967"],  # the first prime past the 2^61 cap
 ]
 
 
@@ -606,8 +636,8 @@ def _refuse_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the flags were checked")
 
-    for name in ("_verify_worker", "run_gauss_suite", "run_anl_suite", "run_phi0_suite",
-                 "run_hypcong_suite"):
+    for name in ("_verify_worker", "zeta_sweep_rows", "run_gauss_suite", "run_anl_suite",
+                 "run_phi0_suite", "run_hypcong_suite"):
         monkeypatch.setattr(cli, name, no_work)
 
 
@@ -856,25 +886,21 @@ def _no_dict(self):
     raise _NoDict(self)
 
 
-# Commands whose JSONL bytes are pinned above: the family and index checks
-# (skipped records and the index field), zsweep (skipped, degenerate and
-# zero rows) and a symbolic suite (int and str extras).
+# verify's JSONL sweeps whose bytes are pinned above: the family and index
+# checks (skipped records and the index field).
 JSONL_PINS = {
     "verify-family": (["verify", "ao,lm,lemma,heightsum", "--kmax", "12", "--primes",
                        "5..200", "--jobs", "1"], VERIFY_FAMILY_SHA256["jsonl"]),
     "verify-index": (["verify", "antipode,reversal", "--wmax", "6", "--primes", "11..61",
                       "--jobs", "1"], VERIFY_INDEX_SHA256["jsonl"]),
-    "zsweep": (["zsweep", "--k", "11", "--primes", "5..700"], ZSWEEP_SHA256[11, "jsonl"]),
-    "symbolic": (["symbolic", "hypcong", "--prime", "61", "--seed", "7"],
-                 HYPCONG_SHA256["--prime", "61", "--seed", "7"]),
 }
 
 
 @pytest.mark.parametrize("name", JSONL_PINS)
 def test_jsonl_lines_are_written_without_the_record_dict(capsys, monkeypatch, name):
-    # every JSONL line comes from the record's fields (records.json_line),
-    # or for verify from its task's head in the plan and its sides: with
-    # to_json_dict made to raise, each command writes its pinned bytes
+    # verify writes each JSONL line from its task's head in the plan and its
+    # sides (records.json_lines_at), with no record built: with to_json_dict
+    # made to raise, each sweep writes its pinned bytes
     monkeypatch.setattr(VerificationRecord, "to_json_dict", _no_dict)
     argv, digest = JSONL_PINS[name]
     code, out, _ = run_cli(argv, capsys)
@@ -896,8 +922,8 @@ def _block_records(block, plan):
 
 def test_rendered_jsonl_is_the_json_line_of_each_record():
     # the verify shard writes each prime's lines from the plan's heads,
-    # with no record built: the bytes of json_line of the prime's records,
-    # counted as _count counts them
+    # with no record built: the bytes of json.dumps of the dicts of the
+    # prime's records, counted as _count counts those dicts
     assert len(ALL_BLOCKS) > 2 and any("," in head for head in ALL_PLAN.heads)
     seen = set()
     for block in ALL_BLOCKS:
@@ -905,9 +931,11 @@ def test_rendered_jsonl_is_the_json_line_of_each_record():
         records = _block_records(block, ALL_PLAN)
         assert len(batches) == len(records) == len(block)
         for (lines, counts), recs in zip(batches, records):
-            assert lines == [json_line(rec) for rec in recs]
+            assert lines == [json.dumps(rec.to_json_dict(), separators=(",", ":")) + "\n"
+                             for rec in recs]
             want = cli._new_tally()
-            cli._count(want, recs)
+            for rec in recs:
+                cli._count(want, rec.to_json_dict())
             assert counts == {key: want[key] for key in ("records", "failed", "skipped")}
             seen.update((rec.skipped, rec.index is None) for rec in recs)
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
@@ -941,8 +969,8 @@ def test_a_failing_side_is_written_as_a_failure(capsys, monkeypatch, fmt):
     assert code == 1 and "24 records, 14 failed, 10 skipped" in err, err
     if fmt == "jsonl":
         plan = plan_tasks(check_tasks("ao", k_max=4))
-        want = [json_line(rec) for recs in _block_records(primes_in_range(2, 13), plan)
-                for rec in recs]
+        want = [json.dumps(rec.to_json_dict(), separators=(",", ":")) + "\n"
+                for recs in _block_records(primes_in_range(2, 13), plan) for rec in recs]
         assert out.splitlines(keepends=True) == want
         lines = [json.loads(line) for line in want]
     else:
